@@ -17,97 +17,49 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from numbers import Real
+from typing import Mapping
 
 import numpy as np
 
 from .errors import NumericError, StructureError
-from .numerics import readonly
-from .rings import ValidationReport, Violation
+from .rings import (ValidationReport, Violation, _antiautomorphism_violations,
+                    _associativity_violations, _involution_violations,
+                    _sequence, _SparseStructure, _unit_violations)
 
 _RANK_RTOL = 1e-7  # singular-value threshold, relative to the largest
 
 
-class BasedAlgebra:
+class BasedAlgebra(_SparseStructure):
     """Finite-dimensional algebra with a distinguished basis.
 
     Structure constants N[b,b']^{b''} are non-negative integers; the
     involution is a basis permutation acting as an anti-automorphism.  The
     unit index is optional because natural examples (a full matrix algebra in
-    its matrix-unit basis) have a unit that is not a basis element.
+    its matrix-unit basis) have a unit that is not a basis element.  An
+    optional positive dimension vector ``dims`` may be attached.
     """
 
-    __slots__ = ("labels", "unit", "dual", "structure", "dims", "_lmats")
+    __slots__ = ("dims",)
 
     def __init__(self, labels, unit, dual, structure, dims=None):
-        labels = tuple(str(x) for x in labels)
-        if not labels:
-            raise StructureError("basis must be non-empty")
-        if len(set(labels)) != len(labels):
-            raise StructureError("basis labels must be unique")
-        n = len(labels)
-        if unit is not None and (not isinstance(unit, (int, np.integer)) or not 0 <= unit < n):
-            raise StructureError(f"unit index {unit!r} out of range")
-        dual = tuple(int(x) for x in dual)
-        if len(dual) != n or any(not 0 <= x < n for x in dual):
-            raise StructureError("involution must list one in-range index per basis element")
-
-        if isinstance(structure, Mapping):
-            items: Iterable = ((k[0], k[1], k[2], v) for k, v in structure.items())
-        else:
-            items = structure
-        table: dict[tuple[int, int, int], int] = {}
-        for entry in items:
-            try:
-                a, b, c, mult = (int(x) for x in entry)
-            except (TypeError, ValueError):
-                raise StructureError(f"structure entry {entry!r} is not (b, b', b'', mult)") from None
-            if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-                raise StructureError(f"structure entry index out of range: {(a, b, c)}")
-            if mult < 0:
-                raise StructureError(f"negative structure constant at {(a, b, c)}")
-            if (a, b, c) in table:
-                raise StructureError(f"duplicate structure key {(a, b, c)}")
-            if mult:
-                table[(a, b, c)] = mult
-
+        super().__init__(labels, unit, dual, structure)
         if dims is not None:
-            dims = tuple(float(x) for x in dims)
-            if len(dims) != n or any(x <= 0 for x in dims):
+            dims = _sequence(dims, "dimension vector")
+            if len(dims) != self.size or not all(
+                    isinstance(x, Real) and not isinstance(x, bool) and 0 < x < math.inf
+                    for x in dims):
                 raise StructureError("dimension vector must be per-basis positive")
-
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "unit", None if unit is None else int(unit))
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "structure", MappingProxyType(table))
+            dims = tuple(float(x) for x in dims)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_lmats", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("BasedAlgebra is immutable")
 
     @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def mult(self, a: int, b: int, c: int) -> int:
-        return self.structure.get((a, b, c), 0)
-
-    def entries(self) -> tuple[tuple[int, int, int, int], ...]:
-        return tuple((a, b, c, m) for (a, b, c), m in sorted(self.structure.items()))
+    def structure(self) -> Mapping[tuple[int, int, int], int]:
+        return self._table
 
     def left_regular(self) -> np.ndarray:
         """Stacked left-multiplication matrices L[b][d,g] = N[b,g]^d."""
-        cached = object.__getattribute__(self, "_lmats")
-        if cached is None:
-            n = self.size
-            L = np.zeros((n, n, n))
-            for (a, b, c), m in self.structure.items():
-                L[a, c, b] = m
-            cached = readonly(L)
-            object.__setattr__(self, "_lmats", cached)
-        return cached
+        return self.tensor().transpose(0, 2, 1)
 
     @classmethod
     def from_group_table(cls, table, labels=None, dims=None) -> "BasedAlgebra":
@@ -132,16 +84,8 @@ class BasedAlgebra:
         structure = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
         return cls(labels, unit, dual, structure, dims=dims)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BasedAlgebra):
-            return NotImplemented
-        return (self.labels == other.labels and self.unit == other.unit
-                and self.dual == other.dual
-                and dict(self.structure) == dict(other.structure)
-                and self.dims == other.dims)
-
-    def __repr__(self) -> str:
-        return f"BasedAlgebra({self.size} basis elements)"
+    def _key(self) -> tuple:
+        return super()._key() + (self.dims,)
 
 
 @dataclass(frozen=True)
@@ -166,53 +110,18 @@ def validate_based_algebra(alg: BasedAlgebra) -> ValidationReport:
     """Unit axiom (when a unit index is given), associativity, the involution
     anti-automorphism law, and multiplicativity of the dimension vector when
     one is attached."""
-    n = alg.size
+    T = alg.tensor()
     out: list[Violation] = []
     if alg.unit is not None:
-        e = alg.unit
-        for b in range(n):
-            for c in range(n):
-                want = 1 if b == c else 0
-                if alg.mult(e, b, c) != want:
-                    out.append(Violation("unit", (e, b, c),
-                                         f"N[unit,{b}]^{c} = {alg.mult(e, b, c)}, expected {want}"))
-                if alg.mult(b, e, c) != want:
-                    out.append(Violation("unit", (b, e, c),
-                                         f"N[{b},unit]^{c} = {alg.mult(b, e, c)}, expected {want}"))
-
-    dual = alg.dual
-    for a in range(n):
-        if dual[dual[a]] != a:
-            out.append(Violation("involution", (a,), "involution is not self-inverse"))
-    for (a, b, c), m in sorted(alg.structure.items()):
-        mirrored = alg.mult(dual[b], dual[a], dual[c])
-        if mirrored != m:
-            out.append(Violation("involution", (a, b, c),
-                                 f"N[{a},{b}]^{c} = {m} but N[{dual[b]},{dual[a]}]^{dual[c]} = {mirrored}"))
-
-    L = alg.left_regular()
-    for a in range(n):
-        for b in range(n):
-            lhs = L[a] @ L[b]
-            rhs = np.zeros((n, n))
-            for c in range(n):
-                m = alg.mult(a, b, c)
-                if m:
-                    rhs += m * L[c]
-            if not np.array_equal(lhs, rhs):
-                i, j = next(zip(*np.nonzero(lhs != rhs)))
-                out.append(Violation("associativity", (a, b, int(j), int(i)),
-                                     "product of basis elements is not associative"))
-
+        out += _unit_violations(T, alg.unit)
+    out += _involution_violations(alg.dual)
+    out += _antiautomorphism_violations(T, alg.dual)
+    out += _associativity_violations(T)
     if alg.dims is not None:
         d = np.array(alg.dims)
-        got = np.zeros((n, n))
-        for (a, b, c), m in alg.structure.items():
-            got[a, b] += m * d[c]
-        bad = np.argwhere(np.abs(got - np.outer(d, d)) > 1e-6 * max(1.0, float(np.max(d)) ** 2))
-        for a, b in bad:
-            out.append(Violation("dimension", (int(a), int(b)),
-                                 f"sum_c N[{a},{b}]^c d_c != d_{a} d_{b}"))
+        off = np.abs(T @ d - np.outer(d, d)) > 1e-6 * max(1.0, float(np.max(d)) ** 2)
+        out += [Violation("dimension", (int(a), int(b)), f"sum_c N[{a},{b}]^c d_c != d_{a} d_{b}")
+                for a, b in np.argwhere(off)]
     return ValidationReport(tuple(out))
 
 
@@ -228,12 +137,11 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0,
     semisimple as expected.
     """
     n = alg.size
+    T = alg.tensor()
     L = alg.left_regular()
-    # center: coefficient vectors c with sum_b c_b (N[b,g]^d - N[g,b]^d) = 0
-    constraints = np.zeros((n * n, n))
-    for (a, b, c), m in alg.structure.items():
-        constraints[b * n + c, a] += m
-        constraints[a * n + c, b] -= m
+    # center: coefficient vectors c with sum_b c_b (N[b,g]^d - N[g,b]^d) = 0,
+    # one row per (g, d)
+    constraints = (T.transpose(1, 2, 0) - T.transpose(0, 2, 1)).reshape(n * n, n).astype(float)
     _, svals, Vt = np.linalg.svd(constraints, full_matrices=True)
     cutoff = _RANK_RTOL * (svals[0] if svals.size and svals[0] > 0 else 1.0)
     center = [Vt[i] for i in range(n) if i >= len(svals) or svals[i] <= cutoff]
@@ -297,4 +205,5 @@ def verify_dimension_theorem(Z: np.ndarray, profile: BlockProfile) -> bool:
 
 def is_commutative(alg: BasedAlgebra) -> bool:
     """Exact symmetry N[b,b']^{b''} = N[b',b]^{b''} of the structure constants."""
-    return all(m == alg.mult(b, a, c) for (a, b, c), m in alg.structure.items())
+    T = alg.tensor()
+    return bool(np.array_equal(T, T.transpose(1, 0, 2)))

@@ -29,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import BasedAlgebra, validate_based_algebra
-from .errors import CertificateError, NondegeneracyRequired, StructureError
+from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
+                     StructureError)
 from .invariants import twist_sparsity
 from .modular import ModularData, TwistData, is_nondegenerate, modular_matrices
 from .numerics import max_abs, readonly, scaled_tol
-from .rings import FusionRing, quantum_dimensions
+from .rings import _INTS, FusionRing, quantum_dimensions
 
 DIM_TOL = 1e-6
 GEN_TOL = 1e-6
@@ -48,8 +49,7 @@ class InductionCertificate:
 
     def __init__(self, ring: FusionRing, twists: TwistData, mm: BasedAlgebra,
                  aplus, aminus, theta=None, nm_count=None):
-        aplus = np.asarray(aplus, dtype=np.int64)
-        aminus = np.asarray(aminus, dtype=np.int64)
+        aplus, aminus = _integer_matrix(aplus), _integer_matrix(aminus)
         shape = (ring.size, mm.size)
         if aplus.shape != shape or aminus.shape != shape:
             raise StructureError(
@@ -61,9 +61,12 @@ class InductionCertificate:
         if mm.unit is None:
             raise StructureError("extended algebra needs a unit basis element")
         if theta is not None:
-            theta = tuple(int(x) for x in theta)
-            if len(theta) != ring.size or any(x < 0 for x in theta):
+            theta = _integer_matrix(theta)
+            if theta.shape != (ring.size,) or np.any(theta < 0):
                 raise StructureError("theta branching must be per-base-label non-negative")
+            theta = tuple(theta.tolist())
+        if nm_count is not None and type(nm_count) not in _INTS:
+            raise StructureError(f"intermediate-sector count must be an integer, got {nm_count!r}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "mm", mm)
@@ -81,6 +84,18 @@ class InductionCertificate:
         if sign == "-":
             return self.aminus
         raise StructureError(f"sign must be '+' or '-', got {sign!r}")
+
+
+def _integer_matrix(values) -> np.ndarray:
+    """An int64 array of ``values``; ragged rows or any entry that is not an
+    integer (a bool, float or string) is a StructureError, not a silent cast."""
+    try:
+        a = np.asarray(values, dtype=object)
+        if all(type(x) in _INTS for x in a.flat):
+            return a.astype(np.int64)
+    except (ValueError, OverflowError):
+        pass
+    raise StructureError("branching data must be a rectangular array of int64 integers")
 
 
 @dataclass(frozen=True)
@@ -134,27 +149,11 @@ class CertificateReport:
                          for c in self.checks)
 
 
-def _mm_tensor(mm: BasedAlgebra) -> np.ndarray:
-    n = mm.size
-    t = np.zeros((n, n, n), dtype=np.int64)
-    for (a, b, c), m in mm.structure.items():
-        t[a, b, c] = m
-    return t
-
-
-def _nn_tensor(ring: FusionRing) -> np.ndarray:
-    n = ring.size
-    t = np.zeros((n, n, n), dtype=np.int64)
-    for (a, b, c), m in ring.fusion.items():
-        t[a, b, c] = m
-    return t
-
-
 def verify_homomorphism(cert: InductionCertificate, sign: str) -> HomomorphismReport:
     """Exact integer check of v_l v_m = sum_nu N[l,m]^nu v_nu for one chirality."""
     A = cert.branching(sign)
-    got = np.einsum("lb,mc,bcd->lmd", A, A, _mm_tensor(cert.mm))
-    want = np.einsum("lmn,nd->lmd", _nn_tensor(cert.ring), A)
+    got = np.einsum("lb,mc,bcd->lmd", A, A, cert.mm.tensor())
+    want = np.einsum("lmn,nd->lmd", cert.ring.tensor(), A)
     if np.array_equal(got, want):
         return HomomorphismReport(sign=sign, passed=True, violation=None)
     l, m, b = (int(x) for x in np.argwhere(got != want)[0])
@@ -187,7 +186,7 @@ def verify_generating(cert: InductionCertificate, *,
         raise NondegeneracyRequired("generating identity requires a non-degenerate base")
     d = md.d
     dm = np.array(cert.mm.dims)
-    mixed = np.einsum("lb,mc,bcd->lmd", cert.aplus, cert.aminus, _mm_tensor(cert.mm))
+    mixed = np.einsum("lb,mc,bcd->lmd", cert.aplus, cert.aminus, cert.mm.tensor())
     lhs = np.einsum("l,m,lmd->d", d, d, mixed)
     residual = float(np.max(np.abs(lhs - md.w * dm))) / md.w
     uncovered = tuple(int(b) for b in range(cert.mm.size)
@@ -241,7 +240,7 @@ def full_report(cert: InductionCertificate, *,
     md = None
     try:
         md = modular_matrices(ring, cert.twists, dims=dims_nn, tol=tol)
-    except Exception as exc:  # vanishing z or twist trouble
+    except FusionKitError as exc:  # vanishing z or twist trouble
         checks.append(CheckResult("modular_invariance", False, f"no modular data: {exc}"))
     if md is not None:
         mask = twist_sparsity(cert.twists)
@@ -277,7 +276,7 @@ def full_report(cert: InductionCertificate, *,
 
     if cert.theta is not None:
         theta = np.array(cert.theta, dtype=np.int64)
-        bound = np.einsum("n,nlm->lm", theta, _nn_tensor(ring))
+        bound = np.einsum("n,nlm->lm", theta, ring.tensor())
         ok = True
         detail = "sector-count bound <A_l, A_m> <= <theta l, m> holds"
         for name, A in (("+", cert.aplus), ("-", cert.aminus)):
@@ -296,20 +295,21 @@ def full_report(cert: InductionCertificate, *,
 def trivial_certificate(ring: FusionRing, twists: TwistData,
                         nm_count: int | None = None) -> InductionCertificate:
     """Both inductions are the identity on the base system (mm = base ring)."""
-    dims = quantum_dimensions(ring)
-    mm = BasedAlgebra(ring.labels, ring.unit, ring.dual, dict(ring.fusion),
-                      dims=tuple(float(x) for x in dims.d))
-    eye = np.eye(ring.size, dtype=np.int64)
-    return InductionCertificate(ring, twists, mm, eye, eye, nm_count=nm_count)
+    return _self_certificate(ring, twists, np.eye(ring.size, dtype=np.int64), nm_count)
 
 
 def conjugation_certificate(ring: FusionRing, twists: TwistData,
                             nm_count: int | None = None) -> InductionCertificate:
     """A+ = identity, A- = the conjugation permutation; a valid certificate
     for commutative base systems, with mass matrix Z = C."""
-    dims = quantum_dimensions(ring)
-    mm = BasedAlgebra(ring.labels, ring.unit, ring.dual, dict(ring.fusion),
-                      dims=tuple(float(x) for x in dims.d))
-    eye = np.eye(ring.size, dtype=np.int64)
-    return InductionCertificate(ring, twists, mm, eye, ring.conjugation_matrix(),
+    return _self_certificate(ring, twists, ring.conjugation_matrix(), nm_count)
+
+
+def _self_certificate(ring: FusionRing, twists: TwistData, aminus,
+                      nm_count: int | None) -> InductionCertificate:
+    """Certificate whose extended algebra is the base ring itself, with its
+    quantum dimensions, A+ = identity and the given A-."""
+    mm = BasedAlgebra(ring.labels, ring.unit, ring.dual, ring.fusion,
+                      dims=quantum_dimensions(ring).d)
+    return InductionCertificate(ring, twists, mm, np.eye(ring.size, dtype=np.int64), aminus,
                                 nm_count=nm_count)

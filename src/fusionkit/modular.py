@@ -257,11 +257,7 @@ def verlinde_fusion(md: ModularData, *, tol: float = 1e-6) -> tuple[np.ndarray, 
         raise VerlindeError(f"Verlinde sum is {deviation:.3e} from integers")
     if np.any(rounded < 0):
         raise VerlindeError("Verlinde sum produced a negative multiplicity")
-    n = md.size
-    ring_tensor = np.zeros((n, n, n), dtype=np.int64)
-    for (a, b, c), m in md.ring.fusion.items():
-        ring_tensor[a, b, c] = m
-    if not np.array_equal(rounded, ring_tensor):
+    if not np.array_equal(rounded, md.ring.tensor()):
         raise VerlindeError("Verlinde tensor disagrees with the ring's fusion tensor")
     return rounded, deviation
 

@@ -74,14 +74,6 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def as_rational(x: float, max_denominator: int, tol: float) -> Fraction | None:
-    """Nearest small-denominator rational, or None if x is not within tol of one."""
-    cand = Fraction(x).limit_denominator(max_denominator)
-    if abs(float(cand) - x) <= tol:
-        return cand
-    return None
-
-
 def readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False

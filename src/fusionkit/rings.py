@@ -48,71 +48,70 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-class FusionRing:
-    """Immutable fusion-ring data.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# the exact types that count as integers (``type(x) in _INTS``): bools,
+# floats and strings never do, and a set lookup keeps per-entry checks cheap
+_INTS = frozenset([int] + [np.dtype(code).type for code in np.typecodes["AllInteger"]])
 
-    Parameters
-    ----------
-    labels : sequence of str
-        Opaque label ids; position in the sequence is the label index.
-    unit : int
-        Index of the unit label.
-    dual : sequence of int
-        Conjugation map as a list of label indices.
-    fusion : mapping (a, b, c) -> int, or iterable of (a, b, c, mult)
-        Sparse structure constants; zero entries may be omitted.
 
-    The constructor performs *structural* validation only (index ranges,
-    integrality, non-negativity) and raises ``StructureError`` on failure.
-    Axioms are checked by :func:`validate_fusion_ring`, which collects all
-    violations instead of failing fast.
+def _sequence(values, what: str) -> tuple:
+    """``values`` as a tuple; a string or a scalar is a StructureError."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise StructureError(f"{what} must be a sequence, got {values!r}")
+    return tuple(values)
+
+
+class _SparseStructure:
+    """Common core of :class:`FusionRing` and ``algebras.BasedAlgebra``:
+    labels, an optional unit, an involution and non-negative integer
+    constants N[a,b]^c, given as a mapping (a, b, c) -> mult or an iterable
+    of (a, b, c, mult); zero entries are dropped.  The constructor checks
+    structure only (string labels, integer indices in range, multiplicities
+    that fit in int64) and raises ``StructureError``; the ``validate_*``
+    functions check the axioms and collect every violation.
     """
 
-    __slots__ = ("labels", "unit", "dual", "fusion", "_nmats")
+    __slots__ = ("labels", "unit", "dual", "_table", "_tensor")
 
-    def __init__(self, labels, unit, dual, fusion):
-        labels = tuple(str(x) for x in labels)
-        if not labels:
-            raise StructureError("label set must be non-empty")
+    def __init__(self, labels, unit, dual, table):
+        labels = _sequence(labels, "labels")
+        if not labels or not all(isinstance(x, str) for x in labels):
+            raise StructureError(f"labels must be a non-empty sequence of strings, got {labels!r}")
         if len(set(labels)) != len(labels):
             raise StructureError("label ids must be unique")
         n = len(labels)
-        if not isinstance(unit, (int, np.integer)) or not 0 <= unit < n:
+        if unit is not None and (type(unit) not in _INTS or not 0 <= unit < n):
             raise StructureError(f"unit index {unit!r} out of range for {n} labels")
-        dual = tuple(int(x) for x in dual)
-        if len(dual) != n or any(not 0 <= x < n for x in dual):
-            raise StructureError("dual map must list one in-range index per label")
+        dual = _sequence(dual, "dual map")
+        if len(dual) != n or not all(type(x) in _INTS and 0 <= x < n for x in dual):
+            raise StructureError("dual map must list one in-range integer index per label")
 
-        if isinstance(fusion, Mapping):
-            items: Iterable = ((k[0], k[1], k[2], v) for k, v in fusion.items())
-        else:
-            items = fusion
-        table: dict[tuple[int, int, int], int] = {}
-        for entry in items:
+        mapping = isinstance(table, Mapping)
+        out: dict[tuple[int, int, int], int] = {}
+        for entry in (table.items() if mapping else _sequence(table, "structure table")):
             try:
-                a, b, c, mult = entry
+                a, b, c, mult = (*entry[0], entry[1]) if mapping else entry
             except (TypeError, ValueError):
-                raise StructureError(f"fusion entry {entry!r} is not (a, b, c, mult)") from None
-            if not all(isinstance(x, (int, np.integer)) for x in (a, b, c, mult)):
-                raise StructureError(f"fusion entry {entry!r} must be all integers")
-            a, b, c, mult = int(a), int(b), int(c), int(mult)
-            if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-                raise StructureError(f"fusion entry index out of range: {(a, b, c)}")
-            if mult < 0:
-                raise StructureError(f"negative multiplicity at {(a, b, c)}: {mult}")
-            if (a, b, c) in table:
-                raise StructureError(f"duplicate fusion key {(a, b, c)}")
+                raise StructureError(f"structure entry {entry!r} is not (a, b, c, mult)") from None
+            if not (type(a) in _INTS and type(b) in _INTS and type(c) in _INTS
+                    and type(mult) in _INTS and 0 <= a < n and 0 <= b < n and 0 <= c < n
+                    and 0 <= mult <= _INT64_MAX):
+                raise StructureError(f"structure entry {entry!r} needs integer indices in "
+                                     f"range({n}) and an integer multiplicity in [0, 2**63)")
+            key = (int(a), int(b), int(c))
+            if key in out:
+                raise StructureError(f"duplicate key {key}")
             if mult:
-                table[(a, b, c)] = mult
+                out[key] = int(mult)
 
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "unit", int(unit))
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "fusion", MappingProxyType(table))
-        object.__setattr__(self, "_nmats", None)
+        object.__setattr__(self, "unit", None if unit is None else int(unit))
+        object.__setattr__(self, "dual", tuple(int(x) for x in dual))
+        object.__setattr__(self, "_table", MappingProxyType(out))
+        object.__setattr__(self, "_tensor", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("FusionRing is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def size(self) -> int:
@@ -120,44 +119,69 @@ class FusionRing:
 
     def mult(self, a: int, b: int, c: int) -> int:
         """N[a,b]^c, the multiplicity of c inside a x b."""
-        return self.fusion.get((a, b, c), 0)
+        return self._table.get((a, b, c), 0)
 
     def entries(self) -> tuple[tuple[int, int, int, int], ...]:
         """Sparse table in canonical sorted order."""
-        return tuple((a, b, c, m) for (a, b, c), m in sorted(self.fusion.items()))
+        return tuple((a, b, c, m) for (a, b, c), m in sorted(self._table.items()))
+
+    def tensor(self) -> np.ndarray:
+        """Dense read-only int64 array T[a, b, c] = N[a,b]^c, built once."""
+        if self._tensor is None:
+            n = self.size
+            t = np.zeros((n, n, n), dtype=np.int64)
+            if self._table:
+                a, b, c = np.array(list(self._table), dtype=np.intp).T
+                t[a, b, c] = list(self._table.values())
+            object.__setattr__(self, "_tensor", readonly(t))
+        return self._tensor
+
+    def _key(self) -> tuple:
+        return (self.labels, self.unit, self.dual, self.entries())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        unit = None if self.unit is None else self.labels[self.unit]
+        return f"{type(self).__name__}({self.size} labels, unit={unit!r})"
+
+
+class FusionRing(_SparseStructure):
+    """Immutable fusion-ring data: string ``labels`` (a label's index is its
+    position), a required ``unit`` index, the conjugation map ``dual`` and
+    the sparse ``fusion`` table N[a,b]^c.  Axioms are checked by
+    :func:`validate_fusion_ring`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, labels, unit, dual, fusion):
+        if unit is None:
+            raise StructureError("a fusion ring needs a unit index")
+        super().__init__(labels, unit, dual, fusion)
+
+    @property
+    def fusion(self) -> Mapping[tuple[int, int, int], int]:
+        return self._table
 
     def fusion_matrix(self, mu: int) -> np.ndarray:
         """(N_mu)[lam, nu] = N[lam, mu]^nu."""
         return self.fusion_matrices()[mu]
 
-    def fusion_matrices(self) -> tuple[np.ndarray, ...]:
-        cached = object.__getattribute__(self, "_nmats")
-        if cached is None:
-            n = self.size
-            mats = [np.zeros((n, n), dtype=np.int64) for _ in range(n)]
-            for (a, b, c), m in self.fusion.items():
-                mats[b][a, c] = m
-            cached = tuple(readonly(m) for m in mats)
-            object.__setattr__(self, "_nmats", cached)
-        return cached
+    def fusion_matrices(self) -> np.ndarray:
+        """Stacked regular representation: [mu][lam, nu] = N[lam, mu]^nu."""
+        return self.tensor().transpose(1, 0, 2)
 
     def conjugation_matrix(self) -> np.ndarray:
         C = np.zeros((self.size, self.size), dtype=np.int64)
-        for lam, lbar in enumerate(self.dual):
-            C[lam, lbar] = 1
+        C[np.arange(self.size), self.dual] = 1
         return readonly(C)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FusionRing):
-            return NotImplemented
-        return (self.labels == other.labels and self.unit == other.unit
-                and self.dual == other.dual and dict(self.fusion) == dict(other.fusion))
-
-    def __hash__(self):
-        return hash((self.labels, self.unit, self.dual, self.entries()))
-
-    def __repr__(self) -> str:
-        return f"FusionRing({len(self.labels)} labels, unit={self.labels[self.unit]!r})"
 
 
 @dataclass(frozen=True)
@@ -178,73 +202,86 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     Axiom names used in the report: ``involution``, ``unit``, ``conjugate``,
     ``frobenius``, ``associativity``.
     """
-    n = ring.size
+    T = ring.tensor()
     unit = ring.unit
-    dual = ring.dual
     out: list[Violation] = []
-
-    if dual[unit] != unit:
+    if ring.dual[unit] != unit:
         out.append(Violation("involution", (unit,), "dual(unit) != unit"))
-    for lam in range(n):
-        if dual[dual[lam]] != lam:
-            out.append(Violation("involution", (lam,), f"dual(dual({lam})) = {dual[dual[lam]]}"))
-
-    for mu in range(n):
-        for nu in range(n):
-            want = 1 if mu == nu else 0
-            got = ring.mult(unit, mu, nu)
-            if got != want:
-                out.append(Violation("unit", (unit, mu, nu), f"N[0,{mu}]^{nu} = {got}, expected {want}"))
-            got = ring.mult(mu, unit, nu)
-            if got != want:
-                out.append(Violation("unit", (mu, unit, nu), f"N[{mu},0]^{nu} = {got}, expected {want}"))
-
-    for lam in range(n):
-        for mu in range(n):
-            want = 1 if mu == dual[lam] else 0
-            got = ring.mult(lam, mu, unit)
-            if got != want:
-                out.append(Violation(
-                    "conjugate", (lam, mu),
-                    f"N[{lam},{mu}]^unit = {got}, expected {want}"))
-
-    for (a, b, c) in _all_triples(ring):
-        n_abc = ring.mult(a, b, c)
-        left = ring.mult(dual[a], c, b)
-        right = ring.mult(c, dual[b], a)
-        if not n_abc == left == right:
-            out.append(Violation(
-                "frobenius", (a, b, c),
-                f"N[{a},{b}]^{c} = {n_abc}, N[{dual[a]},{c}]^{b} = {left}, "
-                f"N[{c},{dual[b]}]^{a} = {right}"))
-
-    # associativity, in regular-representation form: N_rho N_sigma must equal
-    # sum_mu N[rho,sigma]^mu N_mu, entrywise at (lam, nu)
-    mats = ring.fusion_matrices()
-    for rho in range(n):
-        for sigma in range(n):
-            lhs = mats[rho] @ mats[sigma]
-            rhs = np.zeros_like(lhs)
-            for mu in range(n):
-                m = ring.mult(rho, sigma, mu)
-                if m:
-                    rhs += m * mats[mu]
-            if not np.array_equal(lhs, rhs):
-                for lam, nu in zip(*np.nonzero(lhs != rhs)):
-                    out.append(Violation(
-                        "associativity", (int(lam), rho, sigma, int(nu)),
-                        f"sum_mu N[{lam},mu]^{nu} N[{rho},{sigma}]^mu = {int(lhs[lam, nu])}, "
-                        f"sum_tau N[{lam},{rho}]^tau N[tau,{sigma}]^{nu} = {int(rhs[lam, nu])}"))
-
+    out += _involution_violations(ring.dual)
+    out += _unit_violations(T, unit)
+    out += [Violation("conjugate", (int(lam), int(mu)), f"N[{lam},{mu}]^unit = "
+                      f"{T[lam, mu, unit]}, expected {int(mu == ring.dual[lam])}")
+            for lam, mu in np.argwhere(T[:, :, unit] != ring.conjugation_matrix())]
+    out += _frobenius_violations(T, ring.dual)
+    out += _associativity_violations(T)
     return ValidationReport(tuple(out))
 
 
-def _all_triples(ring: FusionRing):
-    n = ring.size
+def _involution_violations(dual) -> list[Violation]:
+    """dual(dual(a)) = a for every label."""
+    d = np.asarray(dual)
+    return [Violation("involution", (int(a),), f"dual(dual({a})) = {d[d[a]]}")
+            for a in np.flatnonzero(d[d] != np.arange(len(d)))]
+
+
+def _unit_violations(T: np.ndarray, unit: int) -> list[Violation]:
+    """N[unit,b]^c = N[b,unit]^c = delta_bc."""
+    eye = np.eye(len(T), dtype=np.int64)
+    out = []
+    for left, got in ((True, T[unit]), (False, T[:, unit])):
+        for b, c in np.argwhere(got != eye):
+            where = (unit, int(b), int(c)) if left else (int(b), unit, int(c))
+            out.append(Violation("unit", where, f"N[{where[0]},{where[1]}]^{c} = "
+                                                f"{got[b, c]}, expected {int(b == c)}"))
+    return out
+
+
+def _frobenius_violations(T: np.ndarray, dual) -> list[Violation]:
+    """N[a,b]^c = N[dual a, c]^b = N[c, dual b]^a for every triple."""
+    d = np.asarray(dual)
+    left = T[d].transpose(0, 2, 1)  # [a,b,c] -> N[dual a, c]^b
+    right = T[:, d].transpose(2, 1, 0)  # [a,b,c] -> N[c, dual b]^a
+    return [Violation("frobenius", (int(a), int(b), int(c)),
+                      f"N[{a},{b}]^{c} = {T[a, b, c]}, N[{d[a]},{c}]^{b} = {left[a, b, c]}, "
+                      f"N[{c},{d[b]}]^{a} = {right[a, b, c]}")
+            for a, b, c in np.argwhere((T != left) | (T != right))]
+
+
+def _antiautomorphism_violations(T: np.ndarray, dual) -> list[Violation]:
+    """N[a,b]^c = N[dual b, dual a]^{dual c}, witnessed at the nonzero side."""
+    d = np.asarray(dual)
+    mirrored = T[np.ix_(d, d, d)].transpose(1, 0, 2)
+    return [Violation("involution", (int(a), int(b), int(c)),
+                      f"N[{a},{b}]^{c} = {T[a, b, c]} but "
+                      f"N[{d[b]},{d[a]}]^{d[c]} = {mirrored[a, b, c]}")
+            for a, b, c in np.argwhere((T != mirrored) & (T != 0))]
+
+
+def _associativity_violations(T: np.ndarray) -> list[Violation]:
+    """((a b) c)_d = (a (b c))_d for every (a, b, c, d).
+
+    One float64 product per left label a: T[a] @ T.reshape(n, n*n) gives
+    ((a b) c)_d and T.reshape(n*n, n) @ T[a] gives (a (b c))_d.  Every
+    partial sum is an integer of at most n max(N)^2, so the products are
+    exact below 2^53; larger tables raise instead of comparing rounded sums.
+    """
+    n = len(T)
+    top = int(T.max())
+    if n * top * top >= 2 ** 53:
+        raise NumericError(f"associativity sums up to {n} * {top}^2 are not exact in float64")
+    F = T.astype(np.float64)
+    rows, cols = F.reshape(n * n, n), F.reshape(n, n * n)
+    out = []
     for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                yield (a, b, c)
+        lhs = (F[a] @ cols).reshape(n, n, n)
+        rhs = (rows @ F[a]).reshape(n, n, n)
+        if np.array_equal(lhs, rhs):
+            continue
+        for b, c, d in np.argwhere(lhs != rhs):
+            out.append(Violation("associativity", (a, int(b), int(c), int(d)),
+                                 f"(({a} {b}) {c})_{d} = {int(lhs[b, c, d])}, "
+                                 f"({a} ({b} {c}))_{d} = {int(rhs[b, c, d])}"))
+    return out
 
 
 def quantum_dimensions(ring: FusionRing, *, tol: float = 1e-12,
@@ -257,9 +294,8 @@ def quantum_dimensions(ring: FusionRing, *, tol: float = 1e-12,
     max |sum_nu N[l,m]^nu d_nu - d_l d_m| is returned alongside.
     """
     n = ring.size
-    A = np.zeros((n, n), dtype=float)
-    for m in ring.fusion_matrices():
-        A += m
+    T = ring.tensor()
+    A = T.sum(axis=1, dtype=float)  # sum_mu N_mu
     v = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(max_iter):
         w = A @ v
@@ -282,11 +318,7 @@ def quantum_dimensions(ring: FusionRing, *, tol: float = 1e-12,
     if np.any(d <= 0):
         raise NumericError("Perron vector is not strictly positive")
 
-    target = np.outer(d, d)
-    got = np.zeros((n, n))
-    for (a, b, c), m in ring.fusion.items():
-        got[a, b] += m * d[c]
-    residual = float(np.max(np.abs(got - target)))
+    residual = float(np.max(np.abs(T @ d - np.outer(d, d))))
     limit = 1e-8 * max(1.0, float(np.max(d)) ** 2)
     if residual > limit:
         raise NumericError(f"dimension residual {residual:.3e} exceeds {limit:.3e}")

@@ -20,7 +20,7 @@ from .errors import SchemaError, StructureError
 from .induction import InductionCertificate
 from .invariants import MassMatrix, invariant_counts
 from .modular import TwistData
-from .rings import FusionRing
+from .rings import _INTS, FusionRing
 
 
 # ---------------------------------------------------------------- rationals
@@ -46,52 +46,18 @@ def parse_rational(text: str, where: str) -> Fraction:
 # -------------------------------------------------------------------- rings
 
 def ring_to_dict(ring: FusionRing, twists: TwistData | None = None) -> dict:
-    obj: dict[str, Any] = {
-        "labels": list(ring.labels),
-        "unit": ring.unit,
-        "dual": list(ring.dual),
-        "fusion": [[a, b, c, m] for (a, b, c, m) in ring.entries()],
-    }
+    obj = _table_to_dict(ring, "fusion")
     if twists is not None:
         obj["twists"] = [format_rational(h) for h in twists.h]
     return obj
 
 
 def ring_from_dict(obj: Any, where: str = "ring") -> tuple[FusionRing, TwistData | None]:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
-    for key in ("labels", "unit", "dual", "fusion"):
-        if key not in obj:
-            raise SchemaError(f"{where}: missing field {key!r}")
-    labels = obj["labels"]
-    if (not isinstance(labels, list) or not labels
-            or not all(isinstance(x, str) for x in labels)):
-        raise SchemaError(f"{where}.labels: expected a non-empty array of strings")
-    fusion = obj["fusion"]
-    if not isinstance(fusion, list):
-        raise SchemaError(f"{where}.fusion: expected an array of [l, m, n, mult]")
-    entries = []
-    seen = set()
-    for i, item in enumerate(fusion):
-        if (not isinstance(item, list) or len(item) != 4
-                or not all(isinstance(x, int) for x in item)):
-            raise SchemaError(f"{where}.fusion[{i}]: expected [l, m, n, mult] of integers")
-        key = tuple(item[:3])
-        if key in seen:
-            raise SchemaError(f"{where}.fusion[{i}]: duplicate key {key}")
-        seen.add(key)
-        if item[3] <= 0:
-            raise SchemaError(f"{where}.fusion[{i}]: multiplicity must be positive")
-        entries.append(tuple(item))
-    try:
-        ring = FusionRing(labels, obj["unit"], obj["dual"], entries)
-    except StructureError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-
+    ring = _table_from_dict(obj, where, FusionRing, ("labels", "unit", "dual", "fusion"))
     twists = None
-    if "twists" in obj and obj["twists"] is not None:
+    if obj.get("twists") is not None:
         raw = obj["twists"]
-        if not isinstance(raw, list) or len(raw) != len(labels):
+        if not isinstance(raw, list) or len(raw) != ring.size:
             raise SchemaError(f"{where}.twists: expected one rational string per label")
         twists = TwistData(tuple(parse_rational(t, f"{where}.twists[{i}]")
                                  for i, t in enumerate(raw)))
@@ -127,12 +93,14 @@ def z_matrix_from_dict(obj: Any, where: str = "invariant") -> np.ndarray:
     if not isinstance(obj, dict) or "size" not in obj or "entries" not in obj:
         raise SchemaError(f"{where}: expected an object with 'size' and 'entries'")
     n = obj["size"]
-    if not isinstance(n, int) or n <= 0:
+    if type(n) not in _INTS or n <= 0:
         raise SchemaError(f"{where}.size: expected a positive integer")
+    if not isinstance(obj["entries"], list):
+        raise SchemaError(f"{where}.entries: expected an array of [l, m, value]")
     Z = np.zeros((n, n), dtype=np.int64)
     for i, item in enumerate(obj["entries"]):
         if (not isinstance(item, list) or len(item) != 3
-                or not all(isinstance(x, int) for x in item)):
+                or not all(type(x) in _INTS for x in item)):
             raise SchemaError(f"{where}.entries[{i}]: expected [l, m, value]")
         l, m, v = item
         if not (0 <= l < n and 0 <= m < n):
@@ -154,39 +122,43 @@ def z_matrix_to_csv(Z: np.ndarray, labels: list[str]) -> str:
 # ----------------------------------------------------------------- algebras
 
 def algebra_to_dict(alg: BasedAlgebra) -> dict:
-    obj: dict[str, Any] = {
-        "labels": list(alg.labels),
-        "unit": alg.unit,
-        "dual": list(alg.dual),
-        "structure": [[a, b, c, m] for (a, b, c, m) in alg.entries()],
-    }
+    obj = _table_to_dict(alg, "structure")
     if alg.dims is not None:
         obj["dims"] = list(alg.dims)
     return obj
 
 
 def algebra_from_dict(obj: Any, where: str = "algebra") -> BasedAlgebra:
+    return _table_from_dict(obj, where, BasedAlgebra, ("labels", "dual", "structure"),
+                            dims=obj.get("dims") if isinstance(obj, dict) else None)
+
+
+def _table_to_dict(table: FusionRing | BasedAlgebra, key: str) -> dict[str, Any]:
+    return {"labels": list(table.labels), "unit": table.unit, "dual": list(table.dual),
+            key: [list(entry) for entry in table.entries()]}
+
+
+def _table_from_dict(obj: Any, where: str, cls, required: tuple[str, ...], **extra):
+    """Shared parser of ring and algebra files: ``required`` names the fields
+    that must be present, its last one the array of [a, b, c, mult] entries.
+    The ``cls`` constructor checks the labels, unit, dual, entries and
+    ``extra``; a file must not list zero multiplicities, which it drops."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a JSON object")
-    for key in ("labels", "dual", "structure"):
+    for key in required:
         if key not in obj:
             raise SchemaError(f"{where}: missing field {key!r}")
-    entries = []
-    seen = set()
-    for i, item in enumerate(obj["structure"]):
-        if (not isinstance(item, list) or len(item) != 4
-                or not all(isinstance(x, int) for x in item)):
-            raise SchemaError(f"{where}.structure[{i}]: expected [b, b', b'', mult]")
-        key = tuple(item[:3])
-        if key in seen:
-            raise SchemaError(f"{where}.structure[{i}]: duplicate key {key}")
-        seen.add(key)
-        entries.append(tuple(item))
+    key = required[-1]
+    for field in ("labels", "dual", key):
+        if not isinstance(obj[field], list):
+            raise SchemaError(f"{where}.{field}: expected an array")
     try:
-        return BasedAlgebra(obj["labels"], obj.get("unit"), obj["dual"], entries,
-                            dims=obj.get("dims"))
+        table = cls(obj["labels"], obj.get("unit"), obj["dual"], obj[key], **extra)
     except StructureError as exc:
         raise SchemaError(f"{where}: {exc}") from None
+    if len(table.entries()) < len(obj[key]):
+        raise SchemaError(f"{where}.{key}: multiplicities must be positive")
+    return table
 
 
 def profile_to_dict(profile: BlockProfile) -> dict:
@@ -205,12 +177,6 @@ def certificate_from_dict(obj: Any) -> InductionCertificate:
     if twists is None:
         raise SchemaError("certificate.nn: twist data is required")
     mm = algebra_from_dict(obj["mm"], "certificate.mm")
-    for key in ("aplus", "aminus"):
-        mat = obj[key]
-        if (not isinstance(mat, list)
-                or not all(isinstance(row, list) and all(isinstance(x, int) for x in row)
-                           for row in mat)):
-            raise SchemaError(f"certificate.{key}: expected a matrix of integers")
     try:
         return InductionCertificate(ring, twists, mm, obj["aplus"], obj["aminus"],
                                     theta=obj.get("theta"), nm_count=obj.get("nm_count"))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,16 @@ def matrix_unit_algebra():
         ["e11", "e12", "e21", "e22"], None, (0, 2, 1, 3),
         {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 0): 1, (1, 3, 1): 1,
          (2, 0, 2): 1, (2, 1, 3): 1, (3, 2, 2): 1, (3, 3, 3): 1})
+
+
+def z3_unit_redirected():
+    """Z3 multiplication with 1*1 redirected to the unit:
+    (x1 x1) x2 = x2 but x1 (x1 x2) = x1."""
+    return BasedAlgebra(["0", "1", "2"], 0, (0, 2, 1),
+                        {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
+                         (1, 0, 1): 1, (2, 0, 2): 1,
+                         (1, 1, 0): 1, (1, 2, 0): 1, (2, 1, 0): 1,
+                         (2, 2, 1): 1})
 
 
 class TestConstruction:
@@ -36,6 +48,20 @@ class TestConstruction:
         with pytest.raises(StructureError):
             BasedAlgebra(["e"], 0, (0,), {(0, 0, 0): -2})
 
+    @pytest.mark.parametrize("mult", [1.9, "1"])
+    def test_non_integer_constant(self, mult):
+        # the same rule as FusionRing: no silent truncation or parsing
+        with pytest.raises(StructureError):
+            BasedAlgebra(["e"], 0, (0,), {(0, 0, 0): mult})
+
+    @pytest.mark.parametrize("labels, unit, dual, dims", [
+        ([1, 2], 0, (0, 1), None), (["a", "b"], False, (0, 1), None),
+        (["a", "b"], 0, ("a", "b"), None), (["a", "b"], 0, (0, 1), ("a", "b")),
+        (["a", "b"], 0, (0, 1), 5), (["a", "b"], 0, (0, 1), (1.0, 0.0))])
+    def test_malformed_fields(self, labels, unit, dual, dims):
+        with pytest.raises(StructureError):
+            BasedAlgebra(labels, unit, dual, {(0, 0, 0): 1}, dims=dims)
+
 
 class TestValidation:
     def test_group_algebras_valid(self):
@@ -56,14 +82,18 @@ class TestValidation:
         assert "involution" in report.axioms()
 
     def test_associativity_violation_detected(self):
-        # Z3 multiplication with 1*1 redirected to the unit:
-        # (x1 x1) x2 = x2 but x1 (x1 x2) = x1
-        bad = BasedAlgebra(["0", "1", "2"], 0, (0, 2, 1),
-                           {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
-                            (1, 0, 1): 1, (2, 0, 2): 1,
-                            (1, 1, 0): 1, (1, 2, 0): 1, (2, 1, 0): 1,
-                            (2, 2, 1): 1})
-        assert "associativity" in validate_based_algebra(bad).axioms()
+        assert "associativity" in validate_based_algebra(z3_unit_redirected()).axioms()
+
+    def test_associativity_lists_every_violation(self):
+        alg = z3_unit_redirected()
+        n, N = alg.size, alg.mult
+        expected = {(a, b, c, d) for a, b, c, d in itertools.product(range(n), repeat=4)
+                    if sum(N(a, b, x) * N(x, c, d) for x in range(n))
+                    != sum(N(b, c, x) * N(a, x, d) for x in range(n))}
+        got = {v.where for v in validate_based_algebra(alg).violations
+               if v.axiom == "associativity"}
+        assert len(expected) > 1
+        assert got == expected
 
 
 class TestDecompose:

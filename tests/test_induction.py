@@ -128,6 +128,23 @@ class TestFullReport:
         Zt = compute_Z_from_branching(trivial_certificate(ring, twists))
         assert np.array_equal(Zc, Zt)
 
+    def test_vanishing_z_fails_modular_invariance(self):
+        # the fermion model (cyclic 2, q = 2) has Gauss sum z = 0
+        report = full_report(trivial_certificate(*cyclic_model(2, 2)))
+        check = report["modular_invariance"]
+        assert not check.passed
+        assert check.detail.startswith("no modular data")
+
+    def test_programming_error_is_not_a_failed_check(self, monkeypatch):
+        import fusionkit.induction
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(fusionkit.induction, "modular_matrices", broken)
+        with pytest.raises(ZeroDivisionError):
+            full_report(trivial_certificate(*su2_level(2)))
+
     def test_wrong_declared_count_fails(self):
         report = full_report(trivial_certificate(*su2_level(4), nm_count=7))
         assert "counts" in report.failures

@@ -4,11 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit import SchemaError, modular_matrices, search_invariants
+from fusionkit import (BasedAlgebra, SchemaError, modular_matrices,
+                       search_invariants)
 from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.cli import main
 from fusionkit.induction import trivial_certificate
 from fusionkit import serialize
+
+from helpers import cyclic_table
 
 
 class TestRingRoundtrip:
@@ -237,6 +240,63 @@ class TestCLI:
                        "identity permutation symmetric type_one=yes\n"
                        "    1 0\n"
                        "    0 1\n")
+
+
+def _valid_file(kind):
+    if kind == "ring":
+        return serialize.ring_to_dict(*cyclic_model(2, 1))
+    if kind == "algebra":
+        return serialize.algebra_to_dict(BasedAlgebra.from_group_table(cyclic_table(2)))
+    if kind == "invariant":
+        return {"size": 2, "entries": [[0, 0, 1], [1, 1, 1]]}
+    return serialize.certificate_to_dict(trivial_certificate(*su2_level(2)))
+
+
+# (file kind, field, malformed value): each must exit 2 with one error line
+MALFORMED = [
+    ("ring", "dual", ["a", "b"]),
+    ("ring", "dual", "01"),
+    ("ring", "dual", [0.7, 1.2]),
+    ("ring", "unit", True),
+    ("ring", "labels", 5),
+    ("ring", "fusion", [[0, 0, 0, 2**64], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]),
+    ("algebra", "dual", ["a", "b"]),
+    ("algebra", "dual", "01"),
+    ("algebra", "dual", [0.7, 1.2]),
+    ("algebra", "unit", False),
+    ("algebra", "unit", True),
+    ("algebra", "structure", 5),
+    ("algebra", "structure", [[0, 0, 0, 1.9]]),
+    ("algebra", "labels", 5),
+    ("algebra", "labels", [1, 2]),
+    ("algebra", "dims", ["a", "b"]),
+    ("algebra", "dims", 5),
+    ("invariant", "entries", 5),
+    ("invariant", "size", True),
+    ("certificate", "aplus", [[1, 0, 0], [0, 1], [0, 0, 1]]),
+    ("certificate", "theta", ["a", "b", "c"]),
+    ("certificate", "nm_count", "x"),
+    ("certificate", "nm_count", 1.5),
+]
+
+
+@pytest.mark.parametrize("kind, field, value", MALFORMED,
+                         ids=[f"{k}.{f}={v!r}"[:48] for k, f, v in MALFORMED])
+def test_malformed_input_exits_2(kind, field, value, tmp_path, capsys):
+    obj = _valid_file(kind)
+    obj[field] = value
+    path = tmp_path / f"bad_{kind}.json"
+    path.write_text(json.dumps(obj))
+    ring_file = tmp_path / "ring.json"
+    ring_file.write_text(serialize.dumps(_valid_file("ring")))
+    argv = {"ring": ["check", str(path)],
+            "algebra": ["decompose", str(path)],
+            "invariant": ["classify", str(path), str(ring_file)],
+            "certificate": ["verify-induction", str(path)]}[kind]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDeterminism:

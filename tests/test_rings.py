@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fusionkit import (FusionRing, StructureError, fusion_matrices,
+from fusionkit import (FusionRing, NumericError, StructureError, fusion_matrices,
                        quantum_dimensions, validate_fusion_ring)
 from fusionkit.catalog import cyclic_model, su2_level
 
@@ -43,6 +43,16 @@ class TestValidation:
         assert not report.ok
         assoc = [v.where for v in report.violations if v.axiom == "associativity"]
         assert (1, 1, 2, 2) in assoc
+
+    def test_corrupted_violation_set(self):
+        # every (axiom, where) pair, as reported by the validator before the
+        # axiom checks moved onto the dense tensor
+        ring = FusionRing(["0", "1", "2"], 0, [0, 1, 2], su2_2_entries(corrupt=True))
+        got = {(v.axiom, v.where) for v in validate_fusion_ring(ring).violations}
+        assert got == {("associativity", (1, 1, 2, 0)), ("associativity", (1, 1, 2, 2)),
+                       ("associativity", (2, 1, 1, 0)), ("associativity", (2, 1, 1, 2)),
+                       ("frobenius", (1, 1, 2)), ("frobenius", (1, 2, 1)),
+                       ("frobenius", (2, 1, 1))}
 
     def test_collects_all_violations(self):
         # a corrupted entry trips frobenius as well; nothing is short-circuited
@@ -102,6 +112,24 @@ class TestStructuralErrors:
     def test_duplicate_labels(self):
         with pytest.raises(StructureError):
             FusionRing(["x", "x"], 0, [0, 1], {(0, 0, 0): 1})
+
+    @pytest.mark.parametrize("mult", [1.9, "1", True, 2**63, 2**64])
+    def test_multiplicity_must_be_an_int64(self, mult):
+        with pytest.raises(StructureError):
+            FusionRing(["0"], 0, [0], {(0, 0, 0): mult})
+
+    @pytest.mark.parametrize("unit, dual", [(True, [0, 1]), (0, "01"), (0, [0.7, 1.2])])
+    def test_unit_and_dual_must_be_integers(self, unit, dual):
+        with pytest.raises(StructureError):
+            FusionRing(["0", "1"], unit, dual, {(0, 0, 0): 1})
+
+    def test_associativity_guard_refuses_inexact_sums(self):
+        # 1 * (2**27)**2 = 2**54 cannot be summed exactly in float64
+        with pytest.raises(NumericError, match="not exact in float64"):
+            validate_fusion_ring(FusionRing(["0"], 0, [0], {(0, 0, 0): 2**27}))
+        # just below the guard the check runs; only the unit laws fail
+        report = validate_fusion_ring(FusionRing(["0"], 0, [0], {(0, 0, 0): 2**26}))
+        assert report.axioms() == ("conjugate", "unit")
 
 
 class TestQuantumDimensions:
