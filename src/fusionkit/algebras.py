@@ -142,13 +142,12 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0,
     # center: coefficient vectors c with sum_b c_b (N[b,g]^d - N[g,b]^d) = 0,
     # one row per (g, d)
     constraints = (T.transpose(1, 2, 0) - T.transpose(0, 2, 1)).reshape(n * n, n).astype(float)
-    _, svals, Vt = np.linalg.svd(constraints, full_matrices=True)
+    _, svals, Vt = np.linalg.svd(constraints, full_matrices=False)
     cutoff = _RANK_RTOL * (svals[0] if svals.size and svals[0] > 0 else 1.0)
-    center = [Vt[i] for i in range(n) if i >= len(svals) or svals[i] <= cutoff]
-    r = len(center)
+    basis = Vt[svals <= cutoff]  # r x n, real
+    r = len(basis)
     if r == 0:
         raise NumericError("center is empty; input is not a unital based algebra")
-    basis = np.array(center)  # r x n, real
 
     rng = np.random.default_rng(seed)
     dual = list(alg.dual)

@@ -275,7 +275,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="enumerate modular invariant mass matrices")
     i.add_argument("file")
     i.add_argument("--out", help="directory for per-invariant JSON files")
-    i.add_argument("--jobs", type=int, default=1, help="parallel enumeration workers")
+    i.add_argument("--jobs", type=int, default=1,
+                   help="ignored: the enumeration is serial; J changes neither output nor speed")
     i.set_defaults(func=cmd_invariants)
 
     cl = sub.add_parser("classify", parents=[common], help="classify one invariant")

@@ -152,7 +152,7 @@ class CertificateReport:
 def verify_homomorphism(cert: InductionCertificate, sign: str) -> HomomorphismReport:
     """Exact integer check of v_l v_m = sum_nu N[l,m]^nu v_nu for one chirality."""
     A = cert.branching(sign)
-    got = np.einsum("lb,mc,bcd->lmd", A, A, cert.mm.tensor())
+    got = np.einsum("lb,mc,bcd->lmd", A, A, cert.mm.tensor(), optimize=True)
     want = np.einsum("lmn,nd->lmd", cert.ring.tensor(), A)
     if np.array_equal(got, want):
         return HomomorphismReport(sign=sign, passed=True, violation=None)
@@ -186,8 +186,8 @@ def verify_generating(cert: InductionCertificate, *,
         raise NondegeneracyRequired("generating identity requires a non-degenerate base")
     d = md.d
     dm = np.array(cert.mm.dims)
-    mixed = np.einsum("lb,mc,bcd->lmd", cert.aplus, cert.aminus, cert.mm.tensor())
-    lhs = np.einsum("l,m,lmd->d", d, d, mixed)
+    mixed = np.einsum("lb,mc,bcd->lmd", cert.aplus, cert.aminus, cert.mm.tensor(), optimize=True)
+    lhs = np.einsum("l,m,lmd->d", d, d, mixed, optimize=True)
     residual = float(np.max(np.abs(lhs - md.w * dm))) / md.w
     uncovered = tuple(int(b) for b in range(cert.mm.size)
                       if not np.any(mixed[:, :, b] > 0))

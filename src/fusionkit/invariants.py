@@ -9,7 +9,9 @@ condition, so the search runs in two stages:
    (the commutant restricted to the mask), and
 2. enumeration of integer points in that span, driven by pivot cells chosen
    at large d_l d_m so the global-index bounds Z[l,m] <= w / (d_l d_m) stay
-   small, with the budget sum_{l,m} d_l d_m Z[l,m] = w as acceptance filter.
+   small, with the budget sum_{l,m} d_l d_m Z[l,m] = w pruning the pivot
+   values and filtering the reconstructed points.  Both stages work in mask
+   cells, so every matrix found is supported on the twist mask.
 
 A raw depth-first search over the mask cells is kept as the small-instance
 oracle (`brute_force_invariants`).
@@ -17,7 +19,6 @@ oracle (`brute_force_invariants`).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,30 +82,24 @@ def commutant_basis(S: np.ndarray, mask: np.ndarray,
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
-    cells = [(i, j) for i in range(n) for j in range(n) if mask[i, j]]
-    cols = []
-    for (i, j) in cells:
-        E = np.zeros((n, n))
-        E[i, j] = 1.0
-        comm = S @ E - E @ S
-        cols.append(np.concatenate([comm.real.ravel(), comm.imag.ravel()]))
-    A = np.column_stack(cols)
-    _, svals, Vt = np.linalg.svd(A, full_matrices=True)
+    rows, cols = np.nonzero(mask)
+    k = np.arange(rows.size)
+    comm = np.zeros((n, n, rows.size), dtype=complex)  # S E_ij - E_ij S per cell
+    comm[:, cols, k] = S[:, rows]
+    comm[rows, :, k] -= S[cols, :]
+    A = np.concatenate([comm.real, comm.imag]).reshape(2 * n * n, rows.size)
+    _, svals, Vt = np.linalg.svd(A, full_matrices=False)
     cutoff = scaled_tol(tol, n)
     ambiguous = [s for s in svals if cutoff / 10.0 < s < cutoff * 10.0]
     if ambiguous:
         raise RankAmbiguityError(
             f"singular values {ambiguous} within a decade of cutoff {cutoff:.1e}; "
             "raise precision or adjust the tolerance")
-    null_idx = [i for i in range(len(cells))
-                if i >= len(svals) or svals[i] <= cutoff]
-    if not null_idx:
+    null = Vt[svals <= cutoff]
+    if not len(null):
         raise NumericError("commutant is empty; the identity should always be present")
-    basis = np.zeros((len(null_idx), n, n))
-    for k, idx in enumerate(null_idx):
-        vec = Vt[idx]
-        for val, (i, j) in zip(vec, cells):
-            basis[k, i, j] = val
+    basis = np.zeros((len(null), n, n))
+    basis[:, mask] = null
     return readonly(basis)
 
 
@@ -149,82 +144,82 @@ def _gram_factorization(Z: np.ndarray, node_budget: int):
     """Backtracking search for non-negative integer rows b with
     sum_i b_i^t b_i = Z.  Rows are anchored at the first label whose diagonal
     residual is still positive, which also forces the unit column of B to be
-    a standard basis vector when Z[0,0] = 1."""
+    a standard basis vector when Z[0,0] = 1.  Each row position visited
+    counts one node against ``node_budget``; the rows chosen so far keep their
+    candidate generators on an explicit stack, not on the call stack."""
     n = Z.shape[0]
     budget = node_budget
 
-    def rec(R: np.ndarray, rows: list[tuple[int, ...]], prev: tuple[int, ...] | None):
+    def tick(nodes: int = 1):
         nonlocal budget
-        if not R.any():
-            return tuple(rows)
-        diag = np.diagonal(R)
-        lead_candidates = np.nonzero(diag)[0]
+        budget -= nodes
+        if budget < 0:
+            raise _BudgetHit
+
+    def candidates(R: np.ndarray, prev: tuple[int, ...] | None):
+        """Rows b anchored at the lead label, largest first, with
+        R - b^t b >= 0; yields (b, R - b^t b)."""
+        lead_candidates = np.nonzero(np.diagonal(R))[0]
         if lead_candidates.size == 0:
-            return None  # off-diagonal residue can never be produced
+            return  # off-diagonal residue can never be produced
         lead = int(lead_candidates[0])
         prev_b = prev if prev is not None and prev[lead] and not any(prev[:lead]) else None
-
+        tick(lead + 1)  # the positions up to the lead
         row = [0] * n
+        values = [iter(range(math.isqrt(int(R[lead, lead])), 0, -1))]
+        while values:
+            pos = lead + len(values) - 1
+            v = next(values[-1], None)
+            if v is None:
+                values.pop()
+                continue
+            row[pos] = v
+            tick()
+            if pos + 1 < n:
+                top = min(math.isqrt(int(R[pos + 1, pos + 1])), int(R[lead, pos + 1]) // row[lead])
+                values.append(iter(range(top, -1, -1)))
+                continue
+            b = tuple(row)
+            if prev_b is not None and b > prev_b:
+                continue
+            R2 = R - np.outer(b, b)
+            if not np.any(R2 < 0):
+                yield b, R2
 
-        def fill(pos: int):
-            nonlocal budget
-            budget -= 1
-            if budget < 0:
-                raise _BudgetHit
-            if pos == n:
-                b = np.array(row, dtype=np.int64)
-                if prev_b is not None and tuple(row) > prev_b:
-                    return None
-                R2 = R - np.outer(b, b)
-                if np.any(R2 < 0):
-                    return None
-                return rec(R2, rows + [tuple(row)], tuple(row))
-            if pos < lead:
-                return fill(pos + 1)
-            if pos == lead:
-                top = math.isqrt(int(R[lead, lead]))
-                lo = 1
-            else:
-                top = min(math.isqrt(int(R[pos, pos])), int(R[lead, pos]) // row[lead])
-                lo = 0
-            for v in range(top, lo - 1, -1):
-                row[pos] = v
-                found = fill(pos + 1)
-                if found is not None:
-                    return found
-            row[pos] = 0
-            return None
-
-        return fill(0)
-
+    R = Z.astype(np.int64)
+    prev = None
+    rows: list[tuple[int, ...]] = []
+    stack = []
     try:
-        rows = rec(Z.astype(np.int64), [], None)
+        while R.any():
+            stack.append(candidates(R, prev))
+            while stack and (step := next(stack[-1], None)) is None:
+                stack.pop()
+            if step is None:
+                return "no", None
+            prev, R = step
+            del rows[len(stack) - 1:]
+            rows.append(prev)
     except _BudgetHit:
         return "unknown", None
-    if rows is None:
-        return "no", None
-    return "yes", rows
+    return "yes", tuple(rows)
 
 
-def _pivot_cells(basis: np.ndarray, cells: list[tuple[int, int]],
-                 dd: np.ndarray) -> list[int]:
-    """Greedy choice of m independent cells, preferring large d_l d_m so the
-    per-pivot enumeration bounds stay small."""
-    m = basis.shape[0]
-    order = sorted(range(len(cells)), key=lambda i: (-dd[cells[i]], cells[i]))
+def _pivot_cells(B: np.ndarray, dd: np.ndarray) -> list[int]:
+    """Greedy choice of m independent columns of the m x cells basis B,
+    preferring large d_l d_m so the per-pivot enumeration bounds stay small;
+    ties go to the first cell in row-major order."""
+    m = B.shape[0]
+    order = sorted(range(B.shape[1]), key=lambda i: (-dd[i], i))
     chosen: list[int] = []
-    Q: np.ndarray | None = None
+    Q = np.zeros((m, 0))  # orthonormal basis of the chosen columns
     for idx in order:
-        col = basis[:, cells[idx][0], cells[idx][1]]
-        if Q is None:
-            res = col
-        else:
-            res = col - Q @ (Q.T @ col)
+        col = B[:, idx]
+        res = col - Q @ (Q.T @ col)
         nrm = np.linalg.norm(res)
         if nrm > 1e-9 * (np.linalg.norm(col) + 1.0):
             chosen.append(idx)
-            q = res / nrm
-            Q = q[:, None] if Q is None else np.column_stack([Q, q])
+            Q = np.column_stack([Q, res / nrm])
             if len(chosen) == m:
                 break
     if len(chosen) != m:
@@ -232,31 +227,22 @@ def _pivot_cells(basis: np.ndarray, cells: list[tuple[int, int]],
     return chosen
 
 
-def _filter_chunk(start: int, stop: int, sizes: tuple[int, ...], W: np.ndarray,
-                  ddpiv: np.ndarray, dd_flat: np.ndarray, w: float,
-                  unit_flat: int, int_tol: float) -> list[bytes]:
-    """Scan one slab of pivot assignments; return accepted rounded matrices.
-
-    Top-level function so multiprocessing can pickle it.
-    """
-    out: list[bytes] = []
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        V = np.column_stack(np.unravel_index(idx, sizes)).astype(float)
-        keep = V @ ddpiv <= w + 1.0
-        V = V[keep]
-        if V.shape[0] == 0:
-            continue
-        X = V @ W
-        R = np.rint(X)
-        good = (np.max(np.abs(X - R), axis=1) <= int_tol)
-        good &= np.all(R >= 0.0, axis=1)
-        good &= R[:, unit_flat] == 1.0
-        good &= np.abs(R @ dd_flat - w) <= 1e-6 * w
-        for row in R[good]:
-            out.append(row.astype(np.int64).tobytes())
-    return out
+def _budget_points(costs: np.ndarray, budget: float) -> np.ndarray:
+    """All non-negative integer vectors v with v[k] <= budget / costs[k] and
+    v @ costs <= budget + 1, in lexicographic order, built one coordinate at
+    a time so that no prefix already over budget is extended."""
+    points = np.zeros((1, 0))
+    spent = np.zeros(1)
+    for c in costs:
+        top = int(budget / c + 1e-9)
+        if len(points) * (top + 1) > 200_000_000:  # cap on one level's grid
+            raise NumericError(
+                f"pivot enumeration space too large ({len(points) * (top + 1)} points)")
+        grid = spent[:, None] + c * np.arange(top + 1)
+        prefix, value = np.nonzero(grid <= budget + 1.0)
+        points = np.column_stack([points[prefix], value])
+        spent = grid[prefix, value]
+    return points
 
 
 def search_invariants(md: ModularData, dims: DimensionVector | None = None, *,
@@ -269,6 +255,9 @@ def search_invariants(md: ModularData, dims: DimensionVector | None = None, *,
 
     The constraint set is transpose-stable, so Z and Z^t both appear whenever
     they differ; asymmetric invariants are visible via ``is_symmetric``.
+
+    The enumeration is serial; ``jobs`` is accepted for compatibility and
+    changes neither the output nor the running time.
     """
     report = is_nondegenerate(md.ring, md.twists, md=md, tol=tol)
     if not report.nondegenerate:
@@ -279,63 +268,38 @@ def search_invariants(md: ModularData, dims: DimensionVector | None = None, *,
     w = float(dims.w) if dims is not None else md.w
     n = md.size
     mask = twist_sparsity(md.twists)
-    basis = commutant_basis(md.S, mask, tol)
-    m = basis.shape[0]
-    cells = [(i, j) for i in range(n) for j in range(n) if mask[i, j]]
-    dd = np.outer(d, d)
+    B = commutant_basis(md.S, mask, tol)[:, mask]  # m x mask cells
+    dd = np.outer(d, d)[mask]
 
-    pivot_idx = _pivot_cells(basis, cells, dd)
-    pivots = [cells[i] for i in pivot_idx]
-    P = np.column_stack([basis[:, i, j] for (i, j) in pivots])  # m x m
-    W = np.linalg.solve(P, basis.reshape(m, n * n))  # pivot values -> flat matrix
+    piv = _pivot_cells(B, dd)
+    W = np.linalg.solve(B[:, piv], B)  # pivot values -> mask cells
+    points = _budget_points(dd[piv], w)
+    unit = int(np.flatnonzero(mask).searchsorted(md.ring.unit * (n + 1)))  # (unit, unit) cell
 
-    ddpiv = np.array([dd[p] for p in pivots])
-    bounds = [int(w / dd[p] + 1e-9) for p in pivots]
-    sizes = tuple(b + 1 for b in bounds)
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > 200_000_000:
-        raise NumericError(f"pivot enumeration space too large ({total} points)")
-
-    unit_flat = md.ring.unit * n + md.ring.unit
-    dd_flat = dd.ravel()
-    args = (sizes, W, ddpiv, dd_flat, w, unit_flat, int_tol)
-
-    if jobs > 1 and total > jobs:
-        step = -(-total // jobs)
-        ranges = [(s, min(s + step, total)) for s in range(0, total, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_filter_chunk,
-                                    [r[0] for r in ranges], [r[1] for r in ranges],
-                                    *[[a] * len(ranges) for a in args]))
-        raw = [b for chunk in results for b in chunk]
-    else:
-        raw = _filter_chunk(0, total, *args)
-
-    seen: dict[bytes, np.ndarray] = {}
-    for b in raw:
-        if b not in seen:
-            seen[b] = np.frombuffer(b, dtype=np.int64).reshape(n, n)
+    found: set[tuple[int, ...]] = set()
+    for lo in range(0, len(points), _CHUNK):
+        X = points[lo:lo + _CHUNK] @ W
+        R = np.rint(X)
+        good = (np.max(np.abs(X - R), axis=1) <= int_tol)
+        good &= np.all(R >= 0.0, axis=1)
+        good &= R[:, unit] == 1.0
+        good &= np.abs(R @ dd - w) <= 1e-6 * w
+        found.update(map(tuple, R[good].astype(np.int64).tolist()))
 
     eps = scaled_tol(tol, n)
     accepted: list[np.ndarray] = []
-    for Z in seen.values():
-        if np.any(Z[~mask] != 0):
-            continue  # exact T-pattern re-check
-        if max_abs(md.S @ Z - Z @ md.S) > eps:
-            continue  # numeric S re-check on the rounded matrix
-        accepted.append(Z)
-
+    for cells in found:
+        Z = np.zeros((n, n), dtype=np.int64)
+        Z[mask] = cells
+        if max_abs(md.S @ Z - Z @ md.S) <= eps:  # numeric S re-check
+            accepted.append(Z)
     accepted.sort(key=lambda Z: (not bool(np.array_equal(Z, np.eye(n, dtype=np.int64))),
                                  tuple(Z.ravel())))
     if not accepted or not np.array_equal(accepted[0], np.eye(n, dtype=np.int64)):
         raise NumericError("identity invariant missing from search output")
 
-    if not with_flags:
-        return [classify_invariant(Z, md, node_budget=0, tol=tol) for Z in accepted]
-    return [classify_invariant(Z, md, node_budget=node_budget, tol=tol)
-            for Z in accepted]
+    budget = node_budget if with_flags else 0
+    return [classify_invariant(Z, md, node_budget=budget, tol=tol) for Z in accepted]
 
 
 def brute_force_invariants(md: ModularData, dims: DimensionVector | None = None, *,

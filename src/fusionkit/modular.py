@@ -146,14 +146,19 @@ class MonodromySpectra:
 
 def y_matrix(ring: FusionRing, twists: TwistData, *,
              dims: DimensionVector | None = None) -> np.ndarray:
-    """Y[m,n] = sum_l (w_m w_n / w_l) N[m,n]^l d_l from exact twist exponents."""
+    """Y[m,n] = sum_l (w_m w_n / w_l) N[m,n]^l d_l from exact twist exponents
+    h_l = e_l / H; the phase of (e_m + e_n - e_l) mod H is computed once per
+    distinct value, and each Y[m,n] adds its terms in increasing l."""
     validate_twists(ring, twists)
     d = (dims or quantum_dimensions(ring)).d
-    n = ring.size
-    h = twists.h
-    Y = np.zeros((n, n), dtype=complex)
-    for (a, b, c), m in ring.fusion.items():
-        Y[a, b] += unit_phase(h[a] + h[b] - h[c]) * (m * d[c])
+    H = math.lcm(*(t.denominator for t in twists.h))
+    e = [t.numerator * (H // t.denominator) for t in twists.h]
+    N = ring.tensor()
+    a, b, c = np.nonzero(N)
+    k = [(e[x] + e[y] - e[z]) % H for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
+    phase = {j: unit_phase(Fraction(j, H)) for j in set(k)}
+    Y = np.zeros((ring.size, ring.size), dtype=complex)
+    np.add.at(Y, (a, b), np.array([phase[j] for j in k], dtype=complex) * (N[a, b, c] * d[c]))
     return Y
 
 

@@ -121,6 +121,24 @@ class TestSearch:
         for mm, Z in zip(found, brute):
             assert np.array_equal(mm.Z, Z)
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_dfs_oracle_equivalence_cyclic(self, n):
+        # dense twist mask, several pivots: U(1) at level n/2
+        md = modular_matrices(*cyclic_model(n, 1))
+        found = search_invariants(md, with_flags=False)
+        assert [mm.Z.tolist() for mm in found] == [Z.tolist() for Z in brute_force_invariants(md)]
+
+    @pytest.mark.parametrize("n", [12, 16, 24])
+    def test_u1_one_invariant_per_divisor(self, n):
+        # U(1) at level n/2 has one invariant per divisor of n/2 (Gannon 1997)
+        ring, twists = cyclic_model(n, 1)
+        mask = twist_sparsity(twists)
+        found = search_invariants(modular_matrices(ring, twists), with_flags=False)
+        assert len(found) == sum(1 for x in range(1, n // 2 + 1) if (n // 2) % x == 0)
+        for mm in found:
+            assert mm.Z[0, 0] == 1
+            assert not np.any(mm.Z[~mask])
+
     def test_degenerate_input_rejected(self):
         ring, twists = cyclic_model(2, 0)
         md = modular_matrices(ring, twists)
@@ -213,6 +231,17 @@ class TestClassify:
         mm = other[0]
         assert mm.is_permutation and mm.is_symmetric and not mm.is_identity
         assert mm.type_one == "no"
+
+    @pytest.mark.parametrize("k", [32, 64])
+    def test_large_levels_classified(self, k):
+        # A and D_even are both type I, with Gram rows that reproduce Z
+        found = search_invariants(su2_md(k))
+        want = sorted(tuple(Z.ravel()) for Z in expected_su2_invariants(k))
+        assert sorted(tuple(mm.Z.ravel()) for mm in found) == want
+        assert [mm.type_one for mm in found] == ["yes", "yes"]
+        for mm in found:
+            B = np.array(mm.gram_rows)
+            assert np.array_equal(B.T @ B, mm.Z)
 
     def test_asymmetric_is_not_type_one(self):
         Z = np.eye(3, dtype=np.int64)

@@ -157,6 +157,14 @@ class TestCLI:
         assert len(files) == 2
         assert json.loads(files[0].read_text())["flags"]["is_identity"]
 
+    def test_invariants_z32_classifies(self, tmp_path, capsys):
+        # U(1) at level 16: one invariant per divisor of 16, all classified
+        ring_file = str(tmp_path / "z32.json")
+        main(["gen", "cyclic", "--order", "32", "--q", "1", "-o", ring_file])
+        capsys.readouterr()
+        assert main(["invariants", ring_file, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 5
+
     def test_invariants_degenerate_exits_1(self, tmp_path, capsys):
         ring_file = str(tmp_path / "deg.json")
         main(["gen", "cyclic", "--order", "2", "-o", ring_file])

@@ -64,6 +64,17 @@ class TestYMatrix:
         ring, twists = named_model("ising")
         assert abs(y_matrix(ring, twists)[1, 1]) < 1e-14
 
+    @pytest.mark.parametrize("model", [su2_level(10), cyclic_model(8, 1)],
+                             ids=["su2_10", "z8"])
+    def test_matches_per_entry_phase_sum(self, model):
+        ring, twists = model
+        d = quantum_dimensions(ring).d
+        h = twists.h
+        want = np.zeros((ring.size, ring.size), dtype=complex)
+        for (a, b, c), m in ring.fusion.items():
+            want[a, b] += unit_phase(h[a] + h[b] - h[c]) * (m * d[c])
+        assert y_matrix(ring, twists).tobytes() == want.tobytes()
+
     def test_symmetries(self, catalog):
         for name, (ring, twists) in catalog.items():
             Y = y_matrix(ring, twists)
