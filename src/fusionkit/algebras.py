@@ -28,6 +28,7 @@ from .rings import (ValidationReport, Violation, _antiautomorphism_violations,
                     _sequence, _SparseStructure, _unit_violations)
 
 _RANK_RTOL = 1e-7  # singular-value threshold, relative to the largest
+_MAX_DRAWS = 8  # random central elements tried before giving up
 
 
 class BasedAlgebra(_SparseStructure):
@@ -125,11 +126,10 @@ def validate_based_algebra(alg: BasedAlgebra) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0,
-                         max_draws: int = 8) -> BlockProfile:
+def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
     """Simple block sizes of a semisimple based algebra.
 
-    Draws up to ``max_draws`` random self-adjoint central elements (fresh
+    Draws up to ``_MAX_DRAWS`` random self-adjoint central elements (fresh
     randomness per draw, reproducible via ``seed``); a draw is accepted when
     its regular-representation spectrum splits into exactly as many
     well-separated clusters as the center has dimensions and every cluster
@@ -152,7 +152,7 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0,
     rng = np.random.default_rng(seed)
     dual = list(alg.dual)
     last_sizes: list[int] | None = None
-    for _ in range(max_draws):
+    for _ in range(_MAX_DRAWS):
         coeff = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) @ basis
         coeff = 0.5 * (coeff + np.conj(coeff[dual]))  # self-adjoint part
         if np.max(np.abs(coeff)) < 1e-12:
@@ -175,7 +175,7 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0,
                 "algebra is not semisimple as expected")
         return BlockProfile(tuple(roots))
     raise NumericError(
-        f"central spectrum did not split into {r} clusters after {max_draws} draws"
+        f"central spectrum did not split into {r} clusters after {_MAX_DRAWS} draws"
         + (f" (last multiplicities {sorted(last_sizes)})" if last_sizes else "")
         + "; algebra may not be semisimple")
 

@@ -57,19 +57,8 @@ def _write_or_print(path: str | None, text: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.family == "su2":
-        if args.level is None:
-            raise SchemaError("gen su2 requires --level")
-        spec = ModelSpec("su2", level=args.level)
-    elif args.family == "cyclic":
-        if args.order is None:
-            raise SchemaError("gen cyclic requires --order")
-        spec = ModelSpec("cyclic", order=args.order, q=args.q)
-    else:
-        if args.name is None:
-            raise SchemaError("gen named requires --name")
-        spec = ModelSpec("named", name=args.name)
-    ring, twists = build_model(spec)
+    ring, twists = build_model(ModelSpec(args.family, level=args.level, order=args.order,
+                                         q=args.q, name=args.name))
     _write_or_print(args.output, serialize.dumps(serialize.ring_to_dict(ring, twists)))
     return 0
 
@@ -115,6 +104,10 @@ def cmd_modular(args) -> int:
     md = modular_matrices(ring, twists, tol=args.tol)
     nd = is_nondegenerate(ring, twists, md=md, tol=args.tol)
     wanted = [p.strip() for p in (args.print or "").split(",") if p.strip()]
+    for name in wanted:
+        if name not in ("Y", "S", "T", "c"):
+            raise SchemaError(f"unknown --print item {name!r}")
+    blocks = [name for name in wanted if name != "c"]  # c is always printed
     if args.format == "json":
         obj = {
             "labels": list(ring.labels),
@@ -124,13 +117,7 @@ def cmd_modular(args) -> int:
             "nondegenerate": nd.nondegenerate,
             "dimensions": [float(x) for x in md.d],
         }
-        for name in wanted:
-            if name in ("Y", "S", "T"):
-                obj[name] = _complex_matrix(getattr(md, name))
-            elif name == "c":
-                pass  # always present as central_charge
-            else:
-                raise SchemaError(f"unknown --print item {name!r}")
+        obj.update((name, _complex_matrix(getattr(md, name))) for name in blocks)
         _emit(serialize.dumps(obj))
         return 0
     lines = [
@@ -140,14 +127,9 @@ def cmd_modular(args) -> int:
         f"global index w = {md.w:.12g}",
         f"braiding: {'non-degenerate' if nd.nondegenerate else f'degenerate, witnesses {nd.witnesses}'}",
     ]
-    for name in wanted:
-        if name == "c":
-            continue
-        if name not in ("Y", "S", "T"):
-            raise SchemaError(f"unknown --print item {name!r}")
-        M = getattr(md, name)
+    for name in blocks:
         lines.append(f"{name}:")
-        lines.extend("  " + "  ".join(_fmt_complex(z) for z in row) for row in M)
+        lines.extend("  " + "  ".join(_fmt_complex(z) for z in row) for row in getattr(md, name))
     _emit("\n".join(lines))
     return 0
 
@@ -186,14 +168,15 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    Z = serialize.z_matrix_from_dict(serialize.load_json(args.zfile), where=str(args.zfile))
+    raw = serialize.load_json(args.zfile)
     ring, twists = serialize.parse_ring(args.ringfile)
     if twists is None:
         raise SchemaError(f"{args.ringfile}: twist data is required")
+    if isinstance(raw, dict) and raw.get("size", ring.size) != ring.size:  # before any n x n array
+        raise SchemaError(f"invariant size {raw['size']!r} does not match ring size {ring.size}")
+    Z = serialize.z_matrix_from_dict(raw, where=str(args.zfile))
     md = modular_matrices(ring, twists, tol=args.tol)
-    if Z.shape[0] != ring.size:
-        raise SchemaError(f"invariant size {Z.shape[0]} does not match ring size {ring.size}")
-    mm = classify_invariant(Z, md, tol=args.tol)
+    mm = classify_invariant(Z, md)
     obj = serialize.invariant_to_dict(mm, labels=list(ring.labels))
     if args.format == "json":
         _emit(serialize.dumps(obj))

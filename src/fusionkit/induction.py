@@ -31,7 +31,7 @@ import numpy as np
 from .algebras import BasedAlgebra, validate_based_algebra
 from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
                      StructureError)
-from .invariants import twist_sparsity
+from .invariants import invariant_counts, twist_sparsity
 from .modular import ModularData, TwistData, is_nondegenerate, modular_matrices
 from .numerics import max_abs, readonly, scaled_tol
 from .rings import _INTS, FusionRing, quantum_dimensions
@@ -173,8 +173,7 @@ def compute_Z_from_branching(cert: InductionCertificate) -> np.ndarray:
 
 
 def verify_generating(cert: InductionCertificate, *,
-                      md: ModularData | None = None,
-                      tol: float = GEN_TOL) -> GeneratingReport:
+                      md: ModularData | None = None) -> GeneratingReport:
     """Check sum_{l,m} d_l d_m v+_l v-_m = w sum_beta d_beta [beta].
 
     Raises NondegeneracyRequired on a degenerate base braiding, where the
@@ -191,7 +190,7 @@ def verify_generating(cert: InductionCertificate, *,
     residual = float(np.max(np.abs(lhs - md.w * dm))) / md.w
     uncovered = tuple(int(b) for b in range(cert.mm.size)
                       if not np.any(mixed[:, :, b] > 0))
-    return GeneratingReport(passed=(residual <= tol and not uncovered),
+    return GeneratingReport(passed=(residual <= GEN_TOL and not uncovered),
                             max_residual=residual, uncovered=uncovered)
 
 
@@ -212,11 +211,7 @@ def full_report(cert: InductionCertificate, *,
                               else f"extended algebra invalid: {mm_report.axioms()}"))
 
     e_nn, e_mm = ring.unit, mm.unit
-    unit_ok = True
-    for name, A in (("A+", cert.aplus), ("A-", cert.aminus)):
-        row = A[e_nn]
-        if row[e_mm] != 1 or row.sum() != 1:
-            unit_ok = False
+    unit_ok = all(A[e_nn, e_mm] == 1 and A[e_nn].sum() == 1 for A in (cert.aplus, cert.aminus))
     checks.append(CheckResult("unit_row", unit_ok,
                               "unit label induces the extended unit once" if unit_ok
                               else "unit row is not the standard basis vector at the extended unit"))
@@ -237,12 +232,12 @@ def full_report(cert: InductionCertificate, *,
     z00 = int(Z[e_nn, e_nn])
     checks.append(CheckResult("z_matrix", z00 == 1, f"Z[0,0] = {z00}"))
 
-    md = None
     try:
         md = modular_matrices(ring, cert.twists, dims=dims_nn, tol=tol)
     except FusionKitError as exc:  # vanishing z or twist trouble
+        nd = False
         checks.append(CheckResult("modular_invariance", False, f"no modular data: {exc}"))
-    if md is not None:
+    else:
         mask = twist_sparsity(cert.twists)
         t_ok = not np.any(Z[~mask])
         s_res = max_abs(md.S @ Z - Z @ md.S)
@@ -250,8 +245,8 @@ def full_report(cert: InductionCertificate, *,
         checks.append(CheckResult(
             "modular_invariance", inv_ok,
             f"T-pattern {'exact' if t_ok else 'violated'}, |SZ-ZS| = {s_res:.2e}"))
+        nd = bool(is_nondegenerate(ring, cert.twists, md=md, tol=tol))
 
-    nd = md is not None and bool(is_nondegenerate(ring, cert.twists, md=md, tol=tol))
     checks.append(CheckResult("nondegeneracy", nd,
                               "base braiding non-degenerate" if nd
                               else "base braiding degenerate"))
@@ -265,8 +260,7 @@ def full_report(cert: InductionCertificate, *,
         checks.append(CheckResult("generating", False,
                                   "skipped: NondegeneracyRequired"))
 
-    tr_z = int(np.trace(Z))
-    tr_zzt = int(np.sum(Z * Z))
+    tr_z, tr_zzt = invariant_counts(Z)
     counts_ok = tr_zzt == mm.size
     detail = f"tr Z = {tr_z}, tr Z Z^t = {tr_zzt} vs {mm.size} extended sectors"
     if cert.nm_count is not None:

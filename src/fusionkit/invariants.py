@@ -26,10 +26,10 @@ import numpy as np
 from .errors import NondegeneracyRequired, NumericError, RankAmbiguityError
 from .modular import ModularData, TwistData, is_nondegenerate
 from .numerics import max_abs, readonly, scaled_tol
-from .rings import DimensionVector
 
 INT_TOL = 1e-6  # acceptance tolerance for reconstructed entries
-_CHUNK = 1 << 16
+NODE_BUDGET = 1_000_000  # Gram-search nodes per invariant before "unknown"
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ def invariant_counts(Z: np.ndarray) -> tuple[int, int]:
 
 
 def classify_invariant(Z: np.ndarray, md: ModularData | None = None, *,
-                       node_budget: int = 1_000_000,
-                       tol: float | None = None) -> MassMatrix:
+                       node_budget: int = NODE_BUDGET) -> MassMatrix:
     """Attach flags to a mass matrix: identity / permutation / symmetry, and
     the type-I decision via bounded search for a Gram factorization Z = B^t B
     over non-negative integer rows."""
@@ -245,10 +244,8 @@ def _budget_points(costs: np.ndarray, budget: float) -> np.ndarray:
     return points
 
 
-def search_invariants(md: ModularData, dims: DimensionVector | None = None, *,
-                      tol: float | None = None, int_tol: float = INT_TOL,
-                      jobs: int = 1, node_budget: int = 1_000_000,
-                      with_flags: bool = True) -> list[MassMatrix]:
+def search_invariants(md: ModularData, *, tol: float | None = None,
+                      jobs: int = 1, with_flags: bool = True) -> list[MassMatrix]:
     """Complete list of modular invariant mass matrices for non-degenerate
     modular data, identity first, the rest in lexicographic order of their
     flattened entries.
@@ -264,26 +261,24 @@ def search_invariants(md: ModularData, dims: DimensionVector | None = None, *,
         raise NondegeneracyRequired(
             f"braiding is degenerate (witness label {report.witness}); "
             "modular invariants are only classified for non-degenerate data")
-    d = dims.d if dims is not None else md.d
-    w = float(dims.w) if dims is not None else md.w
     n = md.size
     mask = twist_sparsity(md.twists)
     B = commutant_basis(md.S, mask, tol)[:, mask]  # m x mask cells
-    dd = np.outer(d, d)[mask]
+    dd = np.outer(md.d, md.d)[mask]
 
     piv = _pivot_cells(B, dd)
     W = np.linalg.solve(B[:, piv], B)  # pivot values -> mask cells
-    points = _budget_points(dd[piv], w)
+    points = _budget_points(dd[piv], md.w)
     unit = int(np.flatnonzero(mask).searchsorted(md.ring.unit * (n + 1)))  # (unit, unit) cell
 
     found: set[tuple[int, ...]] = set()
     for lo in range(0, len(points), _CHUNK):
         X = points[lo:lo + _CHUNK] @ W
         R = np.rint(X)
-        good = (np.max(np.abs(X - R), axis=1) <= int_tol)
+        good = (np.max(np.abs(X - R), axis=1) <= INT_TOL)
         good &= np.all(R >= 0.0, axis=1)
         good &= R[:, unit] == 1.0
-        good &= np.abs(R @ dd - w) <= 1e-6 * w
+        good &= np.abs(R @ dd - md.w) <= 1e-6 * md.w
         found.update(map(tuple, R[good].astype(np.int64).tolist()))
 
     eps = scaled_tol(tol, n)
@@ -298,25 +293,23 @@ def search_invariants(md: ModularData, dims: DimensionVector | None = None, *,
     if not accepted or not np.array_equal(accepted[0], np.eye(n, dtype=np.int64)):
         raise NumericError("identity invariant missing from search output")
 
-    budget = node_budget if with_flags else 0
-    return [classify_invariant(Z, md, node_budget=budget, tol=tol) for Z in accepted]
+    budget = NODE_BUDGET if with_flags else 0
+    return [classify_invariant(Z, md, node_budget=budget) for Z in accepted]
 
 
-def brute_force_invariants(md: ModularData, dims: DimensionVector | None = None, *,
-                           tol: float | None = None,
-                           int_tol: float = INT_TOL) -> list[np.ndarray]:
+def brute_force_invariants(md: ModularData, *,
+                           tol: float | None = None) -> list[np.ndarray]:
     """Reference depth-first search over the twist mask with the
     sum_{l,m} d_l d_m Z[l,m] = w budget; the small-instance oracle for
     :func:`search_invariants`."""
     report = is_nondegenerate(md.ring, md.twists, md=md, tol=tol)
     if not report.nondegenerate:
         raise NondegeneracyRequired("brute-force search needs non-degenerate data")
-    d = dims.d if dims is not None else md.d
-    w = float(dims.w) if dims is not None else md.w
+    w = md.w
     n = md.size
     unit = md.ring.unit
     mask = twist_sparsity(md.twists)
-    dd = np.outer(d, d)
+    dd = np.outer(md.d, md.d)
     cells = [(i, j) for i in range(n) for j in range(n)
              if mask[i, j] and (i, j) != (unit, unit)]
     cells.sort(key=lambda c: (-dd[c], c))

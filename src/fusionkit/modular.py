@@ -36,7 +36,7 @@ class TwistData:
 
     @classmethod
     def of(cls, values) -> "TwistData":
-        return cls(tuple(mod1(Fraction(v)) for v in values))
+        return cls(tuple(values))
 
     def __post_init__(self):
         object.__setattr__(self, "h", tuple(mod1(Fraction(v)) for v in self.h))
@@ -170,10 +170,7 @@ def _central_charge(z: complex, twists: TwistData, tol: float) -> Fraction:
     of the common twist denominator.
     """
     c_float = (4.0 / math.pi) * math.atan2(z.imag, z.real) % 8.0
-    den = 1
-    for t in twists.h:
-        den = den * t.denominator // math.gcd(den, t.denominator)
-    limit = max(240, 24 * den)
+    limit = max(240, 24 * math.lcm(*(t.denominator for t in twists.h)))
     cand = Fraction(c_float).limit_denominator(limit)
     cand = Fraction(cand.numerator % (8 * cand.denominator), cand.denominator)
     # verify against the unit phase rather than against the float estimate

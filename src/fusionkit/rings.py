@@ -49,6 +49,8 @@ class ValidationReport:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_PF_TOL = 1e-12  # quantum_dimensions: power-iteration distance between iterates
+_PF_STEPS = 100_000  # quantum_dimensions: power-iteration steps before giving up
 # the exact types that count as integers (``type(x) in _INTS``): bools,
 # floats and strings never do, and a set lookup keeps per-entry checks cheap
 _INTS = frozenset([int] + [np.dtype(code).type for code in np.typecodes["AllInteger"]])
@@ -284,31 +286,30 @@ def _associativity_violations(T: np.ndarray) -> list[Violation]:
     return out
 
 
-def quantum_dimensions(ring: FusionRing, *, tol: float = 1e-12,
-                       max_iter: int = 100_000) -> DimensionVector:
+def quantum_dimensions(ring: FusionRing) -> DimensionVector:
     """Perron-Frobenius dimensions of a valid fusion ring.
 
     Power iteration on sum_mu N_mu (primitive for the connected rings handled
     here), normalized so d[unit] = 1, with the eigenvector refined until
-    successive iterates agree to ``tol``.  The multiplicativity residual
+    successive iterates agree to ``_PF_TOL``.  The multiplicativity residual
     max |sum_nu N[l,m]^nu d_nu - d_l d_m| is returned alongside.
     """
     n = ring.size
     T = ring.tensor()
     A = T.sum(axis=1, dtype=float)  # sum_mu N_mu
     v = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(max_iter):
+    for _ in range(_PF_STEPS):
         w = A @ v
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             raise NumericError("fusion matrices have a zero total column; ring disconnected?")
         w /= nrm
-        if np.max(np.abs(w - v)) < tol:
+        if np.max(np.abs(w - v)) < _PF_TOL:
             v = w
             break
         v = w
     else:
-        raise NumericError(f"power iteration did not converge in {max_iter} steps")
+        raise NumericError(f"power iteration did not converge in {_PF_STEPS} steps")
     # one Rayleigh-refined sweep to polish the eigenvector
     lam = float(v @ (A @ v))
     v = A @ v / lam

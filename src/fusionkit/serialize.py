@@ -20,7 +20,7 @@ from .errors import SchemaError, StructureError
 from .induction import InductionCertificate
 from .invariants import MassMatrix, invariant_counts
 from .modular import TwistData
-from .rings import _INTS, FusionRing
+from .rings import _INT64_MAX, _INTS, FusionRing
 
 
 # ---------------------------------------------------------------- rationals
@@ -105,8 +105,8 @@ def z_matrix_from_dict(obj: Any, where: str = "invariant") -> np.ndarray:
         l, m, v = item
         if not (0 <= l < n and 0 <= m < n):
             raise SchemaError(f"{where}.entries[{i}]: index out of range")
-        if v < 0:
-            raise SchemaError(f"{where}.entries[{i}]: negative entry")
+        if not 0 <= v <= _INT64_MAX:
+            raise SchemaError(f"{where}.entries[{i}]: entry must lie in [0, 2**63)")
         Z[l, m] = v
     return Z
 

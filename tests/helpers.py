@@ -154,10 +154,10 @@ def permute_table(table, perm):
 # ------------------------------------------- expected SU(2) invariants
 
 def expected_su2_invariants(k):
-    """The classification list for level k <= 16 as integer matrices:
-    the diagonal invariant for every k, a D-type invariant for even k >= 4
+    """The classification list for level k as integer matrices: the
+    diagonal invariant for every k, a D-type invariant for even k >= 4
     (block-diagonal when k = 0 mod 4, a permutation when k = 2 mod 4), and
-    the exceptional block invariants at k = 10 and 16."""
+    the exceptional block invariants at k = 10, 16 and 28."""
     n = k + 1
     out = [np.eye(n, dtype=np.int64)]
     if k % 4 == 0 and k >= 4:
@@ -192,5 +192,12 @@ def expected_su2_invariants(k):
         for x in (2, 14):
             Z[x, 8] = 1
             Z[8, x] = 1
+        out.append(Z)
+    if k == 28:
+        Z = np.zeros((n, n), dtype=np.int64)
+        for block in ((0, 10, 18, 28), (6, 12, 16, 22)):
+            for x in block:
+                for y in block:
+                    Z[x, y] = 1
         out.append(Z)
     return out

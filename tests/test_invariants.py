@@ -232,16 +232,22 @@ class TestClassify:
         assert mm.is_permutation and mm.is_symmetric and not mm.is_identity
         assert mm.type_one == "no"
 
-    @pytest.mark.parametrize("k", [32, 64])
-    def test_large_levels_classified(self, k):
-        # A and D_even are both type I, with Gram rows that reproduce Z
+    @pytest.mark.parametrize("k, type_one", [
+        pytest.param(16, ["yes", "no", "yes"], id="16"),  # A17, E7, D10 in search order
+        pytest.param(28, ["yes", "yes", "yes"], id="28"),  # E8 included
+        pytest.param(32, ["yes", "yes"], id="32"),
+        pytest.param(64, ["yes", "yes"], id="64"),
+    ])
+    def test_large_levels_classified(self, k, type_one):
+        # A, D_even and E8 are type I, with Gram rows that reproduce Z; E7 is type II
         found = search_invariants(su2_md(k))
         want = sorted(tuple(Z.ravel()) for Z in expected_su2_invariants(k))
         assert sorted(tuple(mm.Z.ravel()) for mm in found) == want
-        assert [mm.type_one for mm in found] == ["yes", "yes"]
+        assert [mm.type_one for mm in found] == type_one
         for mm in found:
-            B = np.array(mm.gram_rows)
-            assert np.array_equal(B.T @ B, mm.Z)
+            if mm.type_one == "yes":
+                B = np.array(mm.gram_rows)
+                assert np.array_equal(B.T @ B, mm.Z)
 
     def test_asymmetric_is_not_type_one(self):
         Z = np.eye(3, dtype=np.int64)

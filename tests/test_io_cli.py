@@ -145,6 +145,16 @@ class TestCLI:
         assert "central charge c = 1/2" in out
         assert "S:" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_modular_unknown_print_item_exits_2(self, fmt, tmp_path, capsys):
+        ring_file = str(tmp_path / "m.json")
+        main(["gen", "named", "--name", "ising", "-o", ring_file])
+        capsys.readouterr()
+        assert main(["modular", ring_file, "--print", "Q", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_invariants_json_and_files(self, tmp_path, capsys):
         ring_file = str(tmp_path / "r.json")
         outdir = tmp_path / "invs"
@@ -281,6 +291,8 @@ MALFORMED = [
     ("algebra", "dims", 5),
     ("invariant", "entries", 5),
     ("invariant", "size", True),
+    ("invariant", "size", 10**12),
+    ("invariant", "entries", [[0, 0, 2**70]]),
     ("certificate", "aplus", [[1, 0, 0], [0, 1], [0, 0, 1]]),
     ("certificate", "theta", ["a", "b", "c"]),
     ("certificate", "nm_count", "x"),
