@@ -14,7 +14,7 @@ Subcommands:
 
 Global flags (per subcommand): --tol EPS (default 1e-9, env FUSIONKIT_TOL),
 --seed N, --format text|json|csv.  Exit codes: 0 all checks pass, 1 checks
-failed, 2 usage or I/O error.
+failed, 2 usage or I/O error, 3 internal error (an unexpected exception).
 """
 from __future__ import annotations
 
@@ -139,7 +139,7 @@ def cmd_invariants(args) -> int:
     if twists is None:
         raise SchemaError(f"{args.file}: twist data is required for the invariant search")
     md = modular_matrices(ring, twists, tol=args.tol)
-    found = search_invariants(md, tol=args.tol, jobs=args.jobs)
+    found = search_invariants(md, tol=args.tol)
     dicts = [serialize.invariant_to_dict(mm, labels=list(ring.labels)) for mm in found]
     if args.out:
         outdir = Path(args.out)
@@ -172,9 +172,7 @@ def cmd_classify(args) -> int:
     ring, twists = serialize.parse_ring(args.ringfile)
     if twists is None:
         raise SchemaError(f"{args.ringfile}: twist data is required")
-    if isinstance(raw, dict) and raw.get("size", ring.size) != ring.size:  # before any n x n array
-        raise SchemaError(f"invariant size {raw['size']!r} does not match ring size {ring.size}")
-    Z = serialize.z_matrix_from_dict(raw, where=str(args.zfile))
+    Z = serialize.z_matrix_from_dict(raw, ring.size, where=str(args.zfile))
     md = modular_matrices(ring, twists, tol=args.tol)
     mm = classify_invariant(Z, md)
     obj = serialize.invariant_to_dict(mm, labels=list(ring.labels))
@@ -259,7 +257,7 @@ def _parser() -> argparse.ArgumentParser:
     i.add_argument("file")
     i.add_argument("--out", help="directory for per-invariant JSON files")
     i.add_argument("--jobs", type=int, default=1,
-                   help="ignored: the enumeration is serial; J changes neither output nor speed")
+                   help="accepted and ignored: the enumeration is serial")
     i.set_defaults(func=cmd_invariants)
 
     cl = sub.add_parser("classify", parents=[common], help="classify one invariant")
@@ -302,6 +300,9 @@ def main(argv=None) -> int:
     except FusionKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault in fusionkit, never "checks failed"
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

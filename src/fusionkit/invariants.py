@@ -7,11 +7,11 @@ condition, so the search runs in two stages:
 
 1. an orthonormal real basis of { X supported on the twist mask : SX = XS }
    (the commutant restricted to the mask), and
-2. enumeration of integer points in that span, driven by pivot cells chosen
-   at large d_l d_m so the global-index bounds Z[l,m] <= w / (d_l d_m) stay
-   small, with the budget sum_{l,m} d_l d_m Z[l,m] = w pruning the pivot
-   values and filtering the reconstructed points.  Both stages work in mask
-   cells, so every matrix found is supported on the twist mask.
+2. a depth-first walk over the in-budget values (sum_{l,m} d_l d_m Z[l,m] = w)
+   of pivot cells chosen at large d_l d_m, which drops a value as soon as
+   some cell can no longer reach 0 <= Z[l,m] <= w / (d_l d_m) (Z = 1 at the
+   unit cell); its leaves are filtered for integrality and the budget.  Both
+   stages work in mask cells, so every matrix found is on the twist mask.
 
 A raw depth-first search over the mask cells is kept as the small-instance
 oracle (`brute_force_invariants`).
@@ -29,7 +29,6 @@ from .numerics import max_abs, readonly, scaled_tol
 
 INT_TOL = 1e-6  # acceptance tolerance for reconstructed entries
 NODE_BUDGET = 1_000_000  # Gram-search nodes per invariant before "unknown"
-_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -64,31 +63,27 @@ class MassMatrix:
 
 def twist_sparsity(twists: TwistData) -> np.ndarray:
     """mask[l,m] = True iff h_l = h_m as exact rationals."""
-    n = len(twists)
-    mask = np.zeros((n, n), dtype=bool)
-    for l in range(n):
-        for m in range(n):
-            mask[l, m] = twists.h[l] == twists.h[m]
-    return readonly(mask)
+    h = np.array(twists.h, dtype=object)  # exact Fractions, compared pairwise
+    return readonly(h[:, None] == h[None, :])
 
 
 def commutant_basis(S: np.ndarray, mask: np.ndarray,
                     tol: float | None = None) -> np.ndarray:
     """Orthonormal real basis of { X supported on mask : SX = XS }.
 
-    The commutator is linearized over the masked cells and the nullspace
-    read off an SVD.  Singular values within a decade of the rank cutoff
-    raise RankAmbiguityError rather than guessing.
+    S must be unitary: then a mask-supported X commutes with S iff it equals
+    the mask part of S X S^H, so the basis is the nullspace of I - M over the
+    masked cells, M[(a,b),(c,d)] = S[a,c] conj(S[b,d]), read off an SVD.
+    Singular values within a decade of the rank cutoff raise
+    RankAmbiguityError rather than guessing; a basis element that misses
+    SX = XS by more than the cutoff (S not unitary) raises NumericError.
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
     rows, cols = np.nonzero(mask)
-    k = np.arange(rows.size)
-    comm = np.zeros((n, n, rows.size), dtype=complex)  # S E_ij - E_ij S per cell
-    comm[:, cols, k] = S[:, rows]
-    comm[rows, :, k] -= S[cols, :]
-    A = np.concatenate([comm.real, comm.imag]).reshape(2 * n * n, rows.size)
-    _, svals, Vt = np.linalg.svd(A, full_matrices=False)
+    fixed = np.eye(rows.size) - S[np.ix_(rows, rows)] * S[np.ix_(cols, cols)].conj()
+    _, svals, Vt = np.linalg.svd(np.concatenate([fixed.real, fixed.imag]),
+                                 full_matrices=False)
     cutoff = scaled_tol(tol, n)
     ambiguous = [s for s in svals if cutoff / 10.0 < s < cutoff * 10.0]
     if ambiguous:
@@ -100,6 +95,10 @@ def commutant_basis(S: np.ndarray, mask: np.ndarray,
         raise NumericError("commutant is empty; the identity should always be present")
     basis = np.zeros((len(null), n, n))
     basis[:, mask] = null
+    residual = max_abs(S @ basis - basis @ S)
+    if residual > cutoff:
+        raise NumericError(f"commutant basis misses SX = XS by {residual:.1e} "
+                           f"(cutoff {cutoff:.1e}); S must be unitary")
     return readonly(basis)
 
 
@@ -226,35 +225,14 @@ def _pivot_cells(B: np.ndarray, dd: np.ndarray) -> list[int]:
     return chosen
 
 
-def _budget_points(costs: np.ndarray, budget: float) -> np.ndarray:
-    """All non-negative integer vectors v with v[k] <= budget / costs[k] and
-    v @ costs <= budget + 1, in lexicographic order, built one coordinate at
-    a time so that no prefix already over budget is extended."""
-    points = np.zeros((1, 0))
-    spent = np.zeros(1)
-    for c in costs:
-        top = int(budget / c + 1e-9)
-        if len(points) * (top + 1) > 200_000_000:  # cap on one level's grid
-            raise NumericError(
-                f"pivot enumeration space too large ({len(points) * (top + 1)} points)")
-        grid = spent[:, None] + c * np.arange(top + 1)
-        prefix, value = np.nonzero(grid <= budget + 1.0)
-        points = np.column_stack([points[prefix], value])
-        spent = grid[prefix, value]
-    return points
-
-
 def search_invariants(md: ModularData, *, tol: float | None = None,
-                      jobs: int = 1, with_flags: bool = True) -> list[MassMatrix]:
+                      with_flags: bool = True) -> list[MassMatrix]:
     """Complete list of modular invariant mass matrices for non-degenerate
     modular data, identity first, the rest in lexicographic order of their
     flattened entries.
 
     The constraint set is transpose-stable, so Z and Z^t both appear whenever
     they differ; asymmetric invariants are visible via ``is_symmetric``.
-
-    The enumeration is serial; ``jobs`` is accepted for compatibility and
-    changes neither the output nor the running time.
     """
     report = is_nondegenerate(md.ring, md.twists, md=md, tol=tol)
     if not report.nondegenerate:
@@ -268,12 +246,29 @@ def search_invariants(md: ModularData, *, tol: float | None = None,
 
     piv = _pivot_cells(B, dd)
     W = np.linalg.solve(B[:, piv], B)  # pivot values -> mask cells
-    points = _budget_points(dd[piv], md.w)
+    costs = dd[piv]
+    tops = (md.w / costs + 1e-9).astype(int)
+    reach = tops[:, None] * W  # the most each pivot can add to each cell
+    later_hi, later_lo = (np.cumsum(part[::-1], axis=0)[::-1] - part  # row k: pivots k+1..
+                          for part in (np.maximum(reach, 0.0), np.minimum(reach, 0.0)))
     unit = int(np.flatnonzero(mask).searchsorted(md.ring.unit * (n + 1)))  # (unit, unit) cell
+    # The leaf filters put every cell within INT_TOL of [0, w (1 + 1e-6) / dd], and
+    # of 1 at the unit cell; the walk allows 2 INT_TOL for its own rounding.
+    low, high = np.full(dd.size, -2 * INT_TOL), md.w * (1 + 1e-6) / dd + 2 * INT_TOL
+    low[unit], high[unit] = 1 - 2 * INT_TOL, 1 + 2 * INT_TOL
 
     found: set[tuple[int, ...]] = set()
-    for lo in range(0, len(points), _CHUNK):
-        X = points[lo:lo + _CHUNK] @ W
+    stack = [(0, 0.0, np.zeros(dd.size))]  # open pivot prefixes: depth, cost, cells
+    while stack:
+        k, spent, x = stack.pop()
+        values = np.arange(tops[k] + 1)
+        spent_next = spent + costs[k] * values
+        keep = spent_next <= md.w + 1.0  # in-budget values of pivot k
+        X = x + values[keep, None] * W[k]
+        if k + 1 < len(piv):
+            ok = np.all((X + later_hi[k] >= low) & (X + later_lo[k] <= high), axis=1)
+            stack.extend((k + 1, c, row) for c, row in zip(spent_next[keep][ok], X[ok]))
+            continue
         R = np.rint(X)
         good = (np.max(np.abs(X - R), axis=1) <= INT_TOL)
         good &= np.all(R >= 0.0, axis=1)

@@ -89,11 +89,13 @@ def invariant_to_dict(mm: MassMatrix, labels: list[str] | None = None) -> dict:
     return obj
 
 
-def z_matrix_from_dict(obj: Any, where: str = "invariant") -> np.ndarray:
+def z_matrix_from_dict(obj: Any, n: int, where: str = "invariant") -> np.ndarray:
+    """The mass matrix of an invariant file, whose ``size`` must be n."""
+    if isinstance(obj, dict) and obj.get("size", n) != n:
+        raise SchemaError(f"invariant size {obj['size']!r} does not match ring size {n}")
     if not isinstance(obj, dict) or "size" not in obj or "entries" not in obj:
         raise SchemaError(f"{where}: expected an object with 'size' and 'entries'")
-    n = obj["size"]
-    if type(n) not in _INTS or n <= 0:
+    if type(obj["size"]) not in _INTS or n <= 0:
         raise SchemaError(f"{where}.size: expected a positive integer")
     if not isinstance(obj["entries"], list):
         raise SchemaError(f"{where}.entries: expected an array of [l, m, value]")

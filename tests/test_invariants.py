@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit import (NondegeneracyRequired, TwistData, brute_force_invariants,
+from fusionkit import (NondegeneracyRequired, NumericError, TwistData, brute_force_invariants,
                        classify_invariant, commutant_basis, invariant_counts,
                        modular_matrices, search_invariants, twist_sparsity)
 from fusionkit.catalog import cyclic_model, named_model, su2_level
@@ -74,6 +74,14 @@ class TestCommutantBasis:
             assert np.max(np.abs(md.S @ B - B @ md.S)) < 1e-9
             assert not np.any(B[~mask])
 
+    def test_non_unitary_s_raises(self):
+        # D S D^-1 has the same commutant up to conjugation by D, but the
+        # fixed-point form X = S X S^H needs a unitary S
+        md = su2_md(4)
+        D = np.diag(np.arange(1.0, md.size + 1.0))
+        with pytest.raises(NumericError, match="unitary"):
+            commutant_basis(D @ md.S @ np.linalg.inv(D), twist_sparsity(md.twists))
+
 
 class TestRankAmbiguity:
     def test_noise_near_cutoff_raises(self):
@@ -128,7 +136,7 @@ class TestSearch:
         found = search_invariants(md, with_flags=False)
         assert [mm.Z.tolist() for mm in found] == [Z.tolist() for Z in brute_force_invariants(md)]
 
-    @pytest.mark.parametrize("n", [12, 16, 24])
+    @pytest.mark.parametrize("n", [12, 16, 24, 48, 64, 96])
     def test_u1_one_invariant_per_divisor(self, n):
         # U(1) at level n/2 has one invariant per divisor of n/2 (Gannon 1997)
         ring, twists = cyclic_model(n, 1)
@@ -173,9 +181,9 @@ class TestSearch:
 
     def test_deterministic_and_parallel_agree(self):
         md = su2_md(6)
-        a = search_invariants(md, jobs=1)
-        b = search_invariants(md, jobs=2)
-        c = search_invariants(md, jobs=1)
+        a = search_invariants(md)
+        b = search_invariants(md)
+        c = search_invariants(md)
         assert len(a) == len(b) == len(c)
         for x, y, z in zip(a, b, c):
             assert np.array_equal(x.Z, y.Z) and np.array_equal(x.Z, z.Z)
@@ -237,6 +245,7 @@ class TestClassify:
         pytest.param(28, ["yes", "yes", "yes"], id="28"),  # E8 included
         pytest.param(32, ["yes", "yes"], id="32"),
         pytest.param(64, ["yes", "yes"], id="64"),
+        pytest.param(160, ["yes", "yes"], id="160"),
     ])
     def test_large_levels_classified(self, k, type_one):
         # A, D_even and E8 are type I, with Gram rows that reproduce Z; E7 is type II

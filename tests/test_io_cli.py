@@ -74,10 +74,15 @@ class TestInvariantFiles:
         md = modular_matrices(*su2_level(4))
         mm = search_invariants(md)[1]
         obj = serialize.invariant_to_dict(mm, labels=list(md.ring.labels))
-        Z = serialize.z_matrix_from_dict(obj)
+        Z = serialize.z_matrix_from_dict(obj, 5)
         assert np.array_equal(Z, mm.Z)
         assert obj["counts"] == {"trZ": 4, "trZZt": 8}
         assert [0, 0, 1] in obj["entries"]
+
+    @pytest.mark.parametrize("size", [10**12, 2**70])
+    def test_size_mismatch_refused_before_allocation(self, size):
+        with pytest.raises(SchemaError, match="does not match ring size 5"):
+            serialize.z_matrix_from_dict({"size": size, "entries": []}, 5)
 
     def test_csv_export(self):
         Z = np.array([[1, 0], [0, 1]])
@@ -154,6 +159,21 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
+        import fusionkit.cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom\nsecond line")
+
+        ring_file = str(tmp_path / "r.json")
+        main(["gen", "su2", "--level", "4", "-o", ring_file])
+        capsys.readouterr()
+        monkeypatch.setattr(fusionkit.cli, "search_invariants", boom)
+        assert main(["invariants", ring_file]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "boom" in err and err.count("\n") == 1
 
     def test_invariants_json_and_files(self, tmp_path, capsys):
         ring_file = str(tmp_path / "r.json")
