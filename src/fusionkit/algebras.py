@@ -11,6 +11,12 @@ real ones provably cannot separate a block from its conjugate.
 The block profile is what pairs with a mass matrix: the multiset of nonzero
 Z entries must equal the multiset of block sizes, and the algebra is
 commutative exactly when all blocks are 1x1, i.e. when Z is 0/1-valued.
+
+Storage and checks are those of ``rings.FusionRing``: the structure
+constants live in four read-only int64 arrays (a, b, c, mult) sorted by
+(a, b, c), the ``structure`` mapping is built on first use, and the
+associativity products are exact in float32 while n max(N)^2 < 2^24 and in
+float64 while it is below 2^53 (larger tables raise ``NumericError``).
 """
 from __future__ import annotations
 
@@ -56,7 +62,7 @@ class BasedAlgebra(_SparseStructure):
 
     @property
     def structure(self) -> Mapping[tuple[int, int, int], int]:
-        return self._table
+        return self._mapping()
 
     def left_regular(self) -> np.ndarray:
         """Stacked left-multiplication matrices L[b][d,g] = N[b,g]^d."""

@@ -43,13 +43,13 @@ def su2_level(k: int) -> tuple[FusionRing, TwistData]:
     if k < 1:
         raise StructureError(f"level must be >= 1, got {k}")
     labels = [str(a) for a in range(k + 1)]
-    fusion = {}
-    for a in range(k + 1):
-        for b in range(k + 1):
-            top = min(a + b, 2 * k - a - b)
-            for c in range(abs(a - b), top + 1, 2):
-                fusion[(a, b, c)] = 1
-    ring = FusionRing(labels, 0, list(range(k + 1)), fusion)
+    a, b = np.indices((k + 1, k + 1)).reshape(2, -1)
+    lo, hi = abs(a - b), np.minimum(a + b, 2 * k - a - b)
+    count = (hi - lo) // 2 + 1  # channels c = lo, lo + 2, ..., hi
+    step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    c = np.repeat(lo, count) + 2 * step
+    rows = np.stack([np.repeat(a, count), np.repeat(b, count), c, np.ones_like(c)], axis=1)
+    ring = FusionRing(labels, 0, list(range(k + 1)), rows)
     twists = TwistData.of(Fraction(a * (a + 2), 4 * (k + 2)) for a in range(k + 1))
     return ring, twists
 
@@ -71,8 +71,9 @@ def cyclic_model(n: int, q: int = 0) -> tuple[FusionRing, TwistData]:
     if n < 1:
         raise StructureError(f"order must be >= 1, got {n}")
     labels = [str(j) for j in range(n)]
-    fusion = {(a, b, (a + b) % n): 1 for a in range(n) for b in range(n)}
-    ring = FusionRing(labels, 0, [(-j) % n for j in range(n)], fusion)
+    a, b = np.indices((n, n)).reshape(2, -1)
+    rows = np.stack([a, b, (a + b) % n, np.ones_like(a)], axis=1)
+    ring = FusionRing(labels, 0, [(-j) % n for j in range(n)], rows)
     twists = TwistData.of(Fraction(q * j * j, 2 * n) for j in range(n))
     return ring, twists
 

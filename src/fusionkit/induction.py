@@ -303,7 +303,7 @@ def _self_certificate(ring: FusionRing, twists: TwistData, aminus,
                       nm_count: int | None) -> InductionCertificate:
     """Certificate whose extended algebra is the base ring itself, with its
     quantum dimensions, A+ = identity and the given A-."""
-    mm = BasedAlgebra(ring.labels, ring.unit, ring.dual, ring.fusion,
+    mm = BasedAlgebra(ring.labels, ring.unit, ring.dual, np.stack(ring.columns(), axis=1),
                       dims=quantum_dimensions(ring).d)
     return InductionCertificate(ring, twists, mm, np.eye(ring.size, dtype=np.int64), aminus,
                                 nm_count=nm_count)

@@ -111,8 +111,9 @@ def invariant_counts(Z: np.ndarray) -> tuple[int, int]:
 def classify_invariant(Z: np.ndarray, md: ModularData | None = None, *,
                        node_budget: int = NODE_BUDGET) -> MassMatrix:
     """Attach flags to a mass matrix: identity / permutation / symmetry, and
-    the type-I decision via bounded search for a Gram factorization Z = B^t B
-    over non-negative integer rows."""
+    the type-I decision.  The identity is type I with B = I, and no other
+    permutation is; any other Z is decided by a bounded search for a Gram
+    factorization Z = B^t B over non-negative integer rows."""
     Z = np.asarray(Z, dtype=np.int64)
     n = Z.shape[0]
     if md is not None:
@@ -125,8 +126,12 @@ def classify_invariant(Z: np.ndarray, md: ModularData | None = None, *,
         np.all((Z == 0) | (Z == 1))
         and np.all(Z.sum(axis=0) == 1) and np.all(Z.sum(axis=1) == 1))
     is_symmetric = bool(np.array_equal(Z, Z.T))
-    if not is_symmetric:
-        type_one, rows = "no", None  # B^t B is always symmetric
+    if is_identity:
+        type_one, rows = "yes", tuple(map(tuple, np.eye(n, dtype=np.int64).tolist()))
+    elif is_permutation or not is_symmetric:
+        # B^t B is symmetric; a label l that a permutation moves has
+        # Z[l,l] = 0, which forces column l of B, and so row l of Z, to vanish
+        type_one, rows = "no", None
     else:
         type_one, rows = _gram_factorization(Z, node_budget)
     return MassMatrix(Z=Z, residual_s=residual_s, residual_t=residual_t,

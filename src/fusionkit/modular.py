@@ -152,13 +152,14 @@ def y_matrix(ring: FusionRing, twists: TwistData, *,
     validate_twists(ring, twists)
     d = (dims or quantum_dimensions(ring)).d
     H = math.lcm(*(t.denominator for t in twists.h))
-    e = [t.numerator * (H // t.denominator) for t in twists.h]
-    N = ring.tensor()
-    a, b, c = np.nonzero(N)
-    k = [(e[x] + e[y] - e[z]) % H for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
-    phase = {j: unit_phase(Fraction(j, H)) for j in set(k)}
+    # e_m + e_n - e_l lies in (-H, 2H): int64 unless H is huge
+    e = np.array([t.numerator * (H // t.denominator) for t in twists.h],
+                 dtype=np.int64 if H < 2 ** 62 else object)
+    a, b, c, mult = ring.columns()
+    k, inverse = np.unique((e[a] + e[b] - e[c]) % H, return_inverse=True)
+    phase = np.array([unit_phase(Fraction(j, H)) for j in k.tolist()], dtype=complex)
     Y = np.zeros((ring.size, ring.size), dtype=complex)
-    np.add.at(Y, (a, b), np.array([phase[j] for j in k], dtype=complex) * (N[a, b, c] * d[c]))
+    np.add.at(Y, (a, b), phase[inverse] * (mult * d[c]))
     return Y
 
 
@@ -284,7 +285,7 @@ def monodromy_spectra(ring: FusionRing, twists: TwistData) -> MonodromySpectra:
     n = ring.size
     h = twists.h
     pairs: dict[tuple[int, int], list[Fraction]] = {(m, nn): [] for m in range(n) for nn in range(n)}
-    for (a, b, c), mult in ring.fusion.items():
+    for a, b, c, mult in zip(*(col.tolist() for col in ring.columns())):
         t = mod1(h[c] - h[a] - h[b])
         pairs[(a, b)].extend([t] * mult)
     frozen = {k: tuple(sorted(v)) for k, v in pairs.items()}

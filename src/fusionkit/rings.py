@@ -6,10 +6,19 @@ axioms checked here are the unit law, conjugation symmetry (the unit appears
 exactly once, in a x abar), Frobenius reciprocity and associativity of the
 product.  Quantum dimensions are the unique strictly positive simultaneous
 eigenvector of the fusion matrices, computed as Perron-Frobenius data.
+
+The structure constants are stored as four read-only int64 arrays
+(a, b, c, mult) sorted by (a, b, c), checked in bulk when the ring is built.
+The dense tensor is one scatter of those arrays; the mapping (a, b, c) ->
+mult behind ``fusion`` and ``mult`` is built only when first asked for.
+Associativity is checked with float products, exact because every partial
+sum is a non-negative integer of at most n max(N)^2: float32 below 2^24,
+float64 below 2^53, and a ``NumericError`` above.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -54,6 +63,9 @@ _PF_STEPS = 100_000  # quantum_dimensions: power-iteration steps before giving u
 # the exact types that count as integers (``type(x) in _INTS``): bools,
 # floats and strings never do, and a set lookup keeps per-entry checks cheap
 _INTS = frozenset([int] + [np.dtype(code).type for code in np.typecodes["AllInteger"]])
+# the flat key (a n + b) n + c of a structure entry, like the dense tensor's
+# n^3 cells, must be addressable in int64
+_MAX_LABELS = 2 ** 21 - 1
 
 
 def _sequence(values, what: str) -> tuple:
@@ -63,20 +75,106 @@ def _sequence(values, what: str) -> tuple:
     return tuple(values)
 
 
+def _table_columns(table, n: int) -> tuple[np.ndarray, ...]:
+    """The nonzero entries of a structure table as int64 columns
+    (a, b, c, mult), sorted by (a, b, c).
+
+    The whole table is checked in bulk: the integer rule on the set of field
+    types, one int64 conversion (which fails on a multiplicity of 2^63 or
+    more), range checks, and duplicates found by a stable sort on the flat
+    key (a n + b) n + c.  An entry is a duplicate when an earlier entry with
+    the same key has a positive multiplicity.  When a bulk check fails,
+    ``_walk_rows`` walks the input in order and names the first bad entry.
+    """
+    if not isinstance(table, (Mapping, np.ndarray)):
+        table = _sequence(table, "structure table")
+    rows = _bulk_rows(table)
+    if rows is not None and rows.min(initial=0) >= 0 and rows[:, :3].max(initial=0) < n:
+        key = (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]
+        order = np.argsort(key, kind="stable")
+        key, positive = key[order], rows[order, 3] > 0
+        # positive entries before each entry, and before the first entry of
+        # its run of equal keys
+        before = np.cumsum(positive) - positive
+        run_start = np.concatenate(([True], key[1:] != key[:-1]))
+        if not np.any(before > np.maximum.accumulate(np.where(run_start, before, 0))):
+            kept = order[positive]
+            return tuple(col[kept] for col in rows.T)
+    return tuple(_walk_rows(table, n).T)
+
+
+def _bulk_rows(table) -> np.ndarray | None:
+    """``table`` as an (m, 4) int64 array, or None when a field is not of an
+    integer type, does not fit in int64, or the shape is not (m, 4).  An
+    unsigned array is cast as is: a value of 2^63 or more turns negative and
+    fails the range check."""
+    try:
+        if isinstance(table, np.ndarray):
+            if table.dtype.kind not in "iu":
+                return None
+            rows = table.astype(np.int64, copy=False)
+        elif isinstance(table, Mapping):
+            keys = list(table)
+            if not set(map(type, chain(chain.from_iterable(keys), table.values()))) <= _INTS:
+                return None
+            rows = np.empty((len(keys), 4), dtype=np.int64)
+            rows[:, :3] = np.array(keys, dtype=np.int64).reshape(len(keys), 3)
+            rows[:, 3] = list(table.values())
+        else:
+            if not set(map(type, chain.from_iterable(table))) <= _INTS:
+                return None
+            rows = np.array(table, dtype=np.int64).reshape(len(table), 4)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return rows if rows.ndim == 2 and rows.shape[1] == 4 else None
+
+
+def _walk_rows(table, n: int) -> np.ndarray:
+    """Check each entry in input order and raise ``StructureError`` at the
+    first bad one.  A table that passes is returned as (m, 4) rows
+    (a, b, c, mult) sorted by (a, b, c), without zero multiplicities."""
+    mapping = isinstance(table, Mapping)
+    out: dict[tuple[int, int, int], int] = {}
+    for entry in (table.items() if mapping else _sequence(table, "structure table")):
+        try:
+            a, b, c, mult = (*entry[0], entry[1]) if mapping else entry
+        except (TypeError, ValueError):
+            raise StructureError(f"structure entry {entry!r} is not (a, b, c, mult)") from None
+        if not (type(a) in _INTS and type(b) in _INTS and type(c) in _INTS
+                and type(mult) in _INTS and 0 <= a < n and 0 <= b < n and 0 <= c < n
+                and 0 <= mult <= _INT64_MAX):
+            raise StructureError(f"structure entry {entry!r} needs integer indices in "
+                                 f"range({n}) and an integer multiplicity in [0, 2**63)")
+        key = (int(a), int(b), int(c))
+        if key in out:
+            raise StructureError(f"duplicate key {key}")
+        if mult:
+            out[key] = int(mult)
+    return np.array(sorted((*key, mult) for key, mult in out.items()),
+                    dtype=np.int64).reshape(-1, 4)
+
+
 class _SparseStructure:
     """Common core of :class:`FusionRing` and ``algebras.BasedAlgebra``:
     labels, an optional unit, an involution and non-negative integer
-    constants N[a,b]^c, given as a mapping (a, b, c) -> mult or an iterable
-    of (a, b, c, mult); zero entries are dropped.  The constructor checks
-    structure only (string labels, integer indices in range, multiplicities
-    that fit in int64) and raises ``StructureError``; the ``validate_*``
-    functions check the axioms and collect every violation.
+    constants N[a,b]^c, given as a mapping (a, b, c) -> mult, an iterable of
+    (a, b, c, mult) or an integer (m, 4) ndarray; zero entries are dropped.
+    The constructor checks structure only (string labels, integer indices in
+    range, multiplicities that fit in int64) and raises ``StructureError``;
+    the ``validate_*`` functions check the axioms and collect every violation.
+
+    The table is stored as four read-only int64 columns (a, b, c, mult),
+    sorted by (a, b, c); ``tensor()``, ``entries()`` and ``columns()`` read
+    them directly.  The mapping behind ``mult`` and the ``fusion`` /
+    ``structure`` properties is built the first time one of them is called.
     """
 
-    __slots__ = ("labels", "unit", "dual", "_table", "_tensor")
+    __slots__ = ("labels", "unit", "dual", "_columns", "_table", "_tensor")
 
     def __init__(self, labels, unit, dual, table):
         labels = _sequence(labels, "labels")
+        if len(labels) > _MAX_LABELS:
+            raise StructureError(f"{len(labels)} labels exceed the limit of {_MAX_LABELS}")
         if not labels or not all(isinstance(x, str) for x in labels):
             raise StructureError(f"labels must be a non-empty sequence of strings, got {labels!r}")
         if len(set(labels)) != len(labels):
@@ -88,28 +186,12 @@ class _SparseStructure:
         if len(dual) != n or not all(type(x) in _INTS and 0 <= x < n for x in dual):
             raise StructureError("dual map must list one in-range integer index per label")
 
-        mapping = isinstance(table, Mapping)
-        out: dict[tuple[int, int, int], int] = {}
-        for entry in (table.items() if mapping else _sequence(table, "structure table")):
-            try:
-                a, b, c, mult = (*entry[0], entry[1]) if mapping else entry
-            except (TypeError, ValueError):
-                raise StructureError(f"structure entry {entry!r} is not (a, b, c, mult)") from None
-            if not (type(a) in _INTS and type(b) in _INTS and type(c) in _INTS
-                    and type(mult) in _INTS and 0 <= a < n and 0 <= b < n and 0 <= c < n
-                    and 0 <= mult <= _INT64_MAX):
-                raise StructureError(f"structure entry {entry!r} needs integer indices in "
-                                     f"range({n}) and an integer multiplicity in [0, 2**63)")
-            key = (int(a), int(b), int(c))
-            if key in out:
-                raise StructureError(f"duplicate key {key}")
-            if mult:
-                out[key] = int(mult)
-
+        columns = _table_columns(table, n)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unit", None if unit is None else int(unit))
         object.__setattr__(self, "dual", tuple(int(x) for x in dual))
-        object.__setattr__(self, "_table", MappingProxyType(out))
+        object.__setattr__(self, "_columns", tuple(readonly(col) for col in columns))
+        object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_tensor", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -119,27 +201,39 @@ class _SparseStructure:
     def size(self) -> int:
         return len(self.labels)
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only int64 columns (a, b, c, mult) of the nonzero entries,
+        sorted by (a, b, c)."""
+        return self._columns
+
+    def _mapping(self) -> Mapping[tuple[int, int, int], int]:
+        """Read-only mapping (a, b, c) -> N[a,b]^c of the nonzero entries,
+        built on first use."""
+        if self._table is None:
+            a, b, c, mult = (col.tolist() for col in self._columns)
+            object.__setattr__(self, "_table", MappingProxyType(dict(zip(zip(a, b, c), mult))))
+        return self._table
+
     def mult(self, a: int, b: int, c: int) -> int:
         """N[a,b]^c, the multiplicity of c inside a x b."""
-        return self._table.get((a, b, c), 0)
+        return self._mapping().get((a, b, c), 0)
 
     def entries(self) -> tuple[tuple[int, int, int, int], ...]:
         """Sparse table in canonical sorted order."""
-        return tuple((a, b, c, m) for (a, b, c), m in sorted(self._table.items()))
+        return tuple(zip(*(col.tolist() for col in self._columns)))
 
     def tensor(self) -> np.ndarray:
         """Dense read-only int64 array T[a, b, c] = N[a,b]^c, built once."""
         if self._tensor is None:
             n = self.size
             t = np.zeros((n, n, n), dtype=np.int64)
-            if self._table:
-                a, b, c = np.array(list(self._table), dtype=np.intp).T
-                t[a, b, c] = list(self._table.values())
+            a, b, c, mult = self._columns
+            t[a, b, c] = mult
             object.__setattr__(self, "_tensor", readonly(t))
         return self._tensor
 
     def _key(self) -> tuple:
-        return (self.labels, self.unit, self.dual, self.entries())
+        return (self.labels, self.unit, self.dual, *(col.tobytes() for col in self._columns))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -170,7 +264,7 @@ class FusionRing(_SparseStructure):
 
     @property
     def fusion(self) -> Mapping[tuple[int, int, int], int]:
-        return self._table
+        return self._mapping()
 
     def fusion_matrix(self, mu: int) -> np.ndarray:
         """(N_mu)[lam, nu] = N[lam, mu]^nu."""
@@ -262,16 +356,18 @@ def _antiautomorphism_violations(T: np.ndarray, dual) -> list[Violation]:
 def _associativity_violations(T: np.ndarray) -> list[Violation]:
     """((a b) c)_d = (a (b c))_d for every (a, b, c, d).
 
-    One float64 product per left label a: T[a] @ T.reshape(n, n*n) gives
+    One product pair per left label a: T[a] @ T.reshape(n, n*n) gives
     ((a b) c)_d and T.reshape(n*n, n) @ T[a] gives (a (b c))_d.  Every
-    partial sum is an integer of at most n max(N)^2, so the products are
-    exact below 2^53; larger tables raise instead of comparing rounded sums.
+    partial sum is a non-negative integer of at most n max(N)^2, so the
+    products are exact in float32 below 2^24 and in float64 below 2^53;
+    larger tables raise instead of comparing rounded sums.
     """
     n = len(T)
     top = int(T.max())
-    if n * top * top >= 2 ** 53:
+    bound = n * top * top
+    if bound >= 2 ** 53:
         raise NumericError(f"associativity sums up to {n} * {top}^2 are not exact in float64")
-    F = T.astype(np.float64)
+    F = T.astype(np.float32 if bound < 2 ** 24 else np.float64)
     rows, cols = F.reshape(n * n, n), F.reshape(n, n * n)
     out = []
     for a in range(n):

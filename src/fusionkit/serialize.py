@@ -69,10 +69,10 @@ def ring_from_dict(obj: Any, where: str = "ring") -> tuple[FusionRing, TwistData
 def invariant_to_dict(mm: MassMatrix, labels: list[str] | None = None) -> dict:
     Z = mm.Z
     tr_z, tr_zzt = invariant_counts(Z)
+    cells = np.argwhere(Z)  # row-major
     obj: dict[str, Any] = {
         "size": int(Z.shape[0]),
-        "entries": [[int(i), int(j), int(Z[i, j])]
-                    for i in range(Z.shape[0]) for j in range(Z.shape[1]) if Z[i, j]],
+        "entries": np.column_stack([cells, Z[tuple(cells.T)]]).tolist(),
         "flags": {
             "is_identity": mm.is_identity,
             "is_permutation": mm.is_permutation,
@@ -137,7 +137,7 @@ def algebra_from_dict(obj: Any, where: str = "algebra") -> BasedAlgebra:
 
 def _table_to_dict(table: FusionRing | BasedAlgebra, key: str) -> dict[str, Any]:
     return {"labels": list(table.labels), "unit": table.unit, "dual": list(table.dual),
-            key: [list(entry) for entry in table.entries()]}
+            key: np.stack(table.columns(), axis=1).tolist()}
 
 
 def _table_from_dict(obj: Any, where: str, cls, required: tuple[str, ...], **extra):
@@ -158,7 +158,7 @@ def _table_from_dict(obj: Any, where: str, cls, required: tuple[str, ...], **ext
         table = cls(obj["labels"], obj.get("unit"), obj["dual"], obj[key], **extra)
     except StructureError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    if len(table.entries()) < len(obj[key]):
+    if table.columns()[3].size < len(obj[key]):
         raise SchemaError(f"{where}.{key}: multiplicities must be positive")
     return table
 

@@ -44,6 +44,35 @@ class TestConstruction:
         with pytest.raises(StructureError):
             BasedAlgebra(["e"], 0, (0,), [(0, 0, 0, 1), (0, 0, 0, 1)])
 
+    @pytest.mark.parametrize("table, mult", [
+        ([(0, 0, 0, 0), (0, 0, 0, 1)], 1),  # zero then positive
+        ([(0, 0, 0, 0), (0, 0, 0, 0)], 0),
+        ([(0, 0, 0, 0), (0, 0, 0, 3), (0, 0, 0, 0)], None),
+        ([(0, 0, 0, 1), (0, 0, 0, 0)], None),  # positive then zero
+        ([(0, 0, 0, 2), (0, 0, 0, 2)], None)])
+    def test_duplicate_rule(self, table, mult):
+        # a key repeats only while no earlier entry gave it a positive multiplicity
+        for form in (table, np.array(table, dtype=np.int64)):
+            if mult is None:
+                with pytest.raises(StructureError, match=r"^duplicate key \(0, 0, 0\)$"):
+                    BasedAlgebra(["e"], 0, (0,), form)
+            else:
+                alg = BasedAlgebra(["e"], 0, (0,), form)
+                assert alg.mult(0, 0, 0) == mult
+                assert alg.entries() == (((0, 0, 0, mult),) if mult else ())
+
+    def test_input_forms_agree(self):
+        # list, mapping and int64 array tables give equal algebras and tensors
+        for name, (table, _) in GROUP_FIXTURES.items():
+            alg = BasedAlgebra.from_group_table(table)
+            rows = [list(e) for e in alg.entries()]
+            for form in (rows[::-1], dict(alg.structure), np.array(rows, dtype=np.int64)):
+                other = BasedAlgebra(alg.labels, alg.unit, alg.dual, form)
+                assert other == alg, name
+                assert np.array_equal(other.tensor(), alg.tensor()), name
+        m2 = matrix_unit_algebra()
+        assert BasedAlgebra(m2.labels, None, m2.dual, np.stack(m2.columns(), axis=1)) == m2
+
     def test_negative_constant(self):
         with pytest.raises(StructureError):
             BasedAlgebra(["e"], 0, (0,), {(0, 0, 0): -2})

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit import (StructureError, is_nondegenerate, modular_matrices,
+from fusionkit import (FusionRing, StructureError, is_nondegenerate, modular_matrices,
                        quantum_dimensions, validate_fusion_ring)
 from fusionkit.catalog import (CATALOG, ModelSpec, build_model, cyclic_model,
                                named_model, su2_level, su2_s_closed_form)
@@ -37,6 +37,13 @@ class TestSu2:
     def test_bad_level(self):
         with pytest.raises(StructureError):
             su2_level(0)
+
+    def test_matches_clebsch_gordan_loop(self):
+        for k in range(1, 65):
+            fusion = {(a, b, c): 1 for a in range(k + 1) for b in range(k + 1)
+                      for c in range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2)}
+            want = FusionRing([str(a) for a in range(k + 1)], 0, list(range(k + 1)), fusion)
+            assert su2_level(k)[0] == want, k
 
     @pytest.mark.parametrize("k", list(range(1, 25)))
     def test_s_matrix_matches_closed_form(self, k):
@@ -83,6 +90,12 @@ class TestCyclic:
         nd = is_nondegenerate(ring, twists)
         assert not nd.nondegenerate
         assert set(nd.witnesses) == set(range(1, n))
+
+    def test_matches_addition_loop(self):
+        for n in range(1, 65):
+            fusion = {(a, b, (a + b) % n): 1 for a in range(n) for b in range(n)}
+            want = FusionRing([str(j) for j in range(n)], 0, [(-j) % n for j in range(n)], fusion)
+            assert cyclic_model(n, 1)[0] == want, n
 
     def test_bad_order(self):
         with pytest.raises(StructureError):

@@ -5,8 +5,10 @@ import pytest
 
 from fusionkit import (NondegeneracyRequired, NumericError, TwistData, brute_force_invariants,
                        classify_invariant, commutant_basis, invariant_counts,
-                       modular_matrices, search_invariants, twist_sparsity)
+                       is_nondegenerate, modular_matrices, search_invariants,
+                       twist_sparsity)
 from fusionkit.catalog import cyclic_model, named_model, su2_level
+from fusionkit.invariants import NODE_BUDGET, _gram_factorization
 
 from helpers import expected_su2_invariants
 
@@ -257,6 +259,22 @@ class TestClassify:
             if mm.type_one == "yes":
                 B = np.array(mm.gram_rows)
                 assert np.array_equal(B.T @ B, mm.Z)
+
+    def test_short_cuts_match_gram_search(self, catalog, catalog_modular):
+        # the identity and the other symmetric permutations skip the Gram
+        # search; both must give what the search gives
+        mats = [mm.Z for md in catalog_modular.values()
+                if is_nondegenerate(md.ring, md.twists, md=md)
+                for mm in search_invariants(md, with_flags=False)]
+        mats += [ring.conjugation_matrix() for ring, _ in catalog.values()]
+        mats += [Z for k in range(1, 65) for Z in expected_su2_invariants(k)]
+        kinds = set()
+        for Z in mats:
+            mm = classify_invariant(Z)
+            if mm.is_permutation and mm.is_symmetric:
+                kinds.add(mm.is_identity)
+                assert (mm.type_one, mm.gram_rows) == _gram_factorization(Z, NODE_BUDGET)
+        assert kinds == {True, False}
 
     def test_asymmetric_is_not_type_one(self):
         Z = np.eye(3, dtype=np.int64)

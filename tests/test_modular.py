@@ -64,16 +64,28 @@ class TestYMatrix:
         ring, twists = named_model("ising")
         assert abs(y_matrix(ring, twists)[1, 1]) < 1e-14
 
-    @pytest.mark.parametrize("model", [su2_level(10), cyclic_model(8, 1)],
-                             ids=["su2_10", "z8"])
-    def test_matches_per_entry_phase_sum(self, model):
-        ring, twists = model
+    @staticmethod
+    def per_entry_y(ring, twists):
         d = quantum_dimensions(ring).d
         h = twists.h
         want = np.zeros((ring.size, ring.size), dtype=complex)
-        for (a, b, c), m in ring.fusion.items():
+        for (a, b, c), m in sorted(ring.fusion.items()):
             want[a, b] += unit_phase(h[a] + h[b] - h[c]) * (m * d[c])
-        assert y_matrix(ring, twists).tobytes() == want.tobytes()
+        return want
+
+    @pytest.mark.parametrize("model", [
+        su2_level(10), cyclic_model(8, 1),
+        # exponents e_l = h_l lcm(denominators) near 2^63, so e_m + e_n overflows int64
+        (su2_level(2)[0], TwistData.of([0, Fraction(2**31 - 2, 2**31 - 1),
+                                        Fraction(2**32 - 6, 2**32 - 5)]))],
+        ids=["su2_10", "z8", "huge_denominators"])
+    def test_matches_per_entry_phase_sum(self, model):
+        ring, twists = model
+        assert y_matrix(ring, twists).tobytes() == self.per_entry_y(ring, twists).tobytes()
+
+    def test_catalog_matches_per_entry_phase_sum(self, catalog):
+        for name, (ring, twists) in catalog.items():
+            assert y_matrix(ring, twists).tobytes() == self.per_entry_y(ring, twists).tobytes(), name
 
     def test_symmetries(self, catalog):
         for name, (ring, twists) in catalog.items():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -53,6 +54,25 @@ class TestValidation:
                        ("associativity", (2, 1, 1, 0)), ("associativity", (2, 1, 1, 2)),
                        ("frobenius", (1, 1, 2)), ("frobenius", (1, 2, 1)),
                        ("frobenius", (2, 1, 1))}
+
+    @pytest.mark.parametrize("m", [2895, 2897])
+    def test_planted_violation_counts_are_exact(self, m):
+        # n max(N)^2 = 2 m^2 sits just below 2^24 (float32 products) for
+        # m = 2895 and just above it (float64) for m = 2897, where the count
+        # ((0 0) 0)_0 = 2 m^2 - m is odd and above 2^24
+        table = {(0, 0, 0): m, (0, 0, 1): m, (1, 0, 0): m - 1, (1, 1, 1): 3}
+        ring = FusionRing(["0", "1"], 0, [0, 1], table)
+        N = ring.mult
+        want = set()
+        for a, b, c, d in itertools.product(range(2), repeat=4):
+            lhs = sum(N(a, b, x) * N(x, c, d) for x in range(2))
+            rhs = sum(N(b, c, x) * N(a, x, d) for x in range(2))
+            if lhs != rhs:
+                want.add(((a, b, c, d), f"(({a} {b}) {c})_{d} = {lhs}, ({a} ({b} {c}))_{d} = {rhs}"))
+        got = {(v.where, v.detail) for v in validate_fusion_ring(ring).violations
+               if v.axiom == "associativity"}
+        assert ((0, 0, 0, 0), f"((0 0) 0)_0 = {2 * m * m - m}, (0 (0 0))_0 = {m * m}") in want
+        assert got == want
 
     def test_collects_all_violations(self):
         # a corrupted entry trips frobenius as well; nothing is short-circuited
@@ -122,6 +142,76 @@ class TestStructuralErrors:
     def test_unit_and_dual_must_be_integers(self, unit, dual):
         with pytest.raises(StructureError):
             FusionRing(["0", "1"], unit, dual, {(0, 0, 0): 1})
+
+    @pytest.mark.parametrize("entry, shown", [
+        ([True, 0, 0, 1], "[True, 0, 0, 1]"),
+        ([0, 0, 0, 1.0], "[0, 0, 0, 1.0]"),
+        ([0, "1", 0, 1], "[0, '1', 0, 1]"),
+        ([0, 0, -1, 1], "[0, 0, -1, 1]"),
+        ([0, 2, 0, 1], "[0, 2, 0, 1]"),
+        ([0, 0, 0, -1], "[0, 0, 0, -1]"),
+        ([0, 0, 0, 2**63], "[0, 0, 0, 9223372036854775808]"),
+        ([0, 0, 0, np.uint64(2**63)], f"[0, 0, 0, {np.uint64(2**63)!r}]"),
+        ("0001", "'0001'"),
+    ])
+    def test_bad_field_named(self, entry, shown):
+        # the first bad entry in input order is named, not the later one
+        with pytest.raises(StructureError) as exc:
+            FusionRing(["0", "1"], 0, [0, 1], [[0, 0, 0, 1], entry, [1, 1, 1, 1.5]])
+        assert str(exc.value) == (f"structure entry {shown} needs integer indices in "
+                                  "range(2) and an integer multiplicity in [0, 2**63)")
+
+    @pytest.mark.parametrize("entry, shown", [
+        ([0, 0, 0], "[0, 0, 0]"), ([0, 0, 0, 1, 1], "[0, 0, 0, 1, 1]"),
+        (7, "7"), (None, "None")])
+    def test_malformed_entry_named(self, entry, shown):
+        with pytest.raises(StructureError) as exc:
+            FusionRing(["0", "1"], 0, [0, 1], [[0, 0, 0, 1], entry, [0, 0, 9, 1]])
+        assert str(exc.value) == f"structure entry {shown} is not (a, b, c, mult)"
+
+    @pytest.mark.parametrize("table, message", [
+        ({(0, 0, 0): 1.5}, "structure entry ((0, 0, 0), 1.5) needs integer indices in "
+                           "range(1) and an integer multiplicity in [0, 2**63)"),
+        ({(0, 0, 0): 1, (0, 0): 1}, "structure entry ((0, 0), 1) is not (a, b, c, mult)"),
+        (np.array([[0, 0, 0, 1], [0, 0, 1, 1]]),
+         "structure entry array([0, 0, 1, 1]) needs integer indices in "
+         "range(1) and an integer multiplicity in [0, 2**63)"),
+        (np.array([[0, 0, 0, 1.5]]), "structure entry array([0. , 0. , 0. , 1.5]) needs "
+                                     "integer indices in range(1) and an integer "
+                                     "multiplicity in [0, 2**63)"),
+        (np.array([[0, 0, 0]]), "structure entry array([0, 0, 0]) is not (a, b, c, mult)"),
+        (np.array([[0, 0, 0, 2**63]], dtype=np.uint64),
+         f"structure entry {np.array([0, 0, 0, 2**63], dtype=np.uint64)!r} needs integer "
+         "indices in range(1) and an integer multiplicity in [0, 2**63)"),
+        ([[0, 0, 0, 1], [0, 0, 0, 2]], "duplicate key (0, 0, 0)"),
+        ([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 9, 1]], "duplicate key (0, 0, 0)"),
+        (7, "structure table must be a sequence, got 7"),
+    ])
+    def test_mapping_and_array_errors_named(self, table, message):
+        with pytest.raises(StructureError) as exc:
+            FusionRing(["0"], 0, [0], table)
+        assert str(exc.value) == message
+
+    def test_input_forms_agree(self, catalog):
+        # a list, a mapping, integer arrays and a shuffled list give one ring;
+        # an object array is read entry by entry
+        rng = np.random.default_rng(3)
+        for name, (ring, _) in catalog.items():
+            rows = [list(e) for e in ring.entries()]
+            shuffled = [rows[i] for i in rng.permutation(len(rows))]
+            forms = [rows, shuffled, dict(ring.fusion), np.array(rows, dtype=np.int64),
+                     np.array(rows, dtype=np.uint8), np.array(rows, dtype=object),
+                     rows + [[0, 0, 1, 0]] * (ring.size > 1)]
+            for table in forms:
+                other = FusionRing(ring.labels, ring.unit, ring.dual, table)
+                assert other == ring, name
+                assert np.array_equal(other.tensor(), ring.tensor()), name
+                assert other.entries() == ring.entries(), name
+
+    def test_too_many_labels(self):
+        # the flat sort key (a n + b) n + c of an entry must fit in int64
+        with pytest.raises(StructureError, match="2097152 labels exceed the limit of 2097151"):
+            FusionRing([""] * 2**21, 0, [], [])
 
     def test_associativity_guard_refuses_inexact_sums(self):
         # 1 * (2**27)**2 = 2**54 cannot be summed exactly in float64
