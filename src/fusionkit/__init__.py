@@ -26,9 +26,9 @@ from .modular import (DegeneracyReport, ModularData, MonodromySpectra,
                       ResidualReport, TwistData, check_partial_verlinde,
                       is_nondegenerate, modular_matrices, monodromy_spectra,
                       sl2z_relations, statistics_characters, validate_twists,
-                      verlinde_fusion, weight_vectors, y_matrix)
+                      verlinde_fusion, y_matrix)
 from .rings import (DimensionVector, FusionRing, ValidationReport, Violation,
-                    fusion_matrices, quantum_dimensions, validate_fusion_ring)
+                    quantum_dimensions, validate_fusion_ring)
 
 __version__ = "0.1.0"
 
@@ -42,12 +42,11 @@ __all__ = [
     "VerlindeError", "Violation", "brute_force_invariants", "build_model",
     "catalog_models", "check_partial_verlinde", "classify_invariant",
     "commutant_basis", "compute_Z_from_branching", "conjugation_certificate",
-    "cyclic_model", "decompose_semisimple", "full_report", "fusion_matrices",
+    "cyclic_model", "decompose_semisimple", "full_report",
     "invariant_counts", "is_commutative", "is_nondegenerate", "modular_matrices",
     "monodromy_spectra", "named_model", "quantum_dimensions", "search_invariants",
     "sl2z_relations", "statistics_characters", "su2_level", "su2_s_closed_form",
     "trivial_certificate", "twist_sparsity", "validate_based_algebra",
     "validate_fusion_ring", "validate_twists", "verify_dimension_theorem",
-    "verify_generating", "verify_homomorphism", "verlinde_fusion",
-    "weight_vectors", "y_matrix",
+    "verify_generating", "verify_homomorphism", "verlinde_fusion", "y_matrix",
 ]

@@ -13,8 +13,8 @@ Z entries must equal the multiset of block sizes, and the algebra is
 commutative exactly when all blocks are 1x1, i.e. when Z is 0/1-valued.
 
 Storage and checks are those of ``rings.FusionRing``: the structure
-constants live in four read-only int64 arrays (a, b, c, mult) sorted by
-(a, b, c), the ``structure`` mapping is built on first use, and the
+constants live only in four read-only int64 arrays (a, b, c, mult) sorted by
+(a, b, c), read through ``columns()`` and ``tensor()``, and the
 associativity products are exact in float32 while n max(N)^2 < 2^24 and in
 float64 while it is below 2^53 (larger tables raise ``NumericError``).
 """
@@ -24,7 +24,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from numbers import Real
-from typing import Mapping
 
 import numpy as np
 
@@ -59,10 +58,6 @@ class BasedAlgebra(_SparseStructure):
                 raise StructureError("dimension vector must be per-basis positive")
             dims = tuple(float(x) for x in dims)
         object.__setattr__(self, "dims", dims)
-
-    @property
-    def structure(self) -> Mapping[tuple[int, int, int], int]:
-        return self._mapping()
 
     def left_regular(self) -> np.ndarray:
         """Stacked left-multiplication matrices L[b][d,g] = N[b,g]^d."""

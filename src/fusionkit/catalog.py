@@ -50,7 +50,7 @@ def su2_level(k: int) -> tuple[FusionRing, TwistData]:
     c = np.repeat(lo, count) + 2 * step
     rows = np.stack([np.repeat(a, count), np.repeat(b, count), c, np.ones_like(c)], axis=1)
     ring = FusionRing(labels, 0, list(range(k + 1)), rows)
-    twists = TwistData.of(Fraction(a * (a + 2), 4 * (k + 2)) for a in range(k + 1))
+    twists = TwistData(Fraction(a * (a + 2), 4 * (k + 2)) for a in range(k + 1))
     return ring, twists
 
 
@@ -74,7 +74,7 @@ def cyclic_model(n: int, q: int = 0) -> tuple[FusionRing, TwistData]:
     a, b = np.indices((n, n)).reshape(2, -1)
     rows = np.stack([a, b, (a + b) % n, np.ones_like(a)], axis=1)
     ring = FusionRing(labels, 0, [(-j) % n for j in range(n)], rows)
-    twists = TwistData.of(Fraction(q * j * j, 2 * n) for j in range(n))
+    twists = TwistData(Fraction(q * j * j, 2 * n) for j in range(n))
     return ring, twists
 
 
@@ -87,7 +87,7 @@ def named_model(name: str) -> tuple[FusionRing, TwistData]:
         fusion = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
                   (1, 1, 0): 1, (1, 1, 1): 1}
         ring = FusionRing(labels, 0, [0, 1], fusion)
-        return ring, TwistData.of([Fraction(0), Fraction(2, 5)])
+        return ring, TwistData([Fraction(0), Fraction(2, 5)])
     if name == "ising":
         labels = ["0", "sigma", "psi"]
         fusion = {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
@@ -96,7 +96,7 @@ def named_model(name: str) -> tuple[FusionRing, TwistData]:
                   (1, 2, 1): 1, (2, 1, 1): 1,
                   (2, 2, 0): 1}
         ring = FusionRing(labels, 0, [0, 1, 2], fusion)
-        return ring, TwistData.of([Fraction(0), Fraction(1, 16), Fraction(1, 2)])
+        return ring, TwistData([Fraction(0), Fraction(1, 16), Fraction(1, 2)])
     raise StructureError(f"unknown named model {name!r}")
 
 

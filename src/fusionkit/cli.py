@@ -5,16 +5,22 @@ Subcommands:
     gen su2 --level K [-o FILE]            write a built-in model as JSON
     gen cyclic --order N [--q Q] [-o FILE]
     gen named --name ID [-o FILE]
-    check FILE                              fusion axioms + modular relations
-    modular FILE [--print Y,S,T,c]          modular data summary / matrices
-    invariants FILE [--out DIR] [--jobs J]  enumerate modular invariants
-    classify ZFILE RINGFILE                 flags and counts for one invariant
-    decompose ALGFILE                       simple block profile
-    verify-induction CERTFILE               full certificate report
+    check FILE [--tol EPS]                  fusion axioms + modular relations
+    modular FILE [--print Y,S,T,c] [--tol EPS] [--format text|json]
+                                            modular data summary / matrices
+    invariants FILE [--out DIR] [--jobs J] [--tol EPS] [--format text|json|csv]
+                                            enumerate modular invariants
+    classify ZFILE RINGFILE [--tol EPS] [--format text|json|csv]
+                                            flags and counts for one invariant
+    decompose ALGFILE [--seed N] [--format text|json]
+                                            simple block profile
+    verify-induction CERTFILE [--tol EPS] [--format text|json]
+                                            full certificate report
 
-Global flags (per subcommand): --tol EPS (default 1e-9, env FUSIONKIT_TOL),
---seed N, --format text|json|csv.  Exit codes: 0 all checks pass, 1 checks
-failed, 2 usage or I/O error, 3 internal error (an unexpected exception).
+Each subcommand takes only the flags it reads.  --tol defaults to 1e-9, or to
+the FUSIONKIT_TOL environment variable.  Exit codes: 0 all checks pass, 1
+checks failed, 2 usage or I/O error, 3 internal error (an unexpected
+exception).
 """
 from __future__ import annotations
 
@@ -223,17 +229,19 @@ def cmd_verify_induction(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="global tolerance (default 1e-9 or FUSIONKIT_TOL)")
-    common.add_argument("--seed", type=int, default=0, help="randomized-algorithm seed")
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None,
+                     help="global tolerance (default 1e-9 or FUSIONKIT_TOL)")
+    json_format = argparse.ArgumentParser(add_help=False)
+    json_format.add_argument("--format", choices=("text", "json"), default="text")
+    csv_format = argparse.ArgumentParser(add_help=False)
+    csv_format.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = argparse.ArgumentParser(prog="fusionkit", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", parents=[common], help="write a built-in model")
+    g = sub.add_parser("gen", help="write a built-in model")
     g.add_argument("family", choices=("su2", "cyclic", "named"))
     g.add_argument("--level", type=int, help="su2 level k >= 1")
     g.add_argument("--order", type=int, help="cyclic group order n >= 1")
@@ -242,17 +250,18 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output", help="output file (default stdout)")
     g.set_defaults(func=cmd_gen)
 
-    c = sub.add_parser("check", parents=[common], help="fusion axioms + modular relations")
+    c = sub.add_parser("check", parents=[tol], help="fusion axioms + modular relations")
     c.add_argument("file")
     c.set_defaults(func=cmd_check)
 
-    m = sub.add_parser("modular", parents=[common], help="modular data for a ring file")
+    m = sub.add_parser("modular", parents=[tol, json_format],
+                       help="modular data for a ring file")
     m.add_argument("file")
     m.add_argument("--print", dest="print", default="",
                    help="comma list of blocks to print: Y,S,T,c")
     m.set_defaults(func=cmd_modular)
 
-    i = sub.add_parser("invariants", parents=[common],
+    i = sub.add_parser("invariants", parents=[tol, csv_format],
                        help="enumerate modular invariant mass matrices")
     i.add_argument("file")
     i.add_argument("--out", help="directory for per-invariant JSON files")
@@ -260,17 +269,18 @@ def _parser() -> argparse.ArgumentParser:
                    help="accepted and ignored: the enumeration is serial")
     i.set_defaults(func=cmd_invariants)
 
-    cl = sub.add_parser("classify", parents=[common], help="classify one invariant")
+    cl = sub.add_parser("classify", parents=[tol, csv_format], help="classify one invariant")
     cl.add_argument("zfile")
     cl.add_argument("ringfile")
     cl.set_defaults(func=cmd_classify)
 
-    d = sub.add_parser("decompose", parents=[common],
+    d = sub.add_parser("decompose", parents=[json_format],
                        help="simple block profile of a based algebra")
     d.add_argument("file")
+    d.add_argument("--seed", type=int, default=0, help="randomized-algorithm seed")
     d.set_defaults(func=cmd_decompose)
 
-    v = sub.add_parser("verify-induction", parents=[common],
+    v = sub.add_parser("verify-induction", parents=[tol, json_format],
                        help="verify an induction certificate")
     v.add_argument("file")
     v.set_defaults(func=cmd_verify_induction)
@@ -283,7 +293,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 2
-    if args.tol is None:
+    if hasattr(args, "tol") and args.tol is None:
         try:
             args.tol = default_tolerance()
         except ValueError as exc:

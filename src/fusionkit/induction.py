@@ -34,7 +34,7 @@ from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
 from .invariants import invariant_counts, twist_sparsity
 from .modular import ModularData, TwistData, is_nondegenerate, modular_matrices
 from .numerics import max_abs, readonly, scaled_tol
-from .rings import _INTS, FusionRing, quantum_dimensions
+from .rings import _INTS, FusionRing, _int_array, quantum_dimensions
 
 DIM_TOL = 1e-6
 GEN_TOL = 1e-6
@@ -87,15 +87,12 @@ class InductionCertificate:
 
 
 def _integer_matrix(values) -> np.ndarray:
-    """An int64 array of ``values``; ragged rows or any entry that is not an
-    integer (a bool, float or string) is a StructureError, not a silent cast."""
-    try:
-        a = np.asarray(values, dtype=object)
-        if all(type(x) in _INTS for x in a.flat):
-            return a.astype(np.int64)
-    except (ValueError, OverflowError):
-        pass
-    raise StructureError("branching data must be a rectangular array of int64 integers")
+    """``values`` read by ``rings._int_array``; ragged rows or an entry that
+    is not an integer (a bool, float or string) is a StructureError."""
+    a = _int_array(values)
+    if a is None:
+        raise StructureError("branching data must be a rectangular array of int64 integers")
+    return a
 
 
 @dataclass(frozen=True)

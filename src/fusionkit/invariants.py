@@ -103,9 +103,11 @@ def commutant_basis(S: np.ndarray, mask: np.ndarray,
 
 
 def invariant_counts(Z: np.ndarray) -> tuple[int, int]:
-    """(tr Z, tr Z Z^t): predicted numbers of N-M and M-M sectors."""
+    """(tr Z, tr Z Z^t): predicted numbers of N-M and M-M sectors, summed
+    as Python ints: in int64 the square of an entry of 2^32 or more, or a
+    trace past 2^63, would wrap."""
     Z = np.asarray(Z, dtype=np.int64)
-    return int(np.trace(Z)), int(np.sum(Z * Z))
+    return sum(np.diagonal(Z).tolist()), sum(v * v for v in Z[Z != 0].tolist())
 
 
 def classify_invariant(Z: np.ndarray, md: ModularData | None = None, *,

@@ -30,13 +30,10 @@ from .rings import DimensionVector, FusionRing, quantum_dimensions
 
 @dataclass(frozen=True)
 class TwistData:
-    """Exact rational twist exponents, canonicalized into [0, 1)."""
+    """Exact rational twist exponents, canonicalized into [0, 1); ``h`` may
+    be given as any iterable of rationals."""
 
     h: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, values) -> "TwistData":
-        return cls(tuple(values))
 
     def __post_init__(self):
         object.__setattr__(self, "h", tuple(mod1(Fraction(v)) for v in self.h))
@@ -295,11 +292,6 @@ def monodromy_spectra(ring: FusionRing, twists: TwistData) -> MonodromySpectra:
     # the unit label always has trivial monodromy; report only true witnesses
     degenerate = tuple(m for m in degenerate if m != ring.unit)
     return MonodromySpectra(pairs=frozen, degenerate_labels=degenerate)
-
-
-def weight_vectors(md: ModularData) -> np.ndarray:
-    """Rows are y^l with components y^l_m = Y[l,m]."""
-    return md.Y
 
 
 def statistics_characters(md: ModularData) -> np.ndarray:

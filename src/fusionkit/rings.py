@@ -8,9 +8,11 @@ product.  Quantum dimensions are the unique strictly positive simultaneous
 eigenvector of the fusion matrices, computed as Perron-Frobenius data.
 
 The structure constants are stored as four read-only int64 arrays
-(a, b, c, mult) sorted by (a, b, c), checked in bulk when the ring is built.
-The dense tensor is one scatter of those arrays; the mapping (a, b, c) ->
-mult behind ``fusion`` and ``mult`` is built only when first asked for.
+(a, b, c, mult) sorted by (a, b, c), checked in bulk when the ring is built;
+``columns()`` returns them and ``tensor()`` scatters them into the dense
+N[a,b]^c once.  Every integer array that enters fusionkit (structure tables,
+invariant files, branching matrices) is read by ``_int_array``, and every
+sparse table by ``_table_columns``.
 Associativity is checked with float products, exact because every partial
 sum is a non-negative integer of at most n max(N)^2: float32 below 2^24,
 float64 below 2^53, and a ``NumericError`` above.
@@ -18,9 +20,7 @@ float64 below 2^53, and a ``NumericError`` above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
 import numpy as np
 
@@ -61,7 +61,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _PF_TOL = 1e-12  # quantum_dimensions: power-iteration distance between iterates
 _PF_STEPS = 100_000  # quantum_dimensions: power-iteration steps before giving up
 # the exact types that count as integers (``type(x) in _INTS``): bools,
-# floats and strings never do, and a set lookup keeps per-entry checks cheap
+# floats and strings never do
 _INTS = frozenset([int] + [np.dtype(code).type for code in np.typecodes["AllInteger"]])
 # the flat key (a n + b) n + c of a structure entry, like the dense tensor's
 # n^3 cells, must be addressable in int64
@@ -75,24 +75,57 @@ def _sequence(values, what: str) -> tuple:
     return tuple(values)
 
 
-def _table_columns(table, n: int) -> tuple[np.ndarray, ...]:
-    """The nonzero entries of a structure table as int64 columns
-    (a, b, c, mult), sorted by (a, b, c).
+def _int_array(values) -> np.ndarray | None:
+    """``values`` as an int64 array, or None when an element is not of an
+    integer type, the shape is ragged or a value does not fit in int64.
 
-    The whole table is checked in bulk: the integer rule on the set of field
-    types, one int64 conversion (which fails on a multiplicity of 2^63 or
-    more), range checks, and duplicates found by a stable sort on the flat
-    key (a n + b) n + c.  An entry is a duplicate when an earlier entry with
-    the same key has a positive multiplicity.  When a bulk check fails,
-    ``_walk_rows`` walks the input in order and names the first bad entry.
+    An integer ndarray is cast as it is: an unsigned value of 2^63 or more
+    turns negative and fails the caller's range check.  Anything else is read
+    as an object array whose element types must all be in ``_INTS``.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.int64)
+    try:
+        a = np.array(values, dtype=object)
+        if set(map(type, a.flat)) <= _INTS:
+            return a.astype(np.int64)
+    except (ValueError, OverflowError):
+        pass
+    return None
+
+
+# per table width: the table's kind, an entry's fields and the name of its
+# value, as error messages show them
+_ENTRY = {4: ("structure", "(a, b, c, mult)", "multiplicity"),
+          3: ("invariant", "(l, m, value)", "value")}
+
+
+def _table_columns(table, n: int, width: int) -> tuple[np.ndarray, ...]:
+    """The nonzero entries of a sparse table as int64 columns, sorted by
+    their indices: (a, b, c, mult) of a structure table for ``width`` 4,
+    (l, m, value) of an invariant file for ``width`` 3.
+
+    A mapping is read as rows (*key, value).  The whole table is checked in
+    bulk: one ``_int_array`` cast, indices in range(n), values in [0, 2^63),
+    and duplicates found by a stable sort on the flat key.  An entry is a
+    duplicate when an earlier entry with the same key has a positive value.
+    When a bulk check fails, ``_first_bad_entry`` names the first bad entry
+    in input order.
     """
     if not isinstance(table, (Mapping, np.ndarray)):
         table = _sequence(table, "structure table")
-    rows = _bulk_rows(table)
-    if rows is not None and rows.min(initial=0) >= 0 and rows[:, :3].max(initial=0) < n:
-        key = (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]
+    try:
+        rows = _int_array([(*key, value) for key, value in table.items()]
+                          if isinstance(table, Mapping) else table)
+    except TypeError:  # a mapping key that is not a tuple
+        rows = None
+    if rows is not None and rows.shape[:1] == (0,):
+        rows = rows.reshape(0, width)
+    if (rows is not None and rows.ndim == 2 and rows.shape[1] == width
+            and rows.min(initial=0) >= 0 and rows[:, :-1].max(initial=0) < n):
+        key = np.ravel_multi_index(tuple(rows[:, :-1].T), (n,) * (width - 1))
         order = np.argsort(key, kind="stable")
-        key, positive = key[order], rows[order, 3] > 0
+        key, positive = key[order], rows[order, -1] > 0
         # positive entries before each entry, and before the first entry of
         # its run of equal keys
         before = np.cumsum(positive) - positive
@@ -100,58 +133,32 @@ def _table_columns(table, n: int) -> tuple[np.ndarray, ...]:
         if not np.any(before > np.maximum.accumulate(np.where(run_start, before, 0))):
             kept = order[positive]
             return tuple(col[kept] for col in rows.T)
-    return tuple(_walk_rows(table, n).T)
+    _first_bad_entry(table, n, width)
 
 
-def _bulk_rows(table) -> np.ndarray | None:
-    """``table`` as an (m, 4) int64 array, or None when a field is not of an
-    integer type, does not fit in int64, or the shape is not (m, 4).  An
-    unsigned array is cast as is: a value of 2^63 or more turns negative and
-    fails the range check."""
-    try:
-        if isinstance(table, np.ndarray):
-            if table.dtype.kind not in "iu":
-                return None
-            rows = table.astype(np.int64, copy=False)
-        elif isinstance(table, Mapping):
-            keys = list(table)
-            if not set(map(type, chain(chain.from_iterable(keys), table.values()))) <= _INTS:
-                return None
-            rows = np.empty((len(keys), 4), dtype=np.int64)
-            rows[:, :3] = np.array(keys, dtype=np.int64).reshape(len(keys), 3)
-            rows[:, 3] = list(table.values())
-        else:
-            if not set(map(type, chain.from_iterable(table))) <= _INTS:
-                return None
-            rows = np.array(table, dtype=np.int64).reshape(len(table), 4)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return rows if rows.ndim == 2 and rows.shape[1] == 4 else None
-
-
-def _walk_rows(table, n: int) -> np.ndarray:
-    """Check each entry in input order and raise ``StructureError`` at the
-    first bad one.  A table that passes is returned as (m, 4) rows
-    (a, b, c, mult) sorted by (a, b, c), without zero multiplicities."""
+def _first_bad_entry(table, n: int, width: int) -> NoReturn:
+    """Walk a table that failed the bulk checks in input order and raise
+    ``StructureError`` naming its first bad entry."""
+    kind, fields, value = _ENTRY[width]
     mapping = isinstance(table, Mapping)
-    out: dict[tuple[int, int, int], int] = {}
-    for entry in (table.items() if mapping else _sequence(table, "structure table")):
+    seen: set[tuple[int, ...]] = set()  # keys given a positive value so far
+    for entry in (table.items() if mapping else table):
         try:
-            a, b, c, mult = (*entry[0], entry[1]) if mapping else entry
+            *index, mult = (*entry[0], entry[1]) if mapping else entry
         except (TypeError, ValueError):
-            raise StructureError(f"structure entry {entry!r} is not (a, b, c, mult)") from None
-        if not (type(a) in _INTS and type(b) in _INTS and type(c) in _INTS
-                and type(mult) in _INTS and 0 <= a < n and 0 <= b < n and 0 <= c < n
-                and 0 <= mult <= _INT64_MAX):
-            raise StructureError(f"structure entry {entry!r} needs integer indices in "
-                                 f"range({n}) and an integer multiplicity in [0, 2**63)")
-        key = (int(a), int(b), int(c))
-        if key in out:
+            index = None
+        if index is None or len(index) != width - 1:
+            raise StructureError(f"{kind} entry {entry!r} is not {fields}")
+        if not all(type(x) in _INTS and 0 <= x < n for x in index) or not (
+                type(mult) in _INTS and 0 <= mult <= _INT64_MAX):
+            raise StructureError(f"{kind} entry {entry!r} needs integer indices in range({n}) "
+                                 f"and an integer {value} in [0, 2**63)")
+        key = tuple(int(x) for x in index)
+        if key in seen:
             raise StructureError(f"duplicate key {key}")
         if mult:
-            out[key] = int(mult)
-    return np.array(sorted((*key, mult) for key, mult in out.items()),
-                    dtype=np.int64).reshape(-1, 4)
+            seen.add(key)
+    raise StructureError(f"{kind} table is not a sequence of {fields} entries")
 
 
 class _SparseStructure:
@@ -163,13 +170,12 @@ class _SparseStructure:
     range, multiplicities that fit in int64) and raises ``StructureError``;
     the ``validate_*`` functions check the axioms and collect every violation.
 
-    The table is stored as four read-only int64 columns (a, b, c, mult),
-    sorted by (a, b, c); ``tensor()``, ``entries()`` and ``columns()`` read
-    them directly.  The mapping behind ``mult`` and the ``fusion`` /
-    ``structure`` properties is built the first time one of them is called.
+    The table is stored only as four read-only int64 columns (a, b, c, mult),
+    sorted by (a, b, c): ``columns()`` returns them and ``tensor()`` is their
+    dense scatter.
     """
 
-    __slots__ = ("labels", "unit", "dual", "_columns", "_table", "_tensor")
+    __slots__ = ("labels", "unit", "dual", "_columns", "_tensor")
 
     def __init__(self, labels, unit, dual, table):
         labels = _sequence(labels, "labels")
@@ -182,16 +188,15 @@ class _SparseStructure:
         n = len(labels)
         if unit is not None and (type(unit) not in _INTS or not 0 <= unit < n):
             raise StructureError(f"unit index {unit!r} out of range for {n} labels")
-        dual = _sequence(dual, "dual map")
-        if len(dual) != n or not all(type(x) in _INTS and 0 <= x < n for x in dual):
+        dual = _int_array(_sequence(dual, "dual map"))
+        if dual is None or dual.shape != (n,) or not np.all((dual >= 0) & (dual < n)):
             raise StructureError("dual map must list one in-range integer index per label")
 
-        columns = _table_columns(table, n)
+        columns = _table_columns(table, n, 4)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unit", None if unit is None else int(unit))
-        object.__setattr__(self, "dual", tuple(int(x) for x in dual))
+        object.__setattr__(self, "dual", tuple(dual.tolist()))
         object.__setattr__(self, "_columns", tuple(readonly(col) for col in columns))
-        object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_tensor", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -205,22 +210,6 @@ class _SparseStructure:
         """Read-only int64 columns (a, b, c, mult) of the nonzero entries,
         sorted by (a, b, c)."""
         return self._columns
-
-    def _mapping(self) -> Mapping[tuple[int, int, int], int]:
-        """Read-only mapping (a, b, c) -> N[a,b]^c of the nonzero entries,
-        built on first use."""
-        if self._table is None:
-            a, b, c, mult = (col.tolist() for col in self._columns)
-            object.__setattr__(self, "_table", MappingProxyType(dict(zip(zip(a, b, c), mult))))
-        return self._table
-
-    def mult(self, a: int, b: int, c: int) -> int:
-        """N[a,b]^c, the multiplicity of c inside a x b."""
-        return self._mapping().get((a, b, c), 0)
-
-    def entries(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Sparse table in canonical sorted order."""
-        return tuple(zip(*(col.tolist() for col in self._columns)))
 
     def tensor(self) -> np.ndarray:
         """Dense read-only int64 array T[a, b, c] = N[a,b]^c, built once."""
@@ -251,8 +240,8 @@ class _SparseStructure:
 class FusionRing(_SparseStructure):
     """Immutable fusion-ring data: string ``labels`` (a label's index is its
     position), a required ``unit`` index, the conjugation map ``dual`` and
-    the sparse ``fusion`` table N[a,b]^c.  Axioms are checked by
-    :func:`validate_fusion_ring`.
+    the sparse ``fusion`` table N[a,b]^c, read back through ``columns()`` or
+    ``tensor()``.  Axioms are checked by :func:`validate_fusion_ring`.
     """
 
     __slots__ = ()
@@ -261,10 +250,6 @@ class FusionRing(_SparseStructure):
         if unit is None:
             raise StructureError("a fusion ring needs a unit index")
         super().__init__(labels, unit, dual, fusion)
-
-    @property
-    def fusion(self) -> Mapping[tuple[int, int, int], int]:
-        return self._mapping()
 
     def fusion_matrix(self, mu: int) -> np.ndarray:
         """(N_mu)[lam, nu] = N[lam, mu]^nu."""
@@ -421,7 +406,3 @@ def quantum_dimensions(ring: FusionRing) -> DimensionVector:
         raise NumericError(f"dimension residual {residual:.3e} exceeds {limit:.3e}")
     return DimensionVector(d=d, w=float(np.dot(d, d)), residual=residual)
 
-
-def fusion_matrices(ring: FusionRing) -> list[np.ndarray]:
-    """The regular representation [(N_mu)_{lam,nu}] = N[lam,mu]^nu for each mu."""
-    return list(ring.fusion_matrices())

@@ -20,7 +20,7 @@ from .errors import SchemaError, StructureError
 from .induction import InductionCertificate
 from .invariants import MassMatrix, invariant_counts
 from .modular import TwistData
-from .rings import _INT64_MAX, _INTS, FusionRing
+from .rings import _INTS, FusionRing, _table_columns
 
 
 # ---------------------------------------------------------------- rationals
@@ -90,7 +90,9 @@ def invariant_to_dict(mm: MassMatrix, labels: list[str] | None = None) -> dict:
 
 
 def z_matrix_from_dict(obj: Any, n: int, where: str = "invariant") -> np.ndarray:
-    """The mass matrix of an invariant file, whose ``size`` must be n."""
+    """The mass matrix of an invariant file, whose ``size`` must be n.  The
+    entries follow the rule of structure tables: integer indices in range(n),
+    integer values in [0, 2^63), and one positive entry per cell."""
     if isinstance(obj, dict) and obj.get("size", n) != n:
         raise SchemaError(f"invariant size {obj['size']!r} does not match ring size {n}")
     if not isinstance(obj, dict) or "size" not in obj or "entries" not in obj:
@@ -99,17 +101,12 @@ def z_matrix_from_dict(obj: Any, n: int, where: str = "invariant") -> np.ndarray
         raise SchemaError(f"{where}.size: expected a positive integer")
     if not isinstance(obj["entries"], list):
         raise SchemaError(f"{where}.entries: expected an array of [l, m, value]")
+    try:
+        l, m, v = _table_columns(obj["entries"], n, 3)
+    except StructureError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
     Z = np.zeros((n, n), dtype=np.int64)
-    for i, item in enumerate(obj["entries"]):
-        if (not isinstance(item, list) or len(item) != 3
-                or not all(type(x) in _INTS for x in item)):
-            raise SchemaError(f"{where}.entries[{i}]: expected [l, m, value]")
-        l, m, v = item
-        if not (0 <= l < n and 0 <= m < n):
-            raise SchemaError(f"{where}.entries[{i}]: index out of range")
-        if not 0 <= v <= _INT64_MAX:
-            raise SchemaError(f"{where}.entries[{i}]: entry must lie in [0, 2**63)")
-        Z[l, m] = v
+    Z[l, m] = v
     return Z
 
 

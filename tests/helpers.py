@@ -151,6 +151,18 @@ def permute_table(table, perm):
     return [[perm[table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
 
 
+# ------------------------------------------------------ sparse table views
+
+def table_rows(structure):
+    """The sorted [a, b, c, mult] rows of a ring's or algebra's ``columns()``."""
+    return np.stack(structure.columns(), axis=1).tolist()
+
+
+def table_dict(structure):
+    """The nonzero entries of ``columns()`` as a dict (a, b, c) -> mult."""
+    return {(a, b, c): m for a, b, c, m in table_rows(structure)}
+
+
 # ------------------------------------------- expected SU(2) invariants
 
 def expected_su2_invariants(k):

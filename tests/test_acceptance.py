@@ -22,7 +22,7 @@ from fusionkit import (BasedAlgebra, BlockProfile, InductionCertificate,
 from fusionkit.catalog import cyclic_model, named_model, su2_level, su2_s_closed_form
 from fusionkit.cli import main as cli_main
 
-from helpers import GROUP_FIXTURES, permute_table
+from helpers import GROUP_FIXTURES, permute_table, table_dict
 
 from test_induction import homomorphism_breaking_aplus
 
@@ -251,7 +251,7 @@ def test_criterion_09_induction_certificates():
 
     bad_unit = np.eye(5, dtype=np.int64)[[4, 1, 2, 3, 0]]
     bad_dims = BasedAlgebra(base.mm.labels, base.mm.unit, base.mm.dual,
-                            dict(base.mm.structure),
+                            table_dict(base.mm),
                             dims=[d + 0.25 for d in base.mm.dims])
     double_unit = np.eye(5, dtype=np.int64)
     double_unit[0, 1] = 1

@@ -8,7 +8,7 @@ from fusionkit import (BasedAlgebra, BlockProfile, NumericError, StructureError,
                        validate_based_algebra, verify_dimension_theorem)
 
 from helpers import (GROUP_FIXTURES, cyclic_table, permute_table,
-                     symmetric_table)
+                     symmetric_table, table_dict, table_rows)
 
 
 def matrix_unit_algebra():
@@ -58,15 +58,15 @@ class TestConstruction:
                     BasedAlgebra(["e"], 0, (0,), form)
             else:
                 alg = BasedAlgebra(["e"], 0, (0,), form)
-                assert alg.mult(0, 0, 0) == mult
-                assert alg.entries() == (((0, 0, 0, mult),) if mult else ())
+                assert alg.tensor()[0, 0, 0] == mult
+                assert table_rows(alg) == ([[0, 0, 0, mult]] if mult else [])
 
     def test_input_forms_agree(self):
         # list, mapping and int64 array tables give equal algebras and tensors
         for name, (table, _) in GROUP_FIXTURES.items():
             alg = BasedAlgebra.from_group_table(table)
-            rows = [list(e) for e in alg.entries()]
-            for form in (rows[::-1], dict(alg.structure), np.array(rows, dtype=np.int64)):
+            rows = table_rows(alg)
+            for form in (rows[::-1], table_dict(alg), np.array(rows, dtype=np.int64)):
                 other = BasedAlgebra(alg.labels, alg.unit, alg.dual, form)
                 assert other == alg, name
                 assert np.array_equal(other.tensor(), alg.tensor()), name
@@ -106,7 +106,7 @@ class TestValidation:
         table = symmetric_table(3)
         good = BasedAlgebra.from_group_table(table)
         bad = BasedAlgebra(good.labels, good.unit, tuple(range(6)),
-                           dict(good.structure))
+                           table_dict(good))
         report = validate_based_algebra(bad)
         assert "involution" in report.axioms()
 
@@ -115,7 +115,7 @@ class TestValidation:
 
     def test_associativity_lists_every_violation(self):
         alg = z3_unit_redirected()
-        n, N = alg.size, alg.mult
+        n, N = alg.size, alg.tensor().item
         expected = {(a, b, c, d) for a, b, c, d in itertools.product(range(n), repeat=4)
                     if sum(N(a, b, x) * N(x, c, d) for x in range(n))
                     != sum(N(b, c, x) * N(a, x, d) for x in range(n))}

@@ -9,6 +9,8 @@ from fusionkit import (FusionRing, StructureError, is_nondegenerate, modular_mat
 from fusionkit.catalog import (CATALOG, ModelSpec, build_model, cyclic_model,
                                named_model, su2_level, su2_s_closed_form)
 
+from helpers import table_dict
+
 
 class TestSu2:
     def test_k1_is_semion_data(self):
@@ -27,12 +29,12 @@ class TestSu2:
         assert dims.w == pytest.approx(12.0, rel=1e-12)
 
     def test_fusion_range_symmetric_truncated(self):
-        ring, _ = su2_level(3)
+        N = table_dict(su2_level(3)[0])
         # 1 x 2 = 1 + 3, 2 x 2 = 0 + 2 (4 truncated), 3 x 3 = 0
-        assert ring.mult(1, 2, 1) == 1 and ring.mult(1, 2, 3) == 1
-        assert ring.mult(2, 2, 0) == 1 and ring.mult(2, 2, 2) == 1
-        assert ring.mult(2, 2, 4) == 0
-        assert ring.mult(3, 3, 0) == 1 and ring.mult(3, 3, 2) == 0
+        assert N.get((1, 2, 1), 0) == 1 and N.get((1, 2, 3), 0) == 1
+        assert N.get((2, 2, 0), 0) == 1 and N.get((2, 2, 2), 0) == 1
+        assert N.get((2, 2, 4), 0) == 0
+        assert N.get((3, 3, 0), 0) == 1 and N.get((3, 3, 2), 0) == 0
 
     def test_bad_level(self):
         with pytest.raises(StructureError):

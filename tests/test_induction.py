@@ -8,6 +8,8 @@ from fusionkit import (BasedAlgebra, CertificateError, InductionCertificate,
                        verify_generating, verify_homomorphism)
 from fusionkit.catalog import cyclic_model, su2_level
 
+from helpers import table_dict
+
 
 def corrupted(cert, **changes):
     return InductionCertificate(
@@ -36,7 +38,7 @@ class TestConstruction:
 
     def test_requires_dims(self):
         ring, twists = su2_level(2)
-        mm = BasedAlgebra(ring.labels, ring.unit, ring.dual, dict(ring.fusion))
+        mm = BasedAlgebra(ring.labels, ring.unit, ring.dual, table_dict(ring))
         with pytest.raises(StructureError):
             InductionCertificate(ring, twists, mm,
                                  np.eye(3, dtype=int), np.eye(3, dtype=int))
@@ -178,7 +180,7 @@ class TestTargetedCorruptions:
         dims = list(cert.mm.dims)
         dims[2] = dims[2] + 0.5
         mm = BasedAlgebra(cert.mm.labels, cert.mm.unit, cert.mm.dual,
-                          dict(cert.mm.structure), dims=dims)
+                          table_dict(cert.mm), dims=dims)
         report = full_report(corrupted(cert, mm=mm))
         assert "dimension" in report.failures
 

@@ -27,11 +27,11 @@ class TestTwistSparsity:
         assert all(mask[i, i] for i in range(5))
 
     def test_all_distinct_gives_diagonal(self):
-        mask = twist_sparsity(TwistData.of([Fraction(0), Fraction(1, 3), Fraction(1, 7)]))
+        mask = twist_sparsity(TwistData([Fraction(0), Fraction(1, 3), Fraction(1, 7)]))
         assert np.array_equal(mask, np.eye(3, dtype=bool))
 
     def test_all_equal_gives_full(self):
-        mask = twist_sparsity(TwistData.of([Fraction(0)] * 4))
+        mask = twist_sparsity(TwistData([Fraction(0)] * 4))
         assert mask.all()
 
 
@@ -303,6 +303,12 @@ class TestCounts:
         Z[0, 0] = Z[0, 4] = Z[4, 0] = Z[4, 4] = 1
         Z[2, 2] = 2
         assert invariant_counts(Z) == (4, 8)
+
+    @pytest.mark.parametrize("diagonal", [(1, 2**62, 1), (1, 2**62, 2**62), (2**63 - 1,) * 3])
+    def test_exact_beyond_int64(self, diagonal):
+        # int64 sums of these traces and squares wrap; the counts must not
+        Z = np.diag(np.array(diagonal, dtype=np.int64))
+        assert invariant_counts(Z) == (sum(diagonal), sum(v * v for v in diagonal))
 
     def test_e6_at_k10(self):
         found = search_invariants(su2_md(10))

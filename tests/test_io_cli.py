@@ -79,6 +79,46 @@ class TestInvariantFiles:
         assert obj["counts"] == {"trZ": 4, "trZZt": 8}
         assert [0, 0, 1] in obj["entries"]
 
+    @pytest.mark.parametrize("entry, shown", [
+        ([True, 0, 1], "[True, 0, 1]"),
+        ([0, 0, 1.0], "[0, 0, 1.0]"),
+        ([0, "1", 1], "[0, '1', 1]"),
+        ([0, 2, 1], "[0, 2, 1]"),
+        ([0, 1, -1], "[0, 1, -1]"),
+        ([0, 1, 2**63], "[0, 1, 9223372036854775808]"),
+    ])
+    def test_bad_entry_named(self, entry, shown):
+        # the rule of structure tables: the first bad entry in input order
+        obj = {"size": 2, "entries": [[0, 0, 1], entry, [1, 1, 1.5]]}
+        with pytest.raises(SchemaError) as exc:
+            serialize.z_matrix_from_dict(obj, 2, where="inv")
+        assert str(exc.value) == (f"inv: invariant entry {shown} needs integer indices in "
+                                  "range(2) and an integer value in [0, 2**63)")
+
+    @pytest.mark.parametrize("entry, shown", [
+        ([0, 1], "[0, 1]"), ([0, 1, 1, 1], "[0, 1, 1, 1]"), (7, "7")])
+    def test_wrong_length_named(self, entry, shown):
+        obj = {"size": 2, "entries": [[0, 0, 1], entry, [1, 1]]}
+        with pytest.raises(SchemaError) as exc:
+            serialize.z_matrix_from_dict(obj, 2, where="inv")
+        assert str(exc.value) == f"inv: invariant entry {shown} is not (l, m, value)"
+
+    @pytest.mark.parametrize("entries, diagonal", [
+        ([[0, 0, 1], [0, 0, 1], [1, 1, 1]], None),  # positive then positive
+        ([[0, 0, 1], [1, 1, 1], [0, 0, 0]], None),  # positive then zero
+        ([[0, 0, 0], [0, 0, 1], [1, 1, 1]], (1, 1)),  # zero then positive
+        ([[1, 1, 1], [0, 0, 0], [0, 0, 0]], (0, 1))])
+    def test_duplicate_rule(self, entries, diagonal):
+        # the duplicate rule of structure tables: a cell repeats only while
+        # no earlier entry gave it a positive value
+        obj = {"size": 2, "entries": entries}
+        if diagonal is None:
+            with pytest.raises(SchemaError, match=r"^inv: duplicate key \(0, 0\)$"):
+                serialize.z_matrix_from_dict(obj, 2, where="inv")
+        else:
+            assert np.array_equal(serialize.z_matrix_from_dict(obj, 2, where="inv"),
+                                  np.diag(diagonal))
+
     @pytest.mark.parametrize("size", [10**12, 2**70])
     def test_size_mismatch_refused_before_allocation(self, size):
         with pytest.raises(SchemaError, match="does not match ring size 5"):
@@ -223,6 +263,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == ",0,1,2,3,4"
 
+    def test_classify_counts_are_exact(self, tmp_path, capsys):
+        # tr Z Z^t = 2^124 + 2 for diag(1, 2^62, 1); an int64 sum prints 2
+        ring_file = str(tmp_path / "r.json")
+        main(["gen", "su2", "--level", "2", "-o", ring_file])
+        zfile = tmp_path / "z.json"
+        zfile.write_text(json.dumps({"size": 3, "entries": [[0, 0, 1], [1, 1, 2**62], [2, 2, 1]]}))
+        capsys.readouterr()
+        main(["classify", str(zfile), ring_file])
+        assert f"counts: trZ={2**62 + 2} trZZt={2**124 + 2}\n" in capsys.readouterr().out
+
     def test_decompose_flow(self, tmp_path, capsys):
         from helpers import symmetric_table
         from fusionkit import BasedAlgebra
@@ -258,6 +308,31 @@ class TestCLI:
         main(["gen", "cyclic", "--order", "2", "--q", "2", "-o", ring_file])
         assert main(["check", ring_file]) == 0
         assert "z = 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{ring}", "--format", "json"],
+        ["check", "{ring}", "--seed", "5"],
+        ["gen", "su2", "--level", "1", "--format", "csv"],
+        ["gen", "su2", "--level", "1", "--seed", "3"],
+        ["gen", "su2", "--level", "1", "--tol", "5"],
+        ["modular", "{ring}", "--format", "csv"],
+        ["modular", "{ring}", "--seed", "1"],
+        ["invariants", "{ring}", "--seed", "1"],
+        ["classify", "{ring}", "{ring}", "--seed", "1"],
+        ["decompose", "{ring}", "--format", "csv"],
+        ["decompose", "{ring}", "--tol", "1e-6"],
+        ["verify-induction", "{ring}", "--format", "csv"],
+        ["verify-induction", "{ring}", "--seed", "1"],
+    ])
+    def test_flag_a_subcommand_ignores_exits_2(self, argv, tmp_path, capsys):
+        # every flag sits only on the subcommands that read it
+        ring_file = str(tmp_path / "r.json")
+        main(["gen", "su2", "--level", "1", "-o", ring_file])
+        capsys.readouterr()
+        assert main([arg.format(ring=ring_file) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err or "invalid choice" in err
 
     def test_tol_env_override(self, monkeypatch):
         from fusionkit.numerics import default_tolerance
@@ -313,6 +388,8 @@ MALFORMED = [
     ("invariant", "size", True),
     ("invariant", "size", 10**12),
     ("invariant", "entries", [[0, 0, 2**70]]),
+    ("invariant", "entries", [[0, 0, 1], [0, 0, 1], [1, 1, 1]]),
+    ("invariant", "entries", [[0, 0, 1], [1, 1, 1], [0, 0, 0]]),
     ("certificate", "aplus", [[1, 0, 0], [0, 1], [0, 0, 1]]),
     ("certificate", "theta", ["a", "b", "c"]),
     ("certificate", "nm_count", "x"),

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from fusionkit import (FusionRing, NumericError, StructureError, fusion_matrices,
-                       quantum_dimensions, validate_fusion_ring)
+from fusionkit import (FusionRing, NumericError, StructureError, quantum_dimensions,
+                       validate_fusion_ring)
 from fusionkit.catalog import cyclic_model, su2_level
 
-from helpers import brute_force_axioms
+from helpers import brute_force_axioms, table_dict, table_rows
 
 
 def z2_ring():
@@ -62,7 +62,7 @@ class TestValidation:
         # ((0 0) 0)_0 = 2 m^2 - m is odd and above 2^24
         table = {(0, 0, 0): m, (0, 0, 1): m, (1, 0, 0): m - 1, (1, 1, 1): 3}
         ring = FusionRing(["0", "1"], 0, [0, 1], table)
-        N = ring.mult
+        N = ring.tensor().item
         want = set()
         for a, b, c, d in itertools.product(range(2), repeat=4):
             lhs = sum(N(a, b, x) * N(x, c, d) for x in range(2))
@@ -102,13 +102,13 @@ class TestValidation:
         ring, _ = catalog[name]
         assert ring.size <= 6
         report = validate_fusion_ring(ring)
-        brute = brute_force_axioms(ring.size, ring.unit, ring.dual, ring.mult)
+        brute = brute_force_axioms(ring.size, ring.unit, ring.dual, ring.tensor().item)
         assert report.ok == (not brute)
         assert set(report.axioms()) == brute
 
     def test_brute_force_agreement_on_corruption(self):
         ring = FusionRing(["0", "1", "2"], 0, [0, 1, 2], su2_2_entries(corrupt=True))
-        brute = brute_force_axioms(ring.size, ring.unit, ring.dual, ring.mult)
+        brute = brute_force_axioms(ring.size, ring.unit, ring.dual, ring.tensor().item)
         assert set(validate_fusion_ring(ring).axioms()) == brute
 
 
@@ -193,20 +193,20 @@ class TestStructuralErrors:
         assert str(exc.value) == message
 
     def test_input_forms_agree(self, catalog):
-        # a list, a mapping, integer arrays and a shuffled list give one ring;
-        # an object array is read entry by entry
+        # a list, a mapping, integer and object arrays and a shuffled list
+        # give one ring
         rng = np.random.default_rng(3)
         for name, (ring, _) in catalog.items():
-            rows = [list(e) for e in ring.entries()]
+            rows = table_rows(ring)
             shuffled = [rows[i] for i in rng.permutation(len(rows))]
-            forms = [rows, shuffled, dict(ring.fusion), np.array(rows, dtype=np.int64),
+            forms = [rows, shuffled, table_dict(ring), np.array(rows, dtype=np.int64),
                      np.array(rows, dtype=np.uint8), np.array(rows, dtype=object),
                      rows + [[0, 0, 1, 0]] * (ring.size > 1)]
             for table in forms:
                 other = FusionRing(ring.labels, ring.unit, ring.dual, table)
                 assert other == ring, name
                 assert np.array_equal(other.tensor(), ring.tensor()), name
-                assert other.entries() == ring.entries(), name
+                assert table_rows(other) == table_rows(ring), name
 
     def test_too_many_labels(self):
         # the flat sort key (a n + b) n + c of an entry must fit in int64
@@ -252,7 +252,7 @@ class TestQuantumDimensions:
         for name, (ring, _) in catalog.items():
             dims = quantum_dimensions(ring)
             for (a, b) in [(a, b) for a in range(ring.size) for b in range(ring.size)]:
-                total = sum(m * dims.d[c] for (x, y, c), m in ring.fusion.items()
+                total = sum(m * dims.d[c] for (x, y, c), m in table_dict(ring).items()
                             if (x, y) == (a, b))
                 assert total == pytest.approx(dims.d[a] * dims.d[b], abs=1e-8), name
 
@@ -275,15 +275,16 @@ class TestFusionMatrices:
 
     def test_dual_is_transpose(self, catalog):
         for name, (ring, _) in catalog.items():
-            mats = fusion_matrices(ring)
+            mats = ring.fusion_matrices()
             for mu in range(ring.size):
                 assert np.array_equal(mats[ring.dual[mu]], mats[mu].T), name
 
     def test_regular_representation_homomorphism(self, catalog):
         # N_l N_m = sum_nu N[l,m]^nu N_nu, exactly in integers
         for name, (ring, _) in catalog.items():
-            mats = fusion_matrices(ring)
+            mats = ring.fusion_matrices()
+            N = ring.tensor()
             for a in range(ring.size):
                 for b in range(ring.size):
-                    rhs = sum(ring.mult(a, b, c) * mats[c] for c in range(ring.size))
+                    rhs = sum(N[a, b, c] * mats[c] for c in range(ring.size))
                     assert np.array_equal(mats[a] @ mats[b], rhs), name
