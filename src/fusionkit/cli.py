@@ -37,8 +37,8 @@ from .errors import (FusionKitError, NondegeneracyRequired, SchemaError,
                      StructureError, TwistError, VanishingZError)
 from .induction import full_report
 from .invariants import classify_invariant, search_invariants
-from .modular import (check_partial_verlinde, is_nondegenerate,
-                      modular_matrices, sl2z_relations, validate_twists)
+from .modular import (check_partial_verlinde, modular_matrices, sl2z_relations,
+                      validate_twists)
 from .numerics import default_tolerance, scaled_tol
 from .rings import validate_fusion_ring
 
@@ -89,16 +89,15 @@ def cmd_check(args) -> int:
                 lines.append("modular: z = 0, relations skipped")
                 md = None
             if md is not None:
-                pv = check_partial_verlinde(md, tol=args.tol)
+                pv = check_partial_verlinde(md)
                 lines.append(f"partial modular algebra: {pv}")
                 failed = failed or not pv.passed
-                nd = is_nondegenerate(ring, twists, md=md, tol=args.tol)
-                if nd.nondegenerate:
-                    sl = sl2z_relations(md, tol=args.tol)
+                if md.degeneracy:
+                    sl = sl2z_relations(md)
                     lines.append(f"non-degenerate; full modular algebra: {sl}")
                     failed = failed or not sl.passed
                 else:
-                    lines.append(f"degenerate braiding; witness labels {nd.witnesses}")
+                    lines.append(f"degenerate braiding; witness labels {md.degeneracy.witnesses}")
     _emit("\n".join(lines))
     return 1 if failed else 0
 
@@ -108,7 +107,7 @@ def cmd_modular(args) -> int:
     if twists is None:
         raise SchemaError(f"{args.file}: twist data is required for modular data")
     md = modular_matrices(ring, twists, tol=args.tol)
-    nd = is_nondegenerate(ring, twists, md=md, tol=args.tol)
+    nd = md.degeneracy
     wanted = [p.strip() for p in (args.print or "").split(",") if p.strip()]
     for name in wanted:
         if name not in ("Y", "S", "T", "c"):
@@ -145,7 +144,7 @@ def cmd_invariants(args) -> int:
     if twists is None:
         raise SchemaError(f"{args.file}: twist data is required for the invariant search")
     md = modular_matrices(ring, twists, tol=args.tol)
-    found = search_invariants(md, tol=args.tol)
+    found = search_invariants(md)
     dicts = [serialize.invariant_to_dict(mm, labels=list(ring.labels)) for mm in found]
     if args.out:
         outdir = Path(args.out)
@@ -196,7 +195,10 @@ def cmd_classify(args) -> int:
             f"counts: trZ={tr_z} trZZt={tr_zzt}",
             f"residuals: |SZ-ZS|={mm.residual_s:.3e} |TZ-ZT|={mm.residual_t:.3e}",
         ]))
-    limit = scaled_tol(args.tol, ring.size)
+    if Z[ring.unit, ring.unit] != 1:  # the rule of full_report's z_matrix check
+        print(f"check failed: Z[0,0] = {Z[ring.unit, ring.unit]}, expected 1", file=sys.stderr)
+        return 1
+    limit = scaled_tol(md.tol, ring.size)
     return 0 if mm.residual_s <= limit and mm.residual_t <= limit else 1
 
 

@@ -32,7 +32,7 @@ from .algebras import BasedAlgebra, validate_based_algebra
 from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
                      StructureError)
 from .invariants import invariant_counts, twist_sparsity
-from .modular import ModularData, TwistData, is_nondegenerate, modular_matrices
+from .modular import ModularData, TwistData, modular_matrices
 from .numerics import max_abs, readonly, scaled_tol
 from .rings import _INTS, FusionRing, _int_array, quantum_dimensions
 
@@ -176,9 +176,8 @@ def verify_generating(cert: InductionCertificate, *,
     Raises NondegeneracyRequired on a degenerate base braiding, where the
     identity genuinely fails in general.
     """
-    if md is None:
-        md = modular_matrices(cert.ring, cert.twists)
-    if not is_nondegenerate(cert.ring, cert.twists, md=md):
+    md = md or modular_matrices(cert.ring, cert.twists)
+    if not md.degeneracy:
         raise NondegeneracyRequired("generating identity requires a non-degenerate base")
     d = md.d
     dm = np.array(cert.mm.dims)
@@ -238,11 +237,11 @@ def full_report(cert: InductionCertificate, *,
         mask = twist_sparsity(cert.twists)
         t_ok = not np.any(Z[~mask])
         s_res = max_abs(md.S @ Z - Z @ md.S)
-        inv_ok = t_ok and s_res <= scaled_tol(tol, ring.size)
+        inv_ok = t_ok and s_res <= scaled_tol(md.tol, ring.size)
         checks.append(CheckResult(
             "modular_invariance", inv_ok,
             f"T-pattern {'exact' if t_ok else 'violated'}, |SZ-ZS| = {s_res:.2e}"))
-        nd = bool(is_nondegenerate(ring, cert.twists, md=md, tol=tol))
+        nd = md.degeneracy.nondegenerate
 
     checks.append(CheckResult("nondegeneracy", nd,
                               "base braiding non-degenerate" if nd

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NondegeneracyRequired, NumericError, RankAmbiguityError
-from .modular import ModularData, TwistData, is_nondegenerate
+from .modular import ModularData, TwistData
 from .numerics import max_abs, readonly, scaled_tol
 
 INT_TOL = 1e-6  # acceptance tolerance for reconstructed entries
@@ -110,12 +110,11 @@ def invariant_counts(Z: np.ndarray) -> tuple[int, int]:
     return sum(np.diagonal(Z).tolist()), sum(v * v for v in Z[Z != 0].tolist())
 
 
-def classify_invariant(Z: np.ndarray, md: ModularData | None = None, *,
-                       node_budget: int = NODE_BUDGET) -> MassMatrix:
+def classify_invariant(Z: np.ndarray, md: ModularData | None = None) -> MassMatrix:
     """Attach flags to a mass matrix: identity / permutation / symmetry, and
     the type-I decision.  The identity is type I with B = I, and no other
     permutation is; any other Z is decided by a bounded search for a Gram
-    factorization Z = B^t B over non-negative integer rows."""
+    factorization Z = B^t B over non-negative integer rows (NODE_BUDGET nodes)."""
     Z = np.asarray(Z, dtype=np.int64)
     n = Z.shape[0]
     if md is not None:
@@ -135,7 +134,7 @@ def classify_invariant(Z: np.ndarray, md: ModularData | None = None, *,
         # Z[l,l] = 0, which forces column l of B, and so row l of Z, to vanish
         type_one, rows = "no", None
     else:
-        type_one, rows = _gram_factorization(Z, node_budget)
+        type_one, rows = _gram_factorization(Z, NODE_BUDGET)
     return MassMatrix(Z=Z, residual_s=residual_s, residual_t=residual_t,
                       is_identity=is_identity, is_permutation=is_permutation,
                       is_symmetric=is_symmetric, type_one=type_one, gram_rows=rows)
@@ -232,8 +231,7 @@ def _pivot_cells(B: np.ndarray, dd: np.ndarray) -> list[int]:
     return chosen
 
 
-def search_invariants(md: ModularData, *, tol: float | None = None,
-                      with_flags: bool = True) -> list[MassMatrix]:
+def search_invariants(md: ModularData) -> list[MassMatrix]:
     """Complete list of modular invariant mass matrices for non-degenerate
     modular data, identity first, the rest in lexicographic order of their
     flattened entries.
@@ -241,14 +239,13 @@ def search_invariants(md: ModularData, *, tol: float | None = None,
     The constraint set is transpose-stable, so Z and Z^t both appear whenever
     they differ; asymmetric invariants are visible via ``is_symmetric``.
     """
-    report = is_nondegenerate(md.ring, md.twists, md=md, tol=tol)
-    if not report.nondegenerate:
+    if not md.degeneracy:
         raise NondegeneracyRequired(
-            f"braiding is degenerate (witness label {report.witness}); "
+            f"braiding is degenerate (witness label {md.degeneracy.witness}); "
             "modular invariants are only classified for non-degenerate data")
     n = md.size
     mask = twist_sparsity(md.twists)
-    B = commutant_basis(md.S, mask, tol)[:, mask]  # m x mask cells
+    B = commutant_basis(md.S, mask, md.tol)[:, mask]  # m x mask cells
     dd = np.outer(md.d, md.d)[mask]
 
     piv = _pivot_cells(B, dd)
@@ -283,7 +280,7 @@ def search_invariants(md: ModularData, *, tol: float | None = None,
         good &= np.abs(R @ dd - md.w) <= 1e-6 * md.w
         found.update(map(tuple, R[good].astype(np.int64).tolist()))
 
-    eps = scaled_tol(tol, n)
+    eps = scaled_tol(md.tol, n)
     accepted: list[np.ndarray] = []
     for cells in found:
         Z = np.zeros((n, n), dtype=np.int64)
@@ -294,18 +291,14 @@ def search_invariants(md: ModularData, *, tol: float | None = None,
                                  tuple(Z.ravel())))
     if not accepted or not np.array_equal(accepted[0], np.eye(n, dtype=np.int64)):
         raise NumericError("identity invariant missing from search output")
-
-    budget = NODE_BUDGET if with_flags else 0
-    return [classify_invariant(Z, md, node_budget=budget) for Z in accepted]
+    return [classify_invariant(Z, md) for Z in accepted]
 
 
-def brute_force_invariants(md: ModularData, *,
-                           tol: float | None = None) -> list[np.ndarray]:
+def brute_force_invariants(md: ModularData) -> list[np.ndarray]:
     """Reference depth-first search over the twist mask with the
     sum_{l,m} d_l d_m Z[l,m] = w budget; the small-instance oracle for
     :func:`search_invariants`."""
-    report = is_nondegenerate(md.ring, md.twists, md=md, tol=tol)
-    if not report.nondegenerate:
+    if not md.degeneracy:
         raise NondegeneracyRequired("brute-force search needs non-degenerate data")
     w = md.w
     n = md.size
@@ -324,7 +317,7 @@ def brute_force_invariants(md: ModularData, *,
     Z = np.zeros((n, n), dtype=np.int64)
     Z[unit, unit] = 1
     out: list[np.ndarray] = []
-    eps = scaled_tol(tol, n)
+    eps = scaled_tol(md.tol, n)
     S = md.S
 
     def rec(i: int, remaining: float):

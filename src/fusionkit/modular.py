@@ -12,6 +12,9 @@ S and T always obey the partial relations TSTST = S, CTC = T, CSC = S,
 T*T = 1.  The braiding is non-degenerate exactly when the weight vectors
 y^l = Y[l,:] of the non-unit labels are orthogonal to y^0; then S is unitary,
 (ST)^3 = S^2 = C, |z|^2 = w, and S diagonalizes the fusion rules.
+
+``modular_matrices`` resolves the tolerance once and stores it, with the
+non-degeneracy verdict, in the ``ModularData`` that every later check reads.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericError, TwistError, VanishingZError, VerlindeError
-from .numerics import (max_abs, mod1, phase_vector, readonly, scaled_tol,
-                       unit_phase)
+from .numerics import (default_tolerance, max_abs, mod1, phase_vector, readonly,
+                       scaled_tol, unit_phase)
 from .rings import DimensionVector, FusionRing, quantum_dimensions
 
 
@@ -63,7 +66,8 @@ class ModularData:
     """Y, S, T and friends for one braided fusion ring.
 
     ``t_exponents`` holds the diagonal of T as exact rationals
-    t_l = h_l - c/24 (mod 1), so phase equality stays decidable.
+    t_l = h_l - c/24 (mod 1), so phase equality stays decidable.  ``tol`` is
+    the base tolerance and ``degeneracy`` the verdict of is_nondegenerate at it.
     """
 
     ring: FusionRing
@@ -77,6 +81,8 @@ class ModularData:
     z: complex
     c: Fraction
     C: np.ndarray
+    tol: float
+    degeneracy: DegeneracyReport
 
     def __post_init__(self):
         for name in ("d", "Y", "S", "T", "C"):
@@ -185,11 +191,10 @@ def modular_matrices(ring: FusionRing, twists: TwistData, *,
                      dims: DimensionVector | None = None,
                      tol: float | None = None) -> ModularData:
     """Assemble the full modular data; raises VanishingZError when z = 0."""
+    tol = default_tolerance() if tol is None else tol
     dims = dims or quantum_dimensions(ring)
-    d = dims.d
     Y = y_matrix(ring, twists, dims=dims)
-    omega = twists.phases()
-    z = complex(np.sum(d * d * omega))
+    z = complex(np.sum(dims.d * dims.d * twists.phases()))
     eps = scaled_tol(tol, ring.size)
     if abs(z) <= eps * dims.w:
         raise VanishingZError(f"|z| = {abs(z):.3e} vanishes; S undefined")
@@ -197,11 +202,12 @@ def modular_matrices(ring: FusionRing, twists: TwistData, *,
     t_exps = tuple(mod1(h - Fraction(c, 24)) for h in twists.h)
     T = np.diag(phase_vector(t_exps))
     S = Y / abs(z)
-    return ModularData(ring=ring, twists=twists, d=d, w=dims.w, Y=Y, S=S, T=T,
-                       t_exponents=t_exps, z=z, c=c, C=ring.conjugation_matrix())
+    return ModularData(ring=ring, twists=twists, d=dims.d, w=dims.w, Y=Y, S=S, T=T,
+                       t_exponents=t_exps, z=z, c=c, C=ring.conjugation_matrix(),
+                       tol=tol, degeneracy=_degeneracy(Y, dims, ring.unit, eps))
 
 
-def check_partial_verlinde(md: ModularData, tol: float | None = None) -> ResidualReport:
+def check_partial_verlinde(md: ModularData) -> ResidualReport:
     """Residuals of TSTST = S, CTC = T, CSC = S, T*T = 1."""
     S, T, C = md.S, md.T, md.C
     eye = np.eye(md.size)
@@ -211,11 +217,19 @@ def check_partial_verlinde(md: ModularData, tol: float | None = None) -> Residua
         "CSC-S": max_abs(C @ S @ C - S),
         "T*T-1": max_abs(T.conj().T @ T - eye),
     }
-    return ResidualReport(res, scaled_tol(tol, md.size))
+    return ResidualReport(res, scaled_tol(md.tol, md.size))
+
+
+def _degeneracy(Y: np.ndarray, dims: DimensionVector, unit: int, eps: float) -> DegeneracyReport:
+    """Test <y^l, y^0> = delta_{l,0} w at the scaled tolerance ``eps``."""
+    gram0 = Y.conj() @ dims.d  # <y^l, y^0> for each l
+    others = [l for l in range(len(gram0)) if l != unit]
+    bad = tuple(l for l in others if abs(gram0[l]) > eps * dims.w)
+    cross = max((abs(gram0[l]) / dims.w for l in others), default=0.0)
+    return DegeneracyReport(nondegenerate=not bad, witnesses=bad, max_cross=cross)
 
 
 def is_nondegenerate(ring: FusionRing, twists: TwistData, *,
-                     md: ModularData | None = None,
                      tol: float | None = None) -> DegeneracyReport:
     """Test <y^l, y^0> = delta_{l,0} w; degenerate labels are the witnesses.
 
@@ -224,19 +238,9 @@ def is_nondegenerate(ring: FusionRing, twists: TwistData, *,
     Equivalent characterizations (S unitary; |z|^2 = w; trivial monodromy of
     the witness against everything) are exercised by the test suite.
     """
-    if md is not None:
-        Y, d, w = md.Y, md.d, md.w
-    else:
-        dims = quantum_dimensions(ring)
-        Y, d, w = y_matrix(ring, twists, dims=dims), dims.d, dims.w
-    n = ring.size
-    gram0 = Y.conj() @ d  # <y^l, y^0> for each l
-    eps = scaled_tol(tol, n)
-    bad = tuple(int(l) for l in range(n)
-                if l != ring.unit and abs(gram0[l]) > eps * w)
-    cross = max((abs(gram0[l]) / w for l in range(n) if l != ring.unit),
-                default=0.0)
-    return DegeneracyReport(nondegenerate=not bad, witnesses=bad, max_cross=cross)
+    dims = quantum_dimensions(ring)
+    return _degeneracy(y_matrix(ring, twists, dims=dims), dims, ring.unit,
+                       scaled_tol(tol, ring.size))
 
 
 def verlinde_fusion(md: ModularData, *, tol: float = 1e-6) -> tuple[np.ndarray, float]:
@@ -262,7 +266,7 @@ def verlinde_fusion(md: ModularData, *, tol: float = 1e-6) -> tuple[np.ndarray, 
     return rounded, deviation
 
 
-def sl2z_relations(md: ModularData, tol: float | None = None) -> ResidualReport:
+def sl2z_relations(md: ModularData) -> ResidualReport:
     """Residuals of the full modular algebra, valid iff non-degenerate."""
     S, T, C = md.S, md.T, md.C
     eye = np.eye(md.size)
@@ -273,7 +277,7 @@ def sl2z_relations(md: ModularData, tol: float | None = None) -> ResidualReport:
         "S^2-C": max_abs(S @ S - C),
         "CTC-T": max_abs(C @ T @ C - T),
     }
-    return ResidualReport(res, scaled_tol(tol, md.size))
+    return ResidualReport(res, scaled_tol(md.tol, md.size))
 
 
 def monodromy_spectra(ring: FusionRing, twists: TwistData) -> MonodromySpectra:

@@ -69,8 +69,9 @@ _MAX_LABELS = 2 ** 21 - 1
 
 
 def _sequence(values, what: str) -> tuple:
-    """``values`` as a tuple; a string or a scalar is a StructureError."""
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+    """``values`` as a tuple; a string or a scalar (0-d arrays too) is a StructureError."""
+    if (isinstance(values, (str, bytes)) or not isinstance(values, Iterable)
+            or getattr(values, "ndim", None) == 0):
         raise StructureError(f"{what} must be a sequence, got {values!r}")
     return tuple(values)
 
@@ -112,7 +113,7 @@ def _table_columns(table, n: int, width: int) -> tuple[np.ndarray, ...]:
     When a bulk check fails, ``_first_bad_entry`` names the first bad entry
     in input order.
     """
-    if not isinstance(table, (Mapping, np.ndarray)):
+    if not isinstance(table, Mapping) and getattr(table, "ndim", 0) == 0:
         table = _sequence(table, "structure table")
     try:
         rows = _int_array([(*key, value) for key, value in table.items()]

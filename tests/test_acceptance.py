@@ -94,7 +94,7 @@ def test_criterion_04_nondegeneracy_detection():
     for n in range(2, 7):
         ring, twists = cyclic_model(n, 0)
         md = modular_matrices(ring, twists)
-        nd = is_nondegenerate(ring, twists, md=md)
+        nd = md.degeneracy
         if nd.nondegenerate or not nd.witnesses:
             failures.append(f"cyclic({n},0): not reported degenerate")
             continue
@@ -122,7 +122,7 @@ def test_criterion_05_ade_counts():
         ring, twists = su2_level(k)
         md = modular_matrices(ring, twists)
         t0 = time.monotonic()
-        found = search_invariants(md, with_flags=False)
+        found = search_invariants(md)
         elapsed = time.monotonic() - t0
         if elapsed >= 60.0:
             failures.append(f"k={k}: search took {elapsed:.1f}s")
@@ -182,7 +182,7 @@ def test_criterion_07_oracle_completeness():
     failures = []
     for k in range(1, 9):
         md = modular_matrices(*su2_level(k))
-        fast = [mm.Z for mm in search_invariants(md, with_flags=False)]
+        fast = [mm.Z for mm in search_invariants(md)]
         slow = brute_force_invariants(md)
         if len(fast) != len(slow) or any(not np.array_equal(a, b)
                                          for a, b in zip(fast, slow)):

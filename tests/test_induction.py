@@ -147,6 +147,13 @@ class TestFullReport:
         with pytest.raises(ZeroDivisionError):
             full_report(trivial_certificate(*su2_level(2)))
 
+    def test_tol_argument_reaches_every_check(self, monkeypatch):
+        # a tolerance far below float noise in the environment must not
+        # reach any check when full_report is given its own
+        monkeypatch.setenv("FUSIONKIT_TOL", "1e-25")
+        report = full_report(trivial_certificate(*su2_level(10)), tol=1e-6)
+        assert report.passed, report.failures
+
     def test_wrong_declared_count_fails(self):
         report = full_report(trivial_certificate(*su2_level(4), nm_count=7))
         assert "counts" in report.failures

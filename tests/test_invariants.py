@@ -5,8 +5,8 @@ import pytest
 
 from fusionkit import (NondegeneracyRequired, NumericError, TwistData, brute_force_invariants,
                        classify_invariant, commutant_basis, invariant_counts,
-                       is_nondegenerate, modular_matrices, search_invariants,
-                       twist_sparsity)
+                       modular_matrices, search_invariants, twist_sparsity)
+from fusionkit import invariants
 from fusionkit.catalog import cyclic_model, named_model, su2_level
 from fusionkit.invariants import NODE_BUDGET, _gram_factorization
 
@@ -112,7 +112,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("k", [4, 6, 8, 10, 12, 14, 16])
     def test_matches_classification_tables(self, k):
-        found = search_invariants(su2_md(k), with_flags=False)
+        found = search_invariants(su2_md(k))
         expected = expected_su2_invariants(k)
         assert len(found) == len(expected)
         got = sorted((tuple(mm.Z.ravel()) for mm in found))
@@ -120,12 +120,12 @@ class TestSearch:
         assert got == want
 
     def test_su2_10_count(self):
-        assert len(search_invariants(su2_md(10), with_flags=False)) == 3
+        assert len(search_invariants(su2_md(10))) == 3
 
     @pytest.mark.parametrize("k", list(range(1, 9)))
     def test_dfs_oracle_equivalence(self, k):
         md = su2_md(k)
-        found = search_invariants(md, with_flags=False)
+        found = search_invariants(md)
         brute = brute_force_invariants(md)
         assert len(found) == len(brute)
         for mm, Z in zip(found, brute):
@@ -135,7 +135,7 @@ class TestSearch:
     def test_dfs_oracle_equivalence_cyclic(self, n):
         # dense twist mask, several pivots: U(1) at level n/2
         md = modular_matrices(*cyclic_model(n, 1))
-        found = search_invariants(md, with_flags=False)
+        found = search_invariants(md)
         assert [mm.Z.tolist() for mm in found] == [Z.tolist() for Z in brute_force_invariants(md)]
 
     @pytest.mark.parametrize("n", [12, 16, 24, 48, 64, 96])
@@ -143,7 +143,7 @@ class TestSearch:
         # U(1) at level n/2 has one invariant per divisor of n/2 (Gannon 1997)
         ring, twists = cyclic_model(n, 1)
         mask = twist_sparsity(twists)
-        found = search_invariants(modular_matrices(ring, twists), with_flags=False)
+        found = search_invariants(modular_matrices(ring, twists))
         assert len(found) == sum(1 for x in range(1, n // 2 + 1) if (n // 2) % x == 0)
         for mm in found:
             assert mm.Z[0, 0] == 1
@@ -161,7 +161,7 @@ class TestSearch:
         # non-self-dual model: C != I commutes with S and T, so it must appear
         ring, twists = cyclic_model(3, 2)
         md = modular_matrices(ring, twists)
-        found = search_invariants(md, with_flags=False)
+        found = search_invariants(md)
         C = ring.conjugation_matrix()
         assert any(np.array_equal(mm.Z, C) for mm in found)
         brute = brute_force_invariants(md)
@@ -172,7 +172,7 @@ class TestSearch:
             md = su2_md(k)
             dd = np.outer(md.d, md.d)
             mask = twist_sparsity(md.twists)
-            for mm in search_invariants(md, with_flags=False):
+            for mm in search_invariants(md):
                 assert mm.Z[0, 0] == 1
                 assert mm.Z.sum() <= md.w + 1e-6
                 assert float(np.sum(dd * mm.Z)) == pytest.approx(md.w, rel=1e-6)
@@ -192,15 +192,14 @@ class TestSearch:
 
     def test_identity_always_first(self):
         for k in (4, 6, 10):
-            found = search_invariants(su2_md(k), with_flags=False)
+            found = search_invariants(su2_md(k))
             assert found[0].is_identity
 
     def test_nondegenerate_catalog_models(self, catalog_modular):
-        from fusionkit import is_nondegenerate
         for name, md in catalog_modular.items():
-            if not is_nondegenerate(md.ring, md.twists, md=md):
+            if not md.degeneracy:
                 continue
-            found = search_invariants(md, with_flags=False)
+            found = search_invariants(md)
             assert found[0].is_identity, name
             if md.size <= 5:
                 brute = brute_force_invariants(md)
@@ -209,7 +208,7 @@ class TestSearch:
     def test_z4_anyon_has_charge_conjugation(self):
         ring, twists = cyclic_model(4, 1)
         md = modular_matrices(ring, twists)
-        found = search_invariants(md, with_flags=False)
+        found = search_invariants(md)
         assert any(np.array_equal(mm.Z, ring.conjugation_matrix()) for mm in found)
 
 
@@ -264,8 +263,8 @@ class TestClassify:
         # the identity and the other symmetric permutations skip the Gram
         # search; both must give what the search gives
         mats = [mm.Z for md in catalog_modular.values()
-                if is_nondegenerate(md.ring, md.twists, md=md)
-                for mm in search_invariants(md, with_flags=False)]
+                if md.degeneracy
+                for mm in search_invariants(md)]
         mats += [ring.conjugation_matrix() for ring, _ in catalog.values()]
         mats += [Z for k in range(1, 65) for Z in expected_su2_invariants(k)]
         kinds = set()
@@ -283,12 +282,13 @@ class TestClassify:
         assert not mm.is_symmetric
         assert mm.type_one == "no"
 
-    def test_budget_exhaustion_returns_unknown(self):
+    def test_budget_exhaustion_returns_unknown(self, monkeypatch):
         md = su2_md(4)
+        monkeypatch.setattr(invariants, "NODE_BUDGET", 1)
         Z = np.zeros((5, 5), dtype=np.int64)
         Z[0, 0] = Z[0, 4] = Z[4, 0] = Z[4, 4] = 1
         Z[2, 2] = 2
-        mm = classify_invariant(Z, md, node_budget=1)
+        mm = classify_invariant(Z, md)
         assert mm.type_one == "unknown"
         assert mm.gram_rows is None
 

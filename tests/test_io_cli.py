@@ -273,6 +273,20 @@ class TestCLI:
         main(["classify", str(zfile), ring_file])
         assert f"counts: trZ={2**62 + 2} trZZt={2**124 + 2}\n" in capsys.readouterr().out
 
+    def test_classify_rejects_unit_entry_not_one(self, tmp_path, capsys):
+        # 2 I commutes with S and T on the semion but is no modular invariant
+        ring_file = str(tmp_path / "semion.json")
+        main(["gen", "cyclic", "--order", "2", "--q", "1", "-o", ring_file])
+        zfile = tmp_path / "z.json"
+        zfile.write_text(json.dumps({"size": 2, "entries": [[0, 0, 2], [1, 1, 2]]}))
+        capsys.readouterr()
+        assert main(["classify", str(zfile), ring_file]) == 1
+        out, err = capsys.readouterr()
+        assert out == ("is_identity: False\nis_permutation: False\nis_symmetric: True\n"
+                       "type_one: yes\ncounts: trZ=4 trZZt=8\n"
+                       "residuals: |SZ-ZS|=0.000e+00 |TZ-ZT|=0.000e+00\n")
+        assert err == "check failed: Z[0,0] = 2, expected 1\n"
+
     def test_decompose_flow(self, tmp_path, capsys):
         from helpers import symmetric_table
         from fusionkit import BasedAlgebra
@@ -288,6 +302,20 @@ class TestCLI:
         path.write_text(serialize.dumps(serialize.certificate_to_dict(cert)))
         assert main(["verify-induction", str(path)]) == 0
         assert "pass generating" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("env, tol", [("1e-25", "1e-6"), ("bogus", "1e-9")])
+    def test_verify_induction_tol_flag_overrides_env(self, env, tol, tmp_path, capsys,
+                                                    monkeypatch):
+        # --tol reaches every check, so FUSIONKIT_TOL is never read
+        monkeypatch.setenv("FUSIONKIT_TOL", env)
+        path = tmp_path / "cert.json"
+        path.write_text(serialize.dumps(serialize.certificate_to_dict(
+            trivial_certificate(*su2_level(10)))))
+        assert main(["verify-induction", str(path), "--tol", tol, "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["passed"] and all(c["passed"] for c in report["checks"])
+        assert err == ""
 
     def test_verify_induction_failure_exits_1(self, tmp_path, capsys):
         cert = trivial_certificate(*cyclic_model(2, 0))

@@ -1,11 +1,12 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fusionkit import (ModularData, TwistData, TwistError, VanishingZError,
+from fusionkit import (TwistData, TwistError, VanishingZError,
                        VerlindeError, check_partial_verlinde, is_nondegenerate,
                        modular_matrices, monodromy_spectra, quantum_dimensions,
                        sl2z_relations, statistics_characters, validate_twists,
@@ -185,8 +186,7 @@ class TestPartialVerlinde:
         md = modular_matrices(ring, twists)
         S = md.S.copy()
         S[0, 0] += 1e-3
-        bad = ModularData(ring=ring, twists=twists, d=md.d, w=md.w, Y=md.Y, S=S,
-                          T=md.T, t_exponents=md.t_exponents, z=md.z, c=md.c, C=md.C)
+        bad = dataclasses.replace(md, S=S)
         report = check_partial_verlinde(bad)
         assert not report.passed
         assert report.residuals["TSTST-S"] > 1e-4
@@ -202,7 +202,7 @@ class TestNondegeneracy:
     def test_witness_weight_vector_parallel(self):
         ring, twists = cyclic_model(2, 0)
         md = modular_matrices(ring, twists)
-        lam = is_nondegenerate(ring, twists, md=md).witness
+        lam = md.degeneracy.witness
         # y^lam parallel to y^0 means Y[lam, m] = d_lam d_m
         assert np.allclose(md.Y[lam], md.d[lam] * md.d, atol=1e-9)
 
@@ -213,11 +213,20 @@ class TestNondegeneracy:
 
     def test_three_routes_agree(self, catalog_modular):
         for name, md in catalog_modular.items():
-            gram_route = is_nondegenerate(md.ring, md.twists, md=md).nondegenerate
+            gram_route = md.degeneracy.nondegenerate
             z_route = abs(abs(md.z) ** 2 - md.w) <= 1e-9 * md.w
             unitary_route = (np.max(np.abs(md.S.conj().T @ md.S - np.eye(md.size)))
                              <= 1e-9 * md.size)
             assert gram_route == z_route == unitary_route, name
+
+    @pytest.mark.parametrize("tol", [None, 1e-15])
+    def test_stored_verdict_matches_direct_test(self, catalog_modular, tol):
+        # the verdict modular_matrices keeps is the one is_nondegenerate gives
+        # at the same tolerance: verdict, witnesses and closeness
+        for name, md in catalog_modular.items():
+            if tol is not None:
+                md = modular_matrices(md.ring, md.twists, tol=tol)
+            assert md.degeneracy == is_nondegenerate(md.ring, md.twists, tol=tol), name
 
     def test_monodromy_agrees_with_witnesses(self, catalog):
         for name, (ring, twists) in catalog.items():

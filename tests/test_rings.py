@@ -186,6 +186,7 @@ class TestStructuralErrors:
         ([[0, 0, 0, 1], [0, 0, 0, 2]], "duplicate key (0, 0, 0)"),
         ([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 9, 1]], "duplicate key (0, 0, 0)"),
         (7, "structure table must be a sequence, got 7"),
+        (np.array(5), "structure table must be a sequence, got array(5)"),
     ])
     def test_mapping_and_array_errors_named(self, table, message):
         with pytest.raises(StructureError) as exc:
