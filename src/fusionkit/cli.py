@@ -199,7 +199,13 @@ def cmd_classify(args) -> int:
         print(f"check failed: Z[0,0] = {Z[ring.unit, ring.unit]}, expected 1", file=sys.stderr)
         return 1
     limit = scaled_tol(md.tol, ring.size)
-    return 0 if mm.residual_s <= limit and mm.residual_t <= limit else 1
+    failed = [f"{name} = {r:.3e} > {limit:.1e}"
+              for name, r in (("|SZ-ZS|", mm.residual_s), ("|TZ-ZT|", mm.residual_t))
+              if r > limit]
+    if failed:
+        print(f"check failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_decompose(args) -> int:

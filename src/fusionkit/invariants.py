@@ -6,12 +6,17 @@ supported where twist exponents coincide.  S-commutation is a linear
 condition, so the search runs in two stages:
 
 1. an orthonormal real basis of { X supported on the twist mask : SX = XS }
-   (the commutant restricted to the mask), and
-2. a depth-first walk over the in-budget values (sum_{l,m} d_l d_m Z[l,m] = w)
-   of pivot cells chosen at large d_l d_m, which drops a value as soon as
-   some cell can no longer reach 0 <= Z[l,m] <= w / (d_l d_m) (Z = 1 at the
-   unit cell); its leaves are filtered for integrality and the budget.  Both
-   stages work in mask cells, so every matrix found is on the twist mask.
+   (the commutant restricted to the mask), read off one symmetric
+   eigenproblem: the eigenvalue-1 eigenvectors of the real part of
+   X -> S X S^H on the mask cells, and
+2. a depth-first walk over integer intervals for the values of a few pivot
+   cells, chosen at large d_l d_m, that determine every cell.  At each node
+   the bounds 0 <= Z[l,m] <= w / (d_l d_m) of every cell (Z = 1 at the unit
+   cell) and the pivot cells' share of the budget
+   sum_{l,m} d_l d_m Z[l,m] = w tighten the intervals until none moves; the
+   walk then branches on the free pivot with the fewest values.  Its leaves,
+   where every pivot is fixed, are filtered for integrality and the budget.
+   Both stages work in mask cells, so every matrix found is on the twist mask.
 
 A raw depth-first search over the mask cells is kept as the small-instance
 oracle (`brute_force_invariants`).
@@ -62,35 +67,43 @@ class MassMatrix:
 
 
 def twist_sparsity(twists: TwistData) -> np.ndarray:
-    """mask[l,m] = True iff h_l = h_m as exact rationals."""
-    h = np.array(twists.h, dtype=object)  # exact Fractions, compared pairwise
-    return readonly(h[:, None] == h[None, :])
+    """mask[l,m] = True iff h_l = h_m as exact rationals, decided on the
+    integer numerators over their common denominator."""
+    e = twists.numerators()[0]
+    return readonly(e[:, None] == e[None, :])
 
 
 def commutant_basis(S: np.ndarray, mask: np.ndarray,
                     tol: float | None = None) -> np.ndarray:
     """Orthonormal real basis of { X supported on mask : SX = XS }.
 
-    S must be unitary: then a mask-supported X commutes with S iff it equals
-    the mask part of S X S^H, so the basis is the nullspace of I - M over the
-    masked cells, M[(a,b),(c,d)] = S[a,c] conj(S[b,d]), read off an SVD.
-    Singular values within a decade of the rank cutoff raise
-    RankAmbiguityError rather than guessing; a basis element that misses
-    SX = XS by more than the cutoff (S not unitary) raises NumericError.
+    Let K[(a,b),(c,d)] = S[a,c] conj(S[b,d]) on the masked cells: a
+    mask-supported X commutes with S iff K X = X.  For unitary S, K is a
+    contraction, so a real X has K X = X iff M X = X for the symmetric
+    M = (Re K + Re K^t) / 2, and the basis is the eigenvalue-1 eigenspace of
+    one ``eigh`` of M.  Eigenvalues with |1 - lambda| within a decade of the
+    cutoff raise RankAmbiguityError rather than guessing; an eigenvalue above
+    1 + cutoff, or a basis element that misses SX = XS by more than the
+    cutoff, means S is not unitary and raises NumericError.
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
     rows, cols = np.nonzero(mask)
-    fixed = np.eye(rows.size) - S[np.ix_(rows, rows)] * S[np.ix_(cols, cols)].conj()
-    _, svals, Vt = np.linalg.svd(np.concatenate([fixed.real, fixed.imag]),
-                                 full_matrices=False)
+    re, im = S.real, S.imag
+    K = (re[np.ix_(rows, rows)] * re[np.ix_(cols, cols)]
+         + im[np.ix_(rows, rows)] * im[np.ix_(cols, cols)])  # Re K
+    evals, vecs = np.linalg.eigh((K + K.T) / 2.0)
     cutoff = scaled_tol(tol, n)
-    ambiguous = [s for s in svals if cutoff / 10.0 < s < cutoff * 10.0]
+    gap = np.abs(1.0 - evals)
+    ambiguous = evals[(cutoff / 10.0 < gap) & (gap < cutoff * 10.0)].tolist()
     if ambiguous:
         raise RankAmbiguityError(
-            f"singular values {ambiguous} within a decade of cutoff {cutoff:.1e}; "
+            f"eigenvalues {ambiguous} within a decade of cutoff {cutoff:.1e} from 1; "
             "raise precision or adjust the tolerance")
-    null = Vt[svals <= cutoff]
+    if evals[-1] > 1.0 + cutoff:
+        raise NumericError(f"commutant map has eigenvalue {evals[-1]:.6g} > 1 "
+                           f"(cutoff {cutoff:.1e}); S must be unitary")
+    null = vecs[:, gap <= cutoff].T
     if not len(null):
         raise NumericError("commutant is empty; the identity should always be present")
     basis = np.zeros((len(null), n, n))
@@ -112,8 +125,10 @@ def invariant_counts(Z: np.ndarray) -> tuple[int, int]:
 
 def classify_invariant(Z: np.ndarray, md: ModularData | None = None) -> MassMatrix:
     """Attach flags to a mass matrix: identity / permutation / symmetry, and
-    the type-I decision.  The identity is type I with B = I, and no other
-    permutation is; any other Z is decided by a bounded search for a Gram
+    the type-I decision.  The identity is type I with B = I.  Z = B^t B is
+    symmetric, and Z[l,l] = 0 forces column l of B, and so row l of Z, to
+    vanish; a Z that breaks either rule (every other permutation among them)
+    is not type I.  Any other Z is decided by a bounded search for a Gram
     factorization Z = B^t B over non-negative integer rows (NODE_BUDGET nodes)."""
     Z = np.asarray(Z, dtype=np.int64)
     n = Z.shape[0]
@@ -129,9 +144,7 @@ def classify_invariant(Z: np.ndarray, md: ModularData | None = None) -> MassMatr
     is_symmetric = bool(np.array_equal(Z, Z.T))
     if is_identity:
         type_one, rows = "yes", tuple(map(tuple, np.eye(n, dtype=np.int64).tolist()))
-    elif is_permutation or not is_symmetric:
-        # B^t B is symmetric; a label l that a permutation moves has
-        # Z[l,l] = 0, which forces column l of B, and so row l of Z, to vanish
+    elif not is_symmetric or np.any((np.diagonal(Z) == 0) & Z.any(axis=1)):
         type_one, rows = "no", None
     else:
         type_one, rows = _gram_factorization(Z, NODE_BUDGET)
@@ -231,6 +244,46 @@ def _pivot_cells(B: np.ndarray, dd: np.ndarray) -> list[int]:
     return chosen
 
 
+def _bound_propagator(A: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Tightening of integer pivot intervals under lower <= p A <= upper.
+
+    The returned function takes a batch of boxes, rows lo <= p <= hi, and
+    narrows each pivot k through every row j where A[k,j] is not rounding
+    noise: the other pivots' least (most) activity on row j leaves room
+    upper_j - least (most - lower_j), and p_k can move at most room / |A[k,j]|
+    from its other end.  Rounds repeat until no bound moves; bounds are
+    rounded inward with INT_TOL of slack, so float error never drops an
+    integer point that satisfies the rows.  It returns the boxes that stay
+    non-empty.
+    """
+    pos, neg = np.maximum(A, 0.0), np.minimum(A, 0.0)
+    k, j = np.nonzero(np.abs(A) > 1e-9)  # row-major: grouped by pivot
+    inv = 1.0 / np.abs(A[k, j])
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    # room is [upper - least activity, most activity - lower] per row: a
+    # coefficient > 0 caps hi by the first half and lifts lo by the second
+    rises = A[k, j] > 0
+    cap_room = np.where(rises, j, j + A.shape[1])
+    lift_room = np.where(rises, j + A.shape[1], j)
+
+    def tighten(lo: np.ndarray, hi: np.ndarray):
+        while len(lo):
+            room = np.concatenate([upper - (lo @ pos + hi @ neg),
+                                   (hi @ pos + lo @ neg) - lower], axis=1)
+            cap = np.minimum.reduceat(room[:, cap_room] * inv, starts, axis=1)
+            lift = np.minimum.reduceat(room[:, lift_room] * inv, starts, axis=1)
+            new_hi = np.minimum(hi, np.floor(lo + cap + INT_TOL))
+            new_lo = np.maximum(lo, np.ceil(hi - lift - INT_TOL))
+            alive = np.all(new_lo <= new_hi, axis=1)
+            moved = np.any((new_lo != lo) | (new_hi != hi), axis=1) & alive
+            lo, hi = new_lo[alive], new_hi[alive]
+            if not moved.any():
+                break
+        return lo, hi
+
+    return tighten
+
+
 def search_invariants(md: ModularData) -> list[MassMatrix]:
     """Complete list of modular invariant mass matrices for non-degenerate
     modular data, identity first, the rest in lexicographic order of their
@@ -251,34 +304,33 @@ def search_invariants(md: ModularData) -> list[MassMatrix]:
     piv = _pivot_cells(B, dd)
     W = np.linalg.solve(B[:, piv], B)  # pivot values -> mask cells
     costs = dd[piv]
-    tops = (md.w / costs + 1e-9).astype(int)
-    reach = tops[:, None] * W  # the most each pivot can add to each cell
-    later_hi, later_lo = (np.cumsum(part[::-1], axis=0)[::-1] - part  # row k: pivots k+1..
-                          for part in (np.maximum(reach, 0.0), np.minimum(reach, 0.0)))
     unit = int(np.flatnonzero(mask).searchsorted(md.ring.unit * (n + 1)))  # (unit, unit) cell
     # The leaf filters put every cell within INT_TOL of [0, w (1 + 1e-6) / dd], and
     # of 1 at the unit cell; the walk allows 2 INT_TOL for its own rounding.
     low, high = np.full(dd.size, -2 * INT_TOL), md.w * (1 + 1e-6) / dd + 2 * INT_TOL
     low[unit], high[unit] = 1 - 2 * INT_TOL, 1 + 2 * INT_TOL
+    # one more row: the pivot cells spend at most the budget, costs . p <= w + 1
+    tighten = _bound_propagator(np.column_stack([W, costs]), np.append(low, -1.0),
+                                np.append(high, md.w + 1.0))
 
     found: set[tuple[int, ...]] = set()
-    stack = [(0, 0.0, np.zeros(dd.size))]  # open pivot prefixes: depth, cost, cells
+    lo, hi = tighten(np.zeros((1, len(piv))), np.floor(md.w / costs + 1e-9)[None, :])
+    stack = list(zip(lo, hi))  # open boxes of integer pivot values
     while stack:
-        k, spent, x = stack.pop()
-        values = np.arange(tops[k] + 1)
-        spent_next = spent + costs[k] * values
-        keep = spent_next <= md.w + 1.0  # in-budget values of pivot k
-        X = x + values[keep, None] * W[k]
-        if k + 1 < len(piv):
-            ok = np.all((X + later_hi[k] >= low) & (X + later_lo[k] <= high), axis=1)
-            stack.extend((k + 1, c, row) for c, row in zip(spent_next[keep][ok], X[ok]))
+        lo, hi = stack.pop()
+        free = hi - lo
+        if free.any():  # branch on the free pivot with the fewest values
+            k = int(np.argmin(np.where(free > 0, free, np.inf)))
+            values = np.arange(lo[k], hi[k] + 1)
+            lo, hi = np.tile(lo, (values.size, 1)), np.tile(hi, (values.size, 1))
+            lo[:, k] = hi[:, k] = values
+            stack.extend(zip(*tighten(lo, hi)))
             continue
+        X = lo @ W  # a leaf: every pivot fixed
         R = np.rint(X)
-        good = (np.max(np.abs(X - R), axis=1) <= INT_TOL)
-        good &= np.all(R >= 0.0, axis=1)
-        good &= R[:, unit] == 1.0
-        good &= np.abs(R @ dd - md.w) <= 1e-6 * md.w
-        found.update(map(tuple, R[good].astype(np.int64).tolist()))
+        if (np.max(np.abs(X - R)) <= INT_TOL and np.all(R >= 0.0) and R[unit] == 1.0
+                and abs(R @ dd - md.w) <= 1e-6 * md.w):
+            found.add(tuple(R.astype(np.int64).tolist()))
 
     eps = scaled_tol(md.tol, n)
     accepted: list[np.ndarray] = []

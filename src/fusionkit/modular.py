@@ -44,6 +44,14 @@ class TwistData:
     def phases(self) -> np.ndarray:
         return phase_vector(self.h)
 
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """(e, H) with h_l = e_l / H for the common denominator H; e is int64
+        unless H is huge, so sums of a few e_l stay exact."""
+        H = math.lcm(*(t.denominator for t in self.h))
+        e = np.array([t.numerator * (H // t.denominator) for t in self.h],
+                     dtype=np.int64 if H < 2 ** 62 else object)
+        return e, H
+
     def __len__(self) -> int:
         return len(self.h)
 
@@ -154,10 +162,7 @@ def y_matrix(ring: FusionRing, twists: TwistData, *,
     distinct value, and each Y[m,n] adds its terms in increasing l."""
     validate_twists(ring, twists)
     d = (dims or quantum_dimensions(ring)).d
-    H = math.lcm(*(t.denominator for t in twists.h))
-    # e_m + e_n - e_l lies in (-H, 2H): int64 unless H is huge
-    e = np.array([t.numerator * (H // t.denominator) for t in twists.h],
-                 dtype=np.int64 if H < 2 ** 62 else object)
+    e, H = twists.numerators()  # e_m + e_n - e_l lies in (-H, 2H)
     a, b, c, mult = ring.columns()
     k, inverse = np.unique((e[a] + e[b] - e[c]) % H, return_inverse=True)
     phase = np.array([unit_phase(Fraction(j, H)) for j in k.tolist()], dtype=complex)

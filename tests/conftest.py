@@ -1,5 +1,12 @@
 from __future__ import annotations
 
+import os
+
+# one BLAS thread, set before anything imports numpy: small dense problems
+# run many times slower on a pool of threads
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import pytest
 
 from fusionkit import VanishingZError, catalog_models, modular_matrices

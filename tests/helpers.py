@@ -1,16 +1,20 @@
 """Shared test oracles: brute-force axiom checking, classical group tables
-with their character degrees, and closed-form expected invariants for the
-SU(2) series (identity, D-type blocks/permutations, exceptional blocks).
+with their character degrees, closed-form expected invariants for the
+SU(2) series (identity, D-type blocks/permutations, exceptional blocks), and
+the Deligne product of two models.
 
-Everything here is deliberately independent of the package internals: the
+The oracles are deliberately independent of the package internals: the
 checkers iterate definitions directly and the expected matrices come from
 the classical classification data, not from the search code under test.
+``product_model`` only builds package objects from two models' tables.
 """
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+
+from fusionkit import FusionRing, TwistData
 
 
 # ------------------------------------------------------- axiom brute force
@@ -213,3 +217,22 @@ def expected_su2_invariants(k):
                     Z[x, y] = 1
         out.append(Z)
     return out
+
+
+# ------------------------------------------------------- Deligne products
+
+def product_model(A, B):
+    """The Deligne product of two (ring, twists) models: label (x, y) at
+    index x * |B| + y, as in ``np.kron``, the outer-product fusion table and
+    additive twists h_(x,y) = h_x + h_y."""
+    (ring_a, twists_a), (ring_b, twists_b) = A, B
+    nb = ring_b.size
+    a1, b1, c1, m1 = ring_a.columns()
+    a2, b2, c2, m2 = ring_b.columns()
+    i, j = np.indices((a1.size, a2.size)).reshape(2, -1)
+    rows = np.stack([a1[i] * nb + a2[j], b1[i] * nb + b2[j], c1[i] * nb + c2[j],
+                     m1[i] * m2[j]], axis=1)
+    labels = [f"{x}.{y}" for x in ring_a.labels for y in ring_b.labels]
+    dual = [x * nb + y for x in ring_a.dual for y in ring_b.dual]
+    ring = FusionRing(labels, ring_a.unit * nb + ring_b.unit, dual, rows)
+    return ring, TwistData(x + y for x in twists_a.h for y in twists_b.h)

@@ -7,10 +7,10 @@ from fusionkit import (NondegeneracyRequired, NumericError, TwistData, brute_for
                        classify_invariant, commutant_basis, invariant_counts,
                        modular_matrices, search_invariants, twist_sparsity)
 from fusionkit import invariants
-from fusionkit.catalog import cyclic_model, named_model, su2_level
+from fusionkit.catalog import cyclic_model, named_model, su2_level, su2_s_closed_form
 from fusionkit.invariants import NODE_BUDGET, _gram_factorization
 
-from helpers import expected_su2_invariants
+from helpers import expected_su2_invariants, product_model
 
 
 def su2_md(k):
@@ -33,6 +33,14 @@ class TestTwistSparsity:
     def test_all_equal_gives_full(self):
         mask = twist_sparsity(TwistData([Fraction(0)] * 4))
         assert mask.all()
+
+    @pytest.mark.parametrize("big", [1, 2**70 + 1])
+    def test_matches_fraction_equality(self, big):
+        # a common denominator past 2^62 takes the object-integer path
+        twists = TwistData([Fraction(j, 6) for j in range(6)]
+                           + [Fraction(1, big), Fraction(2, 12), Fraction(1, big)])
+        want = np.array([[x == y for y in twists.h] for x in twists.h])
+        assert np.array_equal(twist_sparsity(twists), want)
 
 
 class TestCommutantBasis:
@@ -110,7 +118,7 @@ class TestSearch:
         expected_d4[2, 2] = 2
         assert np.array_equal(found[1].Z, expected_d4)
 
-    @pytest.mark.parametrize("k", [4, 6, 8, 10, 12, 14, 16])
+    @pytest.mark.parametrize("k", [4, 6, 8, 10, 12, 14, 16, 28, 32, 64])
     def test_matches_classification_tables(self, k):
         found = search_invariants(su2_md(k))
         expected = expected_su2_invariants(k)
@@ -211,6 +219,27 @@ class TestSearch:
         found = search_invariants(md)
         assert any(np.array_equal(mm.Z, ring.conjugation_matrix()) for mm in found)
 
+    @pytest.mark.parametrize("k", [4, 6, 10])
+    def test_su2_products_contain_factor_invariants(self, k):
+        # SU(2)_k x SU(2)_k: every Z_A (x) Z_B of the A-D-E lists, and its
+        # factor swap (Z_A (x) Z_B) P with P(x, y) = (y, x), is an invariant;
+        # at k = 10 the walk has 27 pivots and the classification decides all
+        n = k + 1
+        found = search_invariants(modular_matrices(*product_model(su2_level(k), su2_level(k))))
+        got = {tuple(mm.Z.ravel()) for mm in found}
+        x, y = np.indices((n, n)).reshape(2, -1)
+        swap = np.zeros((n * n, n * n), dtype=np.int64)
+        swap[x * n + y, y * n + x] = 1
+        for ZA in expected_su2_invariants(k):
+            for ZB in expected_su2_invariants(k):
+                assert tuple(np.kron(ZA, ZB).ravel()) in got
+                assert tuple((np.kron(ZA, ZB) @ swap).ravel()) in got
+        S = np.kron(su2_s_closed_form(k), su2_s_closed_form(k))
+        for mm in found:
+            assert mm.Z[0, 0] == 1
+            assert np.max(np.abs(S @ mm.Z - mm.Z @ S)) < 1e-9 * n * n
+            assert mm.type_one != "unknown"
+
 
 class TestClassify:
     def test_identity_flags(self):
@@ -260,20 +289,27 @@ class TestClassify:
                 assert np.array_equal(B.T @ B, mm.Z)
 
     def test_short_cuts_match_gram_search(self, catalog, catalog_modular):
-        # the identity and the other symmetric permutations skip the Gram
-        # search; both must give what the search gives
+        # the identity, and every symmetric Z with a zero diagonal entry on a
+        # non-zero row (the other permutations among them), skip the Gram
+        # search; it must agree wherever it decides
         mats = [mm.Z for md in catalog_modular.values()
                 if md.degeneracy
                 for mm in search_invariants(md)]
         mats += [ring.conjugation_matrix() for ring, _ in catalog.values()]
         mats += [Z for k in range(1, 65) for Z in expected_su2_invariants(k)]
+        mats += [mm.Z for mm in search_invariants(
+            modular_matrices(*product_model(su2_level(4), su2_level(4))))]
         kinds = set()
         for Z in mats:
             mm = classify_invariant(Z)
-            if mm.is_permutation and mm.is_symmetric:
-                kinds.add(mm.is_identity)
-                assert (mm.type_one, mm.gram_rows) == _gram_factorization(Z, NODE_BUDGET)
-        assert kinds == {True, False}
+            zero_diagonal = np.any((np.diagonal(Z) == 0) & Z.any(axis=1))
+            if mm.is_identity or (mm.is_symmetric and zero_diagonal):
+                kinds.add("identity" if mm.is_identity else
+                          "permutation" if mm.is_permutation else "other")
+                searched = _gram_factorization(Z, NODE_BUDGET)
+                if searched[0] != "unknown":
+                    assert (mm.type_one, mm.gram_rows) == searched
+        assert kinds == {"identity", "permutation", "other"}
 
     def test_asymmetric_is_not_type_one(self):
         Z = np.eye(3, dtype=np.int64)

@@ -287,6 +287,19 @@ class TestCLI:
                        "residuals: |SZ-ZS|=0.000e+00 |TZ-ZT|=0.000e+00\n")
         assert err == "check failed: Z[0,0] = 2, expected 1\n"
 
+    def test_classify_names_failed_commutation(self, tmp_path, capsys):
+        # [[1, 1], [0, 1]] on the semion has Z[0,0] = 1 but commutes with neither S nor T
+        ring_file = str(tmp_path / "semion.json")
+        main(["gen", "cyclic", "--order", "2", "--q", "1", "-o", ring_file])
+        zfile = tmp_path / "z.json"
+        zfile.write_text(json.dumps({"size": 2, "entries": [[0, 0, 1], [0, 1, 1]]}))
+        capsys.readouterr()
+        assert main(["classify", str(zfile), ring_file]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("residuals: |SZ-ZS|=7.071e-01 |TZ-ZT|=1.414e+00\n")
+        assert err == ("check failed: |SZ-ZS| = 7.071e-01 > 2.0e-09, "
+                       "|TZ-ZT| = 1.414e+00 > 2.0e-09\n")
+
     def test_decompose_flow(self, tmp_path, capsys):
         from helpers import symmetric_table
         from fusionkit import BasedAlgebra
