@@ -70,11 +70,8 @@ class BasedAlgebra(_SparseStructure):
         n = len(table)
         if labels is None:
             labels = [f"g{i}" for i in range(n)]
-        unit = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                unit = e
-                break
+        unit = next((e for e in range(n)
+                     if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
         if unit is None:
             raise StructureError("multiplication table has no unit element")
         dual = [0] * n
@@ -102,10 +99,6 @@ class BlockProfile:
     @property
     def dimension(self) -> int:
         return sum(s * s for s in self.sizes)
-
-    @property
-    def all_ones(self) -> bool:
-        return all(s == 1 for s in self.sizes)
 
 
 def validate_based_algebra(alg: BasedAlgebra) -> ValidationReport:

@@ -12,8 +12,8 @@ this package does not model.  The verifiable consequences are:
 * dimension preservation: sum_beta A[l,beta] d_beta = d_l;
 * homomorphism: with v_l = sum_beta A[l,beta] [beta], the exact integer
   identity v_l v_m = sum_nu N[l,m]^nu v_nu holds per chirality;
-* the mass matrix Z[l,m] = sum_beta A+[l,beta] A-[m,beta] has Z[0,0] = 1 and
-  commutes with S and T of the base;
+* the mass matrix Z[l,m] = sum_beta A+[l,beta] A-[m,beta] is a modular
+  invariant of the base (``invariants.check_invariance``);
 * the generating identity
   sum_{l,m} d_l d_m v+_l v-_m = w sum_beta d_beta [beta]
   (requires a non-degenerate base), which also forces every extended sector
@@ -31,9 +31,9 @@ import numpy as np
 from .algebras import BasedAlgebra, validate_based_algebra
 from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
                      StructureError)
-from .invariants import invariant_counts, twist_sparsity
+from .invariants import _unit_entry, check_invariance, invariant_counts
 from .modular import ModularData, TwistData, modular_matrices
-from .numerics import max_abs, readonly, scaled_tol
+from .numerics import max_abs, readonly
 from .rings import _INTS, FusionRing, _int_array, quantum_dimensions
 
 DIM_TOL = 1e-6
@@ -65,15 +65,13 @@ class InductionCertificate:
             if theta.shape != (ring.size,) or np.any(theta < 0):
                 raise StructureError("theta branching must be per-base-label non-negative")
             theta = tuple(theta.tolist())
-        if nm_count is not None and type(nm_count) not in _INTS:
-            raise StructureError(f"intermediate-sector count must be an integer, got {nm_count!r}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "twists", twists)
-        object.__setattr__(self, "mm", mm)
-        object.__setattr__(self, "aplus", readonly(aplus))
-        object.__setattr__(self, "aminus", readonly(aminus))
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "nm_count", None if nm_count is None else int(nm_count))
+        if nm_count is not None and (type(nm_count) not in _INTS or nm_count < 0):
+            raise StructureError(
+                f"intermediate-sector count must be a non-negative integer, got {nm_count!r}")
+        values = (ring, twists, mm, readonly(aplus), readonly(aminus), theta,
+                  None if nm_count is None else int(nm_count))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("InductionCertificate is immutable")
@@ -161,11 +159,10 @@ def verify_homomorphism(cert: InductionCertificate, sign: str) -> HomomorphismRe
 def compute_Z_from_branching(cert: InductionCertificate) -> np.ndarray:
     """Z[l,m] = sum_beta A+[l,beta] A-[m,beta]; the unit entry must be 1."""
     Z = cert.aplus @ cert.aminus.T
-    unit = cert.ring.unit
-    if Z[unit, unit] != 1:
-        raise CertificateError(
-            f"Z[0,0] = {int(Z[unit, unit])} != 1: the two inductions share more "
-            "than the vacuum at the unit label")
+    unit_ok, unit_cell = _unit_entry(Z, cert.ring.unit)
+    if not unit_ok:
+        raise CertificateError(f"{unit_cell} != 1: the two inductions share more "
+                               "than the vacuum at the unit label")
     return Z
 
 
@@ -225,8 +222,7 @@ def full_report(cert: InductionCertificate, *,
         checks.append(CheckResult(name, rep.passed, str(rep)))
 
     Z = cert.aplus @ cert.aminus.T
-    z00 = int(Z[e_nn, e_nn])
-    checks.append(CheckResult("z_matrix", z00 == 1, f"Z[0,0] = {z00}"))
+    checks.append(CheckResult("z_matrix", *_unit_entry(Z, e_nn)))
 
     try:
         md = modular_matrices(ring, cert.twists, dims=dims_nn, tol=tol)
@@ -234,13 +230,10 @@ def full_report(cert: InductionCertificate, *,
         nd = False
         checks.append(CheckResult("modular_invariance", False, f"no modular data: {exc}"))
     else:
-        mask = twist_sparsity(cert.twists)
-        t_ok = not np.any(Z[~mask])
-        s_res = max_abs(md.S @ Z - Z @ md.S)
-        inv_ok = t_ok and s_res <= scaled_tol(md.tol, ring.size)
+        residual_s, _, failed = check_invariance(md, Z)
         checks.append(CheckResult(
-            "modular_invariance", inv_ok,
-            f"T-pattern {'exact' if t_ok else 'violated'}, |SZ-ZS| = {s_res:.2e}"))
+            "modular_invariance", not failed,
+            ", ".join(failed) or f"T-pattern exact, |SZ-ZS| = {residual_s:.2e}"))
         nd = md.degeneracy.nondegenerate
 
     checks.append(CheckResult("nondegeneracy", nd,
@@ -265,19 +258,18 @@ def full_report(cert: InductionCertificate, *,
     checks.append(CheckResult("counts", counts_ok, detail))
 
     if cert.theta is not None:
-        theta = np.array(cert.theta, dtype=np.int64)
-        bound = np.einsum("n,nlm->lm", theta, ring.tensor())
-        ok = True
-        detail = "sector-count bound <A_l, A_m> <= <theta l, m> holds"
+        bound = np.einsum("n,nlm->lm", np.array(cert.theta, dtype=np.int64), ring.tensor())
         for name, A in (("+", cert.aplus), ("-", cert.aminus)):
             gram = A @ A.T
             if np.any(gram > bound):
-                l, m = (int(x) for x in np.argwhere(gram > bound)[0])
-                ok = False
-                detail = (f"<A{name}_{l}, A{name}_{m}> = {int(gram[l, m])} exceeds "
-                          f"<theta {l}, {m}> = {int(bound[l, m])}")
+                l, m = np.argwhere(gram > bound)[0]
+                checks.append(CheckResult(
+                    "theta_bound", False, f"<A{name}_{l}, A{name}_{m}> = {gram[l, m]} "
+                    f"exceeds <theta {l}, {m}> = {bound[l, m]}"))
                 break
-        checks.append(CheckResult("theta_bound", ok, detail))
+        else:
+            checks.append(CheckResult("theta_bound", True,
+                                      "sector-count bound <A_l, A_m> <= <theta l, m> holds"))
 
     return CertificateReport(tuple(checks))
 

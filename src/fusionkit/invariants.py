@@ -1,8 +1,9 @@
 """Enumeration and classification of modular invariant mass matrices.
 
-A mass matrix is a non-negative integer matrix Z with Z[0,0] = 1 commuting
-with S and T.  T-commutation is an exact sparsity statement: Z can only be
-supported where twist exponents coincide.  S-commutation is a linear
+A mass matrix is a non-negative integer matrix Z with Z[u,u] = 1 at the
+unit label u that commutes with S and T; `check_invariance` decides this rule
+for every caller.  T-commutation is an exact sparsity statement: Z can only
+be supported where twist exponents coincide.  S-commutation is a linear
 condition, so the search runs in two stages:
 
 1. an orthonormal real basis of { X supported on the twist mask : SX = XS }
@@ -19,7 +20,7 @@ condition, so the search runs in two stages:
    Both stages work in mask cells, so every matrix found is on the twist mask.
 
 A raw depth-first search over the mask cells is kept as the small-instance
-oracle (`brute_force_invariants`).
+oracle (`brute_force_invariants`), independent of `check_invariance`.
 """
 from __future__ import annotations
 
@@ -71,6 +72,29 @@ def twist_sparsity(twists: TwistData) -> np.ndarray:
     integer numerators over their common denominator."""
     e = twists.numerators()[0]
     return readonly(e[:, None] == e[None, :])
+
+
+def _unit_entry(Z: np.ndarray, unit: int) -> tuple[bool, str]:
+    """The unit rule Z[u,u] = 1: (whether it holds, "Z[u,u] = value")."""
+    return int(Z[unit, unit]) == 1, f"Z[{unit},{unit}] = {int(Z[unit, unit])}"
+
+
+def check_invariance(md: ModularData, Z: np.ndarray) -> tuple[float, float, tuple[str, ...]]:
+    """(|SZ-ZS|, |TZ-ZT|, failed rules) of Z against ``md``.  Z is a modular
+    invariant iff no rule fails: Z[u,u] = 1 at the unit u, |SZ-ZS| within the
+    tolerance scaled by the label count, and no nonzero cell off the exact
+    twist mask (T-commutation; |TZ-ZT| decides nothing).  Cells are named by index."""
+    unit_ok, unit_cell = _unit_entry(Z, md.ring.unit)
+    failed = [] if unit_ok else [f"{unit_cell}, expected 1"]
+    residual_s, limit = max_abs(md.S @ Z - Z @ md.S), scaled_tol(md.tol, md.size)
+    if residual_s > limit:
+        failed.append(f"|SZ-ZS| = {residual_s:.3e} > {limit:.1e}")
+    off = np.argwhere((Z != 0) & ~twist_sparsity(md.twists))
+    if len(off):
+        l, m = off[0]
+        more = f" and {len(off) - 1} more" if len(off) > 1 else ""
+        failed.append(f"Z[{l},{m}] = {Z[l, m]}{more} off the twist mask")
+    return residual_s, max_abs(md.T @ Z - Z @ md.T), tuple(failed)
 
 
 def commutant_basis(S: np.ndarray, mask: np.ndarray,
@@ -129,14 +153,16 @@ def classify_invariant(Z: np.ndarray, md: ModularData | None = None) -> MassMatr
     symmetric, and Z[l,l] = 0 forces column l of B, and so row l of Z, to
     vanish; a Z that breaks either rule (every other permutation among them)
     is not type I.  Any other Z is decided by a bounded search for a Gram
-    factorization Z = B^t B over non-negative integer rows (NODE_BUDGET nodes)."""
+    factorization Z = B^t B over non-negative integer rows (NODE_BUDGET nodes).
+    The residuals are those of :func:`check_invariance`, or NaN without ``md``."""
     Z = np.asarray(Z, dtype=np.int64)
+    residuals = (float("nan"),) * 2 if md is None else check_invariance(md, Z)[:2]
+    return _classified(Z, *residuals)
+
+
+def _classified(Z: np.ndarray, residual_s: float, residual_t: float) -> MassMatrix:
+    """The flags of :func:`classify_invariant` for residuals already known."""
     n = Z.shape[0]
-    if md is not None:
-        residual_s = max_abs(md.S @ Z - Z @ md.S)
-        residual_t = max_abs(md.T @ Z - Z @ md.T)
-    else:
-        residual_s = residual_t = float("nan")
     is_identity = bool(np.array_equal(Z, np.eye(n, dtype=np.int64)))
     is_permutation = bool(
         np.all((Z == 0) | (Z == 1))
@@ -332,18 +358,18 @@ def search_invariants(md: ModularData) -> list[MassMatrix]:
                 and abs(R @ dd - md.w) <= 1e-6 * md.w):
             found.add(tuple(R.astype(np.int64).tolist()))
 
-    eps = scaled_tol(md.tol, n)
-    accepted: list[np.ndarray] = []
-    for cells in found:
+    identity = tuple(np.eye(n, dtype=np.int64)[mask].tolist())
+    accepted: list[MassMatrix] = []
+    # every Z is zero off the mask, so its cells order the Zs as their entries do
+    for cells in sorted(found, key=lambda cells: (cells != identity, cells)):
         Z = np.zeros((n, n), dtype=np.int64)
         Z[mask] = cells
-        if max_abs(md.S @ Z - Z @ md.S) <= eps:  # numeric S re-check
-            accepted.append(Z)
-    accepted.sort(key=lambda Z: (not bool(np.array_equal(Z, np.eye(n, dtype=np.int64))),
-                                 tuple(Z.ravel())))
-    if not accepted or not np.array_equal(accepted[0], np.eye(n, dtype=np.int64)):
+        residual_s, residual_t, failed = check_invariance(md, Z)  # the numeric S re-check
+        if not failed:
+            accepted.append(_classified(Z, residual_s, residual_t))
+    if not accepted or not accepted[0].is_identity:
         raise NumericError("identity invariant missing from search output")
-    return [classify_invariant(Z, md) for Z in accepted]
+    return accepted
 
 
 def brute_force_invariants(md: ModularData) -> list[np.ndarray]:

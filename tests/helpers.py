@@ -1,12 +1,13 @@
 """Shared test oracles: brute-force axiom checking, classical group tables
 with their character degrees, closed-form expected invariants for the
-SU(2) series (identity, D-type blocks/permutations, exceptional blocks), and
-the Deligne product of two models.
+SU(2) series (identity, D-type blocks/permutations, exceptional blocks), the
+relabelling of a model and the Deligne product of two models.
 
 The oracles are deliberately independent of the package internals: the
 checkers iterate definitions directly and the expected matrices come from
 the classical classification data, not from the search code under test.
-``product_model`` only builds package objects from two models' tables.
+``permute_model`` and ``product_model`` only build package objects from
+the models' tables.
 """
 from __future__ import annotations
 
@@ -236,3 +237,16 @@ def product_model(A, B):
     dual = [x * nb + y for x in ring_a.dual for y in ring_b.dual]
     ring = FusionRing(labels, ring_a.unit * nb + ring_b.unit, dual, rows)
     return ring, TwistData(x + y for x in twists_a.h for y in twists_b.h)
+
+
+def permute_model(model, perm):
+    """A (ring, twists) model relabelled by the permutation old -> new, so
+    the unit may move off index 0."""
+    ring, twists = model
+    perm = np.asarray(perm, dtype=np.int64)
+    old = np.argsort(perm)  # new -> old
+    a, b, c, m = ring.columns()
+    rows = np.stack([perm[a], perm[b], perm[c], m], axis=1)
+    ring = FusionRing([ring.labels[o] for o in old], int(perm[ring.unit]),
+                      [int(perm[ring.dual[o]]) for o in old], rows)
+    return ring, TwistData(twists.h[o] for o in old)

@@ -1,14 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from fusionkit import (BasedAlgebra, CertificateError, InductionCertificate,
-                       NondegeneracyRequired, StructureError,
+                       NondegeneracyRequired, StructureError, TwistData,
                        compute_Z_from_branching, conjugation_certificate,
                        full_report, quantum_dimensions, trivial_certificate,
                        verify_generating, verify_homomorphism)
 from fusionkit.catalog import cyclic_model, su2_level
 
-from helpers import table_dict
+from helpers import permute_model, table_dict
 
 
 def corrupted(cert, **changes):
@@ -50,6 +52,10 @@ class TestConstruction:
         with pytest.raises(StructureError):
             corrupted(cert, aplus=A)
 
+    def test_negative_nm_count(self):
+        with pytest.raises(StructureError, match="non-negative"):
+            trivial_certificate(*su2_level(4), nm_count=-3)
+
 
 class TestHomomorphism:
     def test_trivial_passes_both_signs(self):
@@ -89,6 +95,16 @@ class TestMassMatrixFromBranching:
         A[0, 1] = 1  # unit row now hits two extended sectors
         bad = corrupted(cert, aplus=A, aminus=A)
         with pytest.raises(CertificateError):
+            compute_Z_from_branching(bad)
+
+    def test_unit_cell_named_by_index(self):
+        # the semion relabelled so its unit is label 1
+        cert = trivial_certificate(*permute_model(cyclic_model(2, 1), [1, 0]))
+        assert full_report(cert)["z_matrix"].detail == "Z[1,1] = 1"
+        A = np.array([[1, 0], [1, 1]])  # the unit row hits both sectors
+        bad = corrupted(cert, aplus=A, aminus=A)
+        assert full_report(bad)["z_matrix"].detail == "Z[1,1] = 2"
+        with pytest.raises(CertificateError, match=r"^Z\[1,1\] = 2 != 1"):
             compute_Z_from_branching(bad)
 
 
@@ -136,6 +152,18 @@ class TestFullReport:
         check = report["modular_invariance"]
         assert not check.passed
         assert check.detail.startswith("no modular data")
+
+    def test_modular_invariance_decides_t_by_the_exact_mask(self):
+        # twists 0 and 1e-10 differ, so Z = all-ones is off the twist mask
+        # although |TZ-ZT| = 6.3e-10 is under the 2e-09 limit; the classify
+        # command fails this Z with the same message
+        ring, _ = cyclic_model(2, 0)
+        mm = BasedAlgebra(["0"], 0, [0], {(0, 0, 0): 1}, dims=[1.0])
+        cert = InductionCertificate(ring, TwistData([Fraction(0), Fraction(1, 10**10)]),
+                                    mm, [[1], [1]], [[1], [1]])
+        check = full_report(cert)["modular_invariance"]
+        assert not check.passed
+        assert check.detail == "Z[0,1] = 1 and 1 more off the twist mask"
 
     def test_programming_error_is_not_a_failed_check(self, monkeypatch):
         import fusionkit.induction

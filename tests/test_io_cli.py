@@ -11,7 +11,7 @@ from fusionkit.cli import main
 from fusionkit.induction import trivial_certificate
 from fusionkit import serialize
 
-from helpers import cyclic_table
+from helpers import cyclic_table, permute_model
 
 
 class TestRingRoundtrip:
@@ -298,7 +298,32 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out.endswith("residuals: |SZ-ZS|=7.071e-01 |TZ-ZT|=1.414e+00\n")
         assert err == ("check failed: |SZ-ZS| = 7.071e-01 > 2.0e-09, "
-                       "|TZ-ZT| = 1.414e+00 > 2.0e-09\n")
+                       "Z[0,1] = 1 off the twist mask\n")
+
+    def test_classify_decides_t_by_the_exact_mask(self, tmp_path, capsys):
+        # twists 0 and 1e-10 differ, so all-ones is off the mask although
+        # |TZ-ZT| = 6.3e-10 is under the 2e-09 limit; full_report agrees
+        obj = serialize.ring_to_dict(*cyclic_model(2, 0))
+        obj["twists"] = ["0", "1/10000000000"]
+        ring_file = tmp_path / "z2.json"
+        ring_file.write_text(serialize.dumps(obj))
+        zfile = tmp_path / "z.json"
+        zfile.write_text(json.dumps({"size": 2, "entries": [[0, 0, 1], [0, 1, 1],
+                                                            [1, 0, 1], [1, 1, 1]]}))
+        capsys.readouterr()
+        assert main(["classify", str(zfile), str(ring_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("residuals: |SZ-ZS|=6.283e-10 |TZ-ZT|=6.283e-10\n")
+        assert err == "check failed: Z[0,1] = 1 and 1 more off the twist mask\n"
+
+    def test_classify_names_the_unit_cell_by_index(self, tmp_path, capsys):
+        ring_file = tmp_path / "semion_unit1.json"
+        serialize.write_ring(ring_file, *permute_model(cyclic_model(2, 1), [1, 0]))
+        zfile = tmp_path / "z.json"
+        zfile.write_text(json.dumps({"size": 2, "entries": [[0, 0, 2], [1, 1, 2]]}))
+        capsys.readouterr()
+        assert main(["classify", str(zfile), str(ring_file)]) == 1
+        assert capsys.readouterr().err == "check failed: Z[1,1] = 2, expected 1\n"
 
     def test_decompose_flow(self, tmp_path, capsys):
         from helpers import symmetric_table
@@ -435,6 +460,7 @@ MALFORMED = [
     ("certificate", "theta", ["a", "b", "c"]),
     ("certificate", "nm_count", "x"),
     ("certificate", "nm_count", 1.5),
+    ("certificate", "nm_count", -1),
 ]
 
 
