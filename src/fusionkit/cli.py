@@ -36,7 +36,7 @@ from .catalog import ModelSpec, build_model
 from .errors import (FusionKitError, NondegeneracyRequired, SchemaError,
                      StructureError, TwistError, VanishingZError)
 from .induction import full_report
-from .invariants import check_invariance, classify_invariant, search_invariants
+from .invariants import _classified, check_invariance, search_invariants
 from .modular import (check_partial_verlinde, modular_matrices, sl2z_relations,
                       validate_twists)
 from .numerics import default_tolerance
@@ -176,7 +176,8 @@ def cmd_classify(args) -> int:
         raise SchemaError(f"{args.ringfile}: twist data is required")
     Z = serialize.z_matrix_from_dict(raw, ring.size, where=str(args.zfile))
     md = modular_matrices(ring, twists, tol=args.tol)
-    mm = classify_invariant(Z, md)
+    residual_s, residual_t, failed = check_invariance(md, Z)
+    mm = _classified(Z, residual_s, residual_t)
     if args.format == "json":
         _emit(serialize.dumps(serialize.invariant_to_dict(mm, labels=list(ring.labels))))
     elif args.format == "csv":
@@ -191,7 +192,7 @@ def cmd_classify(args) -> int:
             f"counts: trZ={tr_z} trZZt={tr_zzt}",
             f"residuals: |SZ-ZS|={mm.residual_s:.3e} |TZ-ZT|={mm.residual_t:.3e}",
         ]))
-    if failed := check_invariance(md, Z)[2]:
+    if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0

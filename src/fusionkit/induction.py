@@ -21,6 +21,12 @@ this package does not model.  The verifiable consequences are:
 * tr Z counts the intermediate sectors and tr Z Z^t the extended ones;
 * when a branching vector of the induced unit object theta is supplied,
   sum_beta A[l,beta] A[m,beta] <= sum_nu theta_nu N[nu l]^m.
+
+The homomorphism and generating sums are float contractions (BLAS), exact
+because the inputs are non-negative integers: an integer bound on every
+partial sum goes through ``numerics.exact_float``, the rule the
+associativity check of the extended algebra uses, which picks float32 below
+2^24 and float64 below 2^53 and raises ``NumericError`` above.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
                      StructureError)
 from .invariants import _unit_entry, check_invariance, invariant_counts
 from .modular import ModularData, TwistData, modular_matrices
-from .numerics import max_abs, readonly
+from .numerics import exact_float, max_abs, readonly
 from .rings import _INTS, FusionRing, _int_array, quantum_dimensions
 
 DIM_TOL = 1e-6
@@ -145,15 +151,36 @@ class CertificateReport:
 
 
 def verify_homomorphism(cert: InductionCertificate, sign: str) -> HomomorphismReport:
-    """Exact integer check of v_l v_m = sum_nu N[l,m]^nu v_nu for one chirality."""
+    """Exact check of v_l v_m = sum_nu N[l,m]^nu v_nu for one chirality.
+
+    The two sides are float contractions, exact under ``exact_float`` for
+    the bounds rowsum(A)^2 max(N_mm) and max_{l,m} sum_nu N[l,m]^nu max(A).
+    """
     A = cert.branching(sign)
-    got = np.einsum("lb,mc,bcd->lmd", A, A, cert.mm.tensor(), optimize=True)
-    want = np.einsum("lmn,nd->lmd", cert.ring.tensor(), A)
+    N, N_mm = cert.ring.tensor(), cert.mm.tensor()
+    bound = max(_row_bound(A) ** 2 * int(N_mm.max()), _row_bound(N) * int(A.max()))
+    dtype = exact_float(bound, f"homomorphism[{sign}] sums up to {bound}")
+    got = _branched_product(A, A, N_mm, dtype)
+    want = np.tensordot(N.astype(dtype), A.astype(dtype), axes=(2, 0))
     if np.array_equal(got, want):
         return HomomorphismReport(sign=sign, passed=True, violation=None)
     l, m, b = (int(x) for x in np.argwhere(got != want)[0])
     return HomomorphismReport(sign=sign, passed=False,
                               violation=(l, m, b, int(got[l, m, b]), int(want[l, m, b])))
+
+
+def _row_bound(X: np.ndarray) -> int:
+    """The largest sum over the last axis of a non-negative integer array,
+    and at least 1.  The float64 sums are exact below 2^53 and at least 2^53
+    above, which is all ``exact_float`` tells apart."""
+    return max(1, int(X.sum(axis=-1, dtype=float).max()))
+
+
+def _branched_product(A: np.ndarray, B: np.ndarray, N_mm: np.ndarray, dtype) -> np.ndarray:
+    """[l, m, d] = sum_{b,c} A[l,b] B[m,c] N_mm[b,c,d] in ``dtype``, as two
+    contractions whose partial sums are at most rowsum(A) rowsum(B) max(N_mm)."""
+    left = np.tensordot(A.astype(dtype), N_mm.astype(dtype), axes=(1, 0))  # [l, c, d]
+    return B.astype(dtype) @ left
 
 
 def compute_Z_from_branching(cert: InductionCertificate) -> np.ndarray:
@@ -178,7 +205,10 @@ def verify_generating(cert: InductionCertificate, *,
         raise NondegeneracyRequired("generating identity requires a non-degenerate base")
     d = md.d
     dm = np.array(cert.mm.dims)
-    mixed = np.einsum("lb,mc,bcd->lmd", cert.aplus, cert.aminus, cert.mm.tensor(), optimize=True)
+    N_mm = cert.mm.tensor()
+    bound = _row_bound(cert.aplus) * _row_bound(cert.aminus) * int(N_mm.max())
+    dtype = exact_float(bound, f"generating sums up to {bound}")
+    mixed = _branched_product(cert.aplus, cert.aminus, N_mm, dtype)
     lhs = np.einsum("l,m,lmd->d", d, d, mixed, optimize=True)
     residual = float(np.max(np.abs(lhs - md.w * dm))) / md.w
     uncovered = tuple(int(b) for b in range(cert.mm.size)

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import NumericError
+
 DEFAULT_TOL = 1e-9
 TOL_ENV = "FUSIONKIT_TOL"
 
@@ -72,6 +74,21 @@ def max_abs(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a)))
+
+
+def exact_float(bound: int, what: str) -> type:
+    """The float type in which integer sums up to ``bound`` are exact.
+
+    ``bound`` is an integer upper bound on every partial sum of a product of
+    non-negative integer arrays: float32 is exact below 2^24 and float64
+    below 2^53; a larger bound raises ``NumericError`` naming ``what``
+    rather than compare rounded sums.
+    """
+    if bound < 2 ** 24:
+        return np.float32
+    if bound < 2 ** 53:
+        return np.float64
+    raise NumericError(f"{what} are not exact in float64")
 
 
 def readonly(a: np.ndarray) -> np.ndarray:

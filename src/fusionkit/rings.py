@@ -13,9 +13,13 @@ The structure constants are stored as four read-only int64 arrays
 N[a,b]^c once.  Every integer array that enters fusionkit (structure tables,
 invariant files, branching matrices) is read by ``_int_array``, and every
 sparse table by ``_table_columns``.
-Associativity is checked with float products, exact because every partial
-sum is a non-negative integer of at most n max(N)^2: float32 below 2^24,
-float64 below 2^53, and a ``NumericError`` above.
+Every partial sum of the associativity check is a non-negative integer of
+at most n max(N)^2, and ``numerics.exact_float`` turns that bound into
+float32 below 2^24, float64 below 2^53 and a ``NumericError`` above, before
+any product is formed.  A single-constituent table (every product a b has at
+most one constituent, as in groups and Z_n rings) is then decided exactly by
+composing its n x n constituent and multiplicity maps; any other table by
+float products.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from typing import Iterable, Mapping, NoReturn
 import numpy as np
 
 from .errors import NumericError, StructureError
-from .numerics import readonly
+from .numerics import exact_float, readonly
 
 
 @dataclass(frozen=True)
@@ -340,32 +344,64 @@ def _antiautomorphism_violations(T: np.ndarray, dual) -> list[Violation]:
 
 
 def _associativity_violations(T: np.ndarray) -> list[Violation]:
-    """((a b) c)_d = (a (b c))_d for every (a, b, c, d).
+    """((a b) c)_d = (a (b c))_d for every (a, b, c, d), listed by a, then
+    (b, c, d) ascending.
 
-    One product pair per left label a: T[a] @ T.reshape(n, n*n) gives
-    ((a b) c)_d and T.reshape(n*n, n) @ T[a] gives (a (b c))_d.  Every
-    partial sum is a non-negative integer of at most n max(N)^2, so the
-    products are exact in float32 below 2^24 and in float64 below 2^53;
-    larger tables raise instead of comparing rounded sums.
+    Every partial sum is a non-negative integer of at most n max(N)^2, a
+    bound that ``exact_float`` must accept before either side is formed.  A
+    single-constituent table (every product a b has at most one constituent:
+    groups, Z_n rings, matrix units) composes index maps; any other table
+    takes float products.
     """
     n = len(T)
     top = int(T.max())
-    bound = n * top * top
-    if bound >= 2 ** 53:
-        raise NumericError(f"associativity sums up to {n} * {top}^2 are not exact in float64")
-    F = T.astype(np.float32 if bound < 2 ** 24 else np.float64)
-    rows, cols = F.reshape(n * n, n), F.reshape(n, n * n)
+    dtype = exact_float(n * top * top, f"associativity sums up to {n} * {top}^2")
+    M = T.max(axis=2)
+    if np.array_equal(T.sum(axis=2), M):
+        sides = _composed_sides(T.argmax(axis=2), M, dtype)
+    else:
+        sides = _product_sides(T.astype(dtype))
     out = []
-    for a in range(n):
-        lhs = (F[a] @ cols).reshape(n, n, n)
-        rhs = (rows @ F[a]).reshape(n, n, n)
-        if np.array_equal(lhs, rhs):
-            continue
+    for a, lhs, rhs in sides:
         for b, c, d in np.argwhere(lhs != rhs):
             out.append(Violation("associativity", (a, int(b), int(c), int(d)),
                                  f"(({a} {b}) {c})_{d} = {int(lhs[b, c, d])}, "
                                  f"({a} ({b} {c}))_{d} = {int(rhs[b, c, d])}"))
     return out
+
+
+def _product_sides(F: np.ndarray):
+    """(a, ((a b) c)_d, (a (b c))_d) for each left label a where the two
+    differ, from the float products T[a] @ T.reshape(n, n*n) and
+    T.reshape(n*n, n) @ T[a]."""
+    n = len(F)
+    rows, cols = F.reshape(n * n, n), F.reshape(n, n * n)
+    for a in range(n):
+        lhs, rhs = (F[a] @ cols).reshape(n, n, n), (rows @ F[a]).reshape(n, n, n)
+        if not np.array_equal(lhs, rhs):
+            yield a, lhs, rhs
+
+
+def _composed_sides(P: np.ndarray, M: np.ndarray, dtype):
+    """The sides of :func:`_product_sides` for a table whose product a b is
+    M[a,b] copies of P[a,b] (nothing when M[a,b] = 0).
+
+    ((a b) c) is M[a,b] M[P[a,b],c] copies of P[P[a,b],c] and (a (b c)) is
+    M[b,c] M[a,P[b,c]] copies of P[a,P[b,c]]: n^2 lookups per label instead
+    of n^3 multiply-adds.  Each product is at most max(N)^2, so it is exact
+    in int64 and in ``dtype``.
+    """
+    n = len(P)
+    b, c = np.indices((n, n))
+    for a in range(n):
+        lhs_d, lhs = P[P[a]], M[a][:, None] * M[P[a]]
+        rhs_d, rhs = P[a][P], M * M[a][P]
+        if not np.any((lhs != rhs) | ((lhs > 0) & (lhs_d != rhs_d))):
+            continue
+        sides = np.zeros((2, n, n, n), dtype)
+        sides[0, b, c, lhs_d] = lhs
+        sides[1, b, c, rhs_d] = rhs
+        yield a, sides[0], sides[1]
 
 
 def quantum_dimensions(ring: FusionRing) -> DimensionVector:

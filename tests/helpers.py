@@ -55,6 +55,20 @@ def brute_force_axioms(n, unit, dual, mult):
     return bad
 
 
+def brute_force_associativity(T):
+    """Every (a, b, c, d) with ((a b) c)_d != (a (b c))_d, as (where, detail)
+    pairs in the library's order and wording, summed over a dense n x n x n
+    table of Python-int multiplicities."""
+    n = len(T)
+    out = []
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        lhs = sum(int(T[a][b][x]) * int(T[x][c][d]) for x in range(n))
+        rhs = sum(int(T[b][c][y]) * int(T[a][y][d]) for y in range(n))
+        if lhs != rhs:
+            out.append(((a, b, c, d), f"(({a} {b}) {c})_{d} = {lhs}, ({a} ({b} {c}))_{d} = {rhs}"))
+    return out
+
+
 # ------------------------------------------------------------ group tables
 
 def cyclic_table(n):

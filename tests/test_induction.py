@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fusionkit import (BasedAlgebra, CertificateError, InductionCertificate,
-                       NondegeneracyRequired, StructureError, TwistData,
+                       NondegeneracyRequired, NumericError, StructureError, TwistData,
                        compute_Z_from_branching, conjugation_certificate,
                        full_report, quantum_dimensions, trivial_certificate,
                        verify_generating, verify_homomorphism)
@@ -19,6 +19,13 @@ def corrupted(cert, **changes):
         changes.get("mm", cert.mm), changes.get("aplus", cert.aplus),
         changes.get("aminus", cert.aminus), theta=changes.get("theta", cert.theta),
         nm_count=changes.get("nm_count", cert.nm_count))
+
+
+def semion_branched(p, q=0, **changes):
+    """The trivial semion certificate with A+ = [[1, 0], [p, q]]: v_1 v_1 is
+    (p^2 + q^2) [0] + 2 p q [1] where the homomorphism wants [0]."""
+    return corrupted(trivial_certificate(*cyclic_model(2, 1)),
+                     aplus=np.array([[1, 0], [p, q]]), **changes)
 
 
 def homomorphism_breaking_aplus(ring):
@@ -77,6 +84,23 @@ class TestHomomorphism:
         l, m, b, got, want = report.violation
         assert got != want
 
+    @pytest.mark.parametrize("p, q", [(4097, 0), (4000, 2001)])
+    def test_violation_values_are_exact_in_float64(self, p, q):
+        # the bound rowsum(A+)^2 max(N_mm) = (p + q)^2 lies between 2^24 and
+        # 2^53, and the odd count p^2 + q^2 would round in float32, though
+        # max(A+)^2 stays below 2^24 for (4000, 2001)
+        report = verify_homomorphism(semion_branched(p, q), "+")
+        assert report.violation == (1, 1, 0, p * p + q * q, 1)
+        assert verify_homomorphism(semion_branched(p, q), "-").passed
+
+    def test_sums_past_float64_raise(self):
+        # (2^63 - 1)^2 wraps to 1 in int64, which would pass v_1 v_1 = v_0
+        cert = semion_branched(2 ** 63 - 1)
+        with pytest.raises(NumericError, match="not exact in float64"):
+            verify_homomorphism(cert, "+")
+        with pytest.raises(NumericError, match="not exact in float64"):
+            full_report(cert)
+
 
 class TestMassMatrixFromBranching:
     def test_trivial_gives_identity(self):
@@ -125,6 +149,18 @@ class TestGenerating:
         cert = trivial_certificate(*cyclic_model(2, 0))
         with pytest.raises(NondegeneracyRequired):
             verify_generating(cert)
+
+    def test_mixed_products_are_exact_in_float64(self):
+        # with A+ = A- = [[1, 0], [m, 0]] the mixed products sum to
+        # (m + 1)^2 [0], against w d = 2 [0] + 2 [1]; m^2 would round in float32
+        m = 4097
+        A = np.array([[1, 0], [m, 0]])
+        report = verify_generating(semion_branched(m, aminus=A))
+        assert report.max_residual == pytest.approx(((m + 1) ** 2 - 2) / 2, rel=1e-12)
+        assert report.uncovered == (1,)
+        # rowsum(A+) rowsum(A-) max(N_mm) = 2^54
+        with pytest.raises(NumericError, match="not exact in float64"):
+            verify_generating(semion_branched(2 ** 27, aminus=np.array([[1, 0], [2 ** 27, 0]])))
 
 
 class TestFullReport:

@@ -325,6 +325,28 @@ class TestCLI:
         assert main(["classify", str(zfile), str(ring_file)]) == 1
         assert capsys.readouterr().err == "check failed: Z[1,1] = 2, expected 1\n"
 
+    def test_classify_checks_invariance_once(self, tmp_path, capsys, monkeypatch):
+        # the flags and the verdict come from one check_invariance call,
+        # wherever the command reaches it from
+        import fusionkit.cli
+        import fusionkit.invariants
+        calls = []
+        original = fusionkit.invariants.check_invariance
+
+        def counted(md, Z):
+            calls.append(Z)
+            return original(md, Z)
+
+        for module in (fusionkit.cli, fusionkit.invariants):
+            monkeypatch.setattr(module, "check_invariance", counted)
+        ring_file = tmp_path / "semion.json"
+        serialize.write_ring(ring_file, *cyclic_model(2, 1))
+        zfile = tmp_path / "z.json"
+        zfile.write_text(json.dumps({"size": 2, "entries": [[0, 0, 2], [1, 1, 2]]}))
+        assert main(["classify", str(zfile), str(ring_file)]) == 1
+        assert capsys.readouterr().err == "check failed: Z[0,0] = 2, expected 1\n"
+        assert len(calls) == 1
+
     def test_decompose_flow(self, tmp_path, capsys):
         from helpers import symmetric_table
         from fusionkit import BasedAlgebra
@@ -361,6 +383,17 @@ class TestCLI:
         path.write_text(serialize.dumps(serialize.certificate_to_dict(cert)))
         assert main(["verify-induction", str(path)]) == 1
         assert "FAIL nondegeneracy" in capsys.readouterr().out
+
+    def test_verify_induction_inexact_sums_exit_1(self, tmp_path, capsys):
+        obj = serialize.certificate_to_dict(trivial_certificate(*cyclic_model(2, 1)))
+        obj["aplus"] = [[1, 0], [2**63 - 1, 0]]
+        path = tmp_path / "cert.json"
+        path.write_text(serialize.dumps(obj))
+        assert main(["verify-induction", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: homomorphism[+] sums up to ")
+        assert err.endswith(" are not exact in float64\n") and err.count("\n") == 1
 
     def test_check_twist_invariant_violation_exits_1(self, tmp_path, capsys):
         # cyclic(3,1) parses fine but its twists are not conjugation-symmetric

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from fusionkit import (FusionRing, NumericError, StructureError, quantum_dimensi
                        validate_fusion_ring)
 from fusionkit.catalog import cyclic_model, su2_level
 
-from helpers import brute_force_axioms, table_dict, table_rows
+from helpers import brute_force_associativity, brute_force_axioms, table_dict, table_rows
 
 
 def z2_ring():
@@ -55,24 +54,27 @@ class TestValidation:
                        ("frobenius", (1, 1, 2)), ("frobenius", (1, 2, 1)),
                        ("frobenius", (2, 1, 1))}
 
-    @pytest.mark.parametrize("m", [2895, 2897])
+    @pytest.mark.parametrize("m", [2895, 2897, 4097, 2**26 - 1])
     def test_planted_violation_counts_are_exact(self, m):
         # n max(N)^2 = 2 m^2 sits just below 2^24 (float32 products) for
-        # m = 2895 and just above it (float64) for m = 2897, where the count
-        # ((0 0) 0)_0 = 2 m^2 - m is odd and above 2^24
-        table = {(0, 0, 0): m, (0, 0, 1): m, (1, 0, 0): m - 1, (1, 1, 1): 3}
-        ring = FusionRing(["0", "1"], 0, [0, 1], table)
-        N = ring.tensor().item
-        want = set()
-        for a, b, c, d in itertools.product(range(2), repeat=4):
-            lhs = sum(N(a, b, x) * N(x, c, d) for x in range(2))
-            rhs = sum(N(b, c, x) * N(a, x, d) for x in range(2))
-            if lhs != rhs:
-                want.add(((a, b, c, d), f"(({a} {b}) {c})_{d} = {lhs}, ({a} ({b} {c}))_{d} = {rhs}"))
-        got = {(v.where, v.detail) for v in validate_fusion_ring(ring).violations
-               if v.axiom == "associativity"}
-        assert ((0, 0, 0, 0), f"((0 0) 0)_0 = {2 * m * m - m}, (0 (0 0))_0 = {m * m}") in want
-        assert got == want
+        # m = 2895 and just above it (float64) for m = 2897, and just below
+        # 2^53 for m = 2^26 - 1.  With two constituents in 0 0 the float
+        # products decide, and the count ((0 0) 0)_0 = 2 m^2 - m is odd and
+        # above 2^24 from m = 2897 on; with one constituent per product the
+        # index maps decide, and the odd count m^2 is above 2^24 from m = 4097
+        planted = {
+            ((0, 0, 0, 0), f"((0 0) 0)_0 = {2 * m * m - m}, (0 (0 0))_0 = {m * m}"):
+                {(0, 0, 0): m, (0, 0, 1): m, (1, 0, 0): m - 1, (1, 1, 1): 3},
+            ((0, 1, 0, 0), f"((0 1) 0)_0 = {m * m}, (0 (1 0))_0 = {3 * m}"):
+                {(0, 0, 0): m, (0, 1, 0): m, (1, 0, 0): 3, (1, 1, 1): 3},
+        }
+        for violation, table in planted.items():
+            ring = FusionRing(["0", "1"], 0, [0, 1], table)
+            want = brute_force_associativity(ring.tensor().tolist())
+            got = [(v.where, v.detail) for v in validate_fusion_ring(ring).violations
+                   if v.axiom == "associativity"]
+            assert violation in want
+            assert got == want
 
     def test_collects_all_violations(self):
         # a corrupted entry trips frobenius as well; nothing is short-circuited
