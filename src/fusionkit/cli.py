@@ -25,6 +25,7 @@ exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -226,7 +227,10 @@ def cmd_verify_induction(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and ``main`` reads FUSIONKIT_TOL after parsing, on every call."""
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=None,
                      help="global tolerance (default 1e-9 or FUSIONKIT_TOL)")

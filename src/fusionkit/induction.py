@@ -22,6 +22,9 @@ this package does not model.  The verifiable consequences are:
 * when a branching vector of the induced unit object theta is supplied,
   sum_beta A[l,beta] A[m,beta] <= sum_nu theta_nu N[nu l]^m.
 
+Z, the theta bound and the Gram sums are integer products, computed in
+Python ints wherever int64 could wrap.
+
 The homomorphism and generating sums are float contractions (BLAS), exact
 because the inputs are non-negative integers: an integer bound on every
 partial sum goes through ``numerics.exact_float``, the rule the
@@ -183,9 +186,19 @@ def _branched_product(A: np.ndarray, B: np.ndarray, N_mm: np.ndarray, dtype) -> 
     return B.astype(dtype) @ left
 
 
+def _exact_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y for non-negative integer arrays, exactly: in int64 when every
+    sum is below 2^63 (they are at most rowsum(X) max(Y), summed here as
+    Python ints), else in Python ints (an object array)."""
+    if int(X.sum(axis=-1, dtype=object).max(initial=0)) * int(Y.max(initial=0)) < 2 ** 63:
+        return X @ Y
+    return X.astype(object) @ Y.astype(object)
+
+
 def compute_Z_from_branching(cert: InductionCertificate) -> np.ndarray:
-    """Z[l,m] = sum_beta A+[l,beta] A-[m,beta]; the unit entry must be 1."""
-    Z = cert.aplus @ cert.aminus.T
+    """Z[l,m] = sum_beta A+[l,beta] A-[m,beta], exactly (Python ints past
+    int64); the unit entry must be 1."""
+    Z = _exact_product(cert.aplus, cert.aminus.T)
     unit_ok, unit_cell = _unit_entry(Z, cert.ring.unit)
     if not unit_ok:
         raise CertificateError(f"{unit_cell} != 1: the two inductions share more "
@@ -251,7 +264,7 @@ def full_report(cert: InductionCertificate, *,
         rep = verify_homomorphism(cert, sign)
         checks.append(CheckResult(name, rep.passed, str(rep)))
 
-    Z = cert.aplus @ cert.aminus.T
+    Z = _exact_product(cert.aplus, cert.aminus.T)
     checks.append(CheckResult("z_matrix", *_unit_entry(Z, e_nn)))
 
     try:
@@ -288,9 +301,11 @@ def full_report(cert: InductionCertificate, *,
     checks.append(CheckResult("counts", counts_ok, detail))
 
     if cert.theta is not None:
-        bound = np.einsum("n,nlm->lm", np.array(cert.theta, dtype=np.int64), ring.tensor())
+        n = ring.size
+        theta = np.array([cert.theta], dtype=np.int64)
+        bound = _exact_product(theta, ring.tensor().reshape(n, n * n)).reshape(n, n)
         for name, A in (("+", cert.aplus), ("-", cert.aminus)):
-            gram = A @ A.T
+            gram = _exact_product(A, A.T)
             if np.any(gram > bound):
                 l, m = np.argwhere(gram > bound)[0]
                 checks.append(CheckResult(
@@ -298,8 +313,9 @@ def full_report(cert: InductionCertificate, *,
                     f"exceeds <theta {l}, {m}> = {bound[l, m]}"))
                 break
         else:
-            checks.append(CheckResult("theta_bound", True,
-                                      "sector-count bound <A_l, A_m> <= <theta l, m> holds"))
+            checks.append(CheckResult(
+                "theta_bound", True, "sector-count bound <A_l, A_m> <= <theta l, m> holds, "
+                f"largest <theta l, m> = {bound.max()}"))
 
     return CertificateReport(tuple(checks))
 

@@ -142,8 +142,8 @@ def commutant_basis(S: np.ndarray, mask: np.ndarray,
 def invariant_counts(Z: np.ndarray) -> tuple[int, int]:
     """(tr Z, tr Z Z^t): predicted numbers of N-M and M-M sectors, summed
     as Python ints: in int64 the square of an entry of 2^32 or more, or a
-    trace past 2^63, would wrap."""
-    Z = np.asarray(Z, dtype=np.int64)
+    trace past 2^63, would wrap.  Z may hold Python ints (an object array)."""
+    Z = np.asarray(Z)
     return sum(np.diagonal(Z).tolist()), sum(v * v for v in Z[Z != 0].tolist())
 
 

@@ -1,10 +1,13 @@
 """JSON file formats and CSV export.
 
 Twist exponents are serialized as exact rational strings ("0", "3/16"), never
-floats, so T-sparsity decisions survive a round trip.  All writers emit a
-canonical form (sorted keys where the data is a set, fixed field order,
-two-space indent, trailing newline) so serialize . parse is the identity on
-bytes as well as on values.
+floats, so T-sparsity decisions survive a round trip.  All writers go through
+``dumps``, which emits a canonical form (sorted keys where the data is a set,
+fixed field order, trailing newline) so serialize . parse is the identity on
+bytes as well as on values.  Its layout: an object has one member per line
+and a list that holds a container one item per line, both indented by two
+spaces; a list of scalars stays on one line, so a structure table has one
+[a, b, c, mult] entry per line and is encoded by the C JSON encoder.
 """
 from __future__ import annotations
 
@@ -199,8 +202,35 @@ def certificate_to_dict(cert: InductionCertificate) -> dict:
 
 # --------------------------------------------------------------------- I/O
 
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def dumps(obj: Any) -> str:
+    """The canonical text of a JSON value, with a trailing newline: an object
+    puts one member per line and a list that holds a container one item per
+    line, both indented by two spaces; a list of scalars stays on one line."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(x: Any, newline: str) -> str:
+    """``x`` laid out as ``dumps`` says, where ``newline`` is a line break
+    plus the indent of the line that ``x`` starts on.  A list of lists of
+    scalars (a table) is one C-encoder call whose rows are then split onto
+    lines at "], [": with no '{' and one '[' per row, no row holds an object,
+    a list or a string with a '[' in it, so each "], [" is a row boundary."""
+    inner = newline + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        for key in x:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        members = (f"{json.dumps(key)}: {_encode(value, inner)}" for key, value in x.items())
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    if not isinstance(x, (list, tuple)) or not any(isinstance(v, (dict, list, tuple)) for v in x):
+        return json.dumps(x)
+    if set(map(type, x)) <= {list, tuple}:
+        text = json.dumps(x)
+        if "{" not in text and text.count("[") == len(x) + 1:
+            return "[" + inner + text[1:-1].replace("], [", "]," + inner + "[") + newline + "]"
+    return "[" + inner + ("," + inner).join(_encode(v, inner) for v in x) + newline + "]"
 
 
 def load_json(path: str | Path) -> Any:

@@ -9,6 +9,7 @@ from fusionkit import (BasedAlgebra, CertificateError, InductionCertificate,
                        full_report, quantum_dimensions, trivial_certificate,
                        verify_generating, verify_homomorphism)
 from fusionkit.catalog import cyclic_model, su2_level
+from fusionkit.invariants import invariant_counts
 
 from helpers import permute_model, table_dict
 
@@ -111,6 +112,13 @@ class TestMassMatrixFromBranching:
         ring, twists = cyclic_model(3, 2)
         cert = conjugation_certificate(ring, twists)
         assert np.array_equal(compute_Z_from_branching(cert), ring.conjugation_matrix())
+
+    def test_entries_past_int64_are_exact(self):
+        A = np.diag([1, 2**62, 1])
+        cert = corrupted(trivial_certificate(*su2_level(2)), aplus=A, aminus=A)
+        Z = compute_Z_from_branching(cert)
+        assert Z[1, 1] == 2**124
+        assert invariant_counts(Z) == (2 + 2**124, 2 + 2**248)
 
     def test_z00_violation_raises(self):
         ring, twists = su2_level(2)
@@ -310,6 +318,13 @@ class TestThetaBound:
                          aplus=homomorphism_breaking_aplus(ring), theta=theta)
         report = full_report(cert)
         assert "theta_bound" in report.failures
+
+    def test_bound_past_int64_is_exact(self):
+        # <theta 1, 1> = theta_0 + theta_2 = 2^63 on SU(2)_2, past int64
+        cert = corrupted(trivial_certificate(*su2_level(2)), theta=[1, 2**63 - 1, 2**63 - 1])
+        check = full_report(cert)["theta_bound"]
+        assert check.passed
+        assert check.detail.endswith(f"largest <theta l, m> = {2**63}")
 
     def test_absent_by_default(self):
         report = full_report(trivial_certificate(*su2_level(2)))

@@ -1,17 +1,20 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit import (BasedAlgebra, SchemaError, modular_matrices,
                        search_invariants)
 from fusionkit.catalog import cyclic_model, su2_level
-from fusionkit.cli import main
-from fusionkit.induction import trivial_certificate
+from fusionkit.cli import _parser, main
+from fusionkit.induction import conjugation_certificate, trivial_certificate
 from fusionkit import serialize
 
-from helpers import cyclic_table, permute_model
+from helpers import GROUP_FIXTURES, cyclic_table, permute_model
 
 
 class TestRingRoundtrip:
@@ -67,6 +70,116 @@ class TestRingRoundtrip:
             serialize.write_ring(path, ring, twists)
             ring2, twists2 = serialize.parse_ring(path)
             assert ring2 == ring and twists2 == twists, name
+
+
+def reference_dumps(x, pad=""):
+    """The layout rule of ``serialize.dumps`` item by item (no trailing newline)."""
+    inner = pad + "  "
+    if isinstance(x, dict) and x:
+        members = (f"{inner}{json.dumps(k)}: {reference_dumps(v, inner)}" for k, v in x.items())
+        return "{\n" + ",\n".join(members) + f"\n{pad}}}"
+    if isinstance(x, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in x):
+        return "[\n" + ",\n".join(inner + reference_dumps(v, inner) for v in x) + f"\n{pad}]"
+    return json.dumps(x)
+
+
+def plain(x):
+    """``x`` as JSON reads it back: tuples become lists."""
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    return x
+
+
+NUMBERS = st.integers(-2**70, 2**70) | st.floats(allow_nan=False)
+SCALARS = (st.none() | st.booleans() | NUMBERS
+           | st.text() | st.sampled_from(['"], ["', '], [', '"', '\\"]', "é ∞ 𝔰𝔲"]))
+JSON_VALUES = st.recursive(
+    SCALARS | st.lists(st.lists(NUMBERS, max_size=4), max_size=5),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=25)
+
+ISING = """{
+  "labels": ["0", "sigma", "psi"],
+  "unit": 0,
+  "dual": [0, 1, 2],
+  "fusion": [
+    [0, 0, 0, 1],
+    [0, 1, 1, 1],
+    [0, 2, 2, 1],
+    [1, 0, 1, 1],
+    [1, 1, 0, 1],
+    [1, 1, 2, 1],
+    [1, 2, 1, 1],
+    [2, 0, 2, 1],
+    [2, 1, 1, 1],
+    [2, 2, 0, 1]
+  ],
+  "twists": ["0", "1/16", "1/2"]
+}
+"""
+
+
+class TestCanonicalLayout:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(JSON_VALUES)
+    def test_dumps_roundtrips_values_and_bytes(self, x):
+        text = serialize.dumps(x)
+        assert text == reference_dumps(x) + "\n"
+        assert json.loads(text) == plain(x)
+        assert serialize.dumps(json.loads(text)) == text
+
+    def test_non_string_key_refused(self):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            serialize.dumps({"a": {1: 2}})
+
+    def test_gen_ising_golden(self, capsys):
+        assert main(["gen", "named", "--name", "ising"]) == 0
+        assert capsys.readouterr().out == ISING
+
+    def test_files_rewrite_to_the_same_bytes(self, catalog):
+        texts = [serialize.dumps(serialize.ring_to_dict(*model)) for model in catalog.values()]
+        for model in (su2_level(6), cyclic_model(5, 2)):
+            texts += [serialize.dumps(serialize.certificate_to_dict(factory(*model)))
+                      for factory in (trivial_certificate, conjugation_certificate)]
+        texts += [serialize.dumps(serialize.algebra_to_dict(BasedAlgebra.from_group_table(t)))
+                  for t, _ in GROUP_FIXTURES.values()]
+        for text in texts:
+            obj = json.loads(text)
+            if "nn" in obj:
+                back = serialize.certificate_to_dict(serialize.certificate_from_dict(obj))
+            elif "fusion" in obj:
+                back = serialize.ring_to_dict(*serialize.ring_from_dict(obj))
+            else:
+                back = serialize.algebra_to_dict(serialize.algebra_from_dict(obj))
+            assert serialize.dumps(back) == text
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "su2", "--level", "3"],
+        ["gen", "cyclic", "--order", "4", "--q", "1"],
+        ["gen", "named", "--name", "fibonacci"],
+        ["modular", "{ring}", "--format", "json", "--print", "Y,S,T,c"],
+        ["invariants", "{ring}", "--format", "json"],
+        ["classify", "{z}", "{ring}", "--format", "json"],
+        ["decompose", "{alg}", "--format", "json"],
+        ["verify-induction", "{cert}", "--format", "json"],
+    ])
+    def test_cli_json_output_is_canonical(self, argv, tmp_path, capsys):
+        files = {name: str(tmp_path / f"{name}.json") for name in ("ring", "z", "alg", "cert")}
+        serialize.write_ring(files["ring"], *su2_level(4))
+        md = modular_matrices(*su2_level(4))
+        z_obj = serialize.invariant_to_dict(search_invariants(md)[1], list(md.ring.labels))
+        for name, obj in (("z", z_obj),
+                          ("alg", serialize.algebra_to_dict(
+                              BasedAlgebra.from_group_table(GROUP_FIXTURES["s3"][0]))),
+                          ("cert", serialize.certificate_to_dict(
+                              trivial_certificate(*su2_level(4), nm_count=5)))):
+            Path(files[name]).write_text(serialize.dumps(obj))
+        assert main([arg.format(**files) for arg in argv]) == 0
+        out = capsys.readouterr().out
+        assert out == serialize.dumps(json.loads(out))
 
 
 class TestInvariantFiles:
@@ -432,6 +545,40 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == ""
         assert "unrecognized arguments" in err or "invalid choice" in err
+
+    def test_parser_built_once_gives_fresh_results(self, tmp_path, capsys, monkeypatch):
+        ring, cert = str(tmp_path / "ring.json"), str(tmp_path / "cert.json")
+        Path(cert).write_text(serialize.dumps(serialize.certificate_to_dict(
+            trivial_certificate(*su2_level(10)))))
+        calls = [  # (FUSIONKIT_TOL, argv); 1e-25 fails non-degeneracy on SU(2)_10
+            (None, ["gen", "su2", "--level", "4", "-o", ring]),
+            (None, ["check", ring]),
+            (None, ["verify-induction", cert, "--format", "json"]),
+            ("1e-25", ["verify-induction", cert, "--format", "json"]),
+            ("1e-25", ["verify-induction", cert, "--tol", "1e-6"]),
+            ("bogus", ["modular", ring, "--print", "S"]),
+            (None, ["modular", ring, "--print", "S", "--format", "json"]),
+            ("1e-6", ["invariants", ring, "--format", "csv"]),
+            (None, ["gen", "su2"]),
+            (None, ["decompose", ring, "--tol", "1e-6"]),
+        ]
+
+        def run(env, argv, fresh):
+            if fresh:
+                _parser.cache_clear()
+            if env is None:
+                monkeypatch.delenv("FUSIONKIT_TOL", raising=False)
+            else:
+                monkeypatch.setenv("FUSIONKIT_TOL", env)
+            code = main(argv)
+            return code, *capsys.readouterr()
+
+        fresh = [run(env, argv, fresh=True) for env, argv in calls]
+        parser = _parser()
+        reused = [run(env, argv, fresh=False) for env, argv in calls]
+        assert _parser() is parser
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 1, 0, 2, 0, 0, 2, 2]
 
     def test_tol_env_override(self, monkeypatch):
         from fusionkit.numerics import default_tolerance
