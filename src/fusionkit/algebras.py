@@ -15,10 +15,14 @@ commutative exactly when all blocks are 1x1, i.e. when Z is 0/1-valued.
 Storage and checks are those of ``rings.FusionRing``: the structure
 constants live only in four read-only int64 arrays (a, b, c, mult) sorted by
 (a, b, c), read through ``columns()`` and ``tensor()``.  Associativity is
-``rings._associativity_violations``: index maps for a single-constituent
-table such as a group algebra, otherwise float products that are exact in
-float32 while n max(N)^2 < 2^24 and in float64 while it is below 2^53
-(``numerics.exact_float``; larger tables raise ``NumericError``).
+``rings._associativity_violations``.  It checks the left labels of a
+generating set first, which needs no unit (the matrix units e11, e12, e21
+generate M2), and every label only when one of them fails: the left labels
+that associate with everything form a subalgebra.  It composes index maps
+for a single-constituent table such as a group algebra, otherwise takes
+float products that are exact in float32 while n max(N)^2 < 2^24 and in
+float64 while it is below 2^53 (``numerics.exact_float``; larger tables
+raise ``NumericError``).
 """
 from __future__ import annotations
 

@@ -29,7 +29,10 @@ The homomorphism and generating sums are float contractions (BLAS), exact
 because the inputs are non-negative integers: an integer bound on every
 partial sum goes through ``numerics.exact_float``, the rule the
 associativity check of the extended algebra uses, which picks float32 below
-2^24 and float64 below 2^53 and raises ``NumericError`` above.
+2^24 and float64 below 2^53 and raises ``NumericError`` above.  That check
+(``validate_based_algebra``) runs over the left labels of a generating set
+of the extended algebra, and over every label only when one of them fails:
+the labels that associate on the left with everything form a subalgebra.
 """
 from __future__ import annotations
 

@@ -13,17 +13,24 @@ The structure constants are stored as four read-only int64 arrays
 N[a,b]^c once.  Every integer array that enters fusionkit (structure tables,
 invariant files, branching matrices) is read by ``_int_array``, and every
 sparse table by ``_table_columns``.
-Every partial sum of the associativity check is a non-negative integer of
-at most n max(N)^2, and ``numerics.exact_float`` turns that bound into
-float32 below 2^24, float64 below 2^53 and a ``NumericError`` above, before
-any product is formed.  A single-constituent table (every product a b has at
-most one constituent, as in groups and Z_n rings) is then decided exactly by
+Associativity is decided on a generating set of labels: the left labels a
+with (a x) y = a (x y) for all x, y (the left nucleus) form a subalgebra, so
+it is enough to check a set G whose products prove every label to lie in
+the algebra G generates (``_generating_labels``, an exact closure on the
+pattern N > 0; G = {0, 1} for SU(2)_k).  Only when a label of G fails are
+all left labels checked, so every violation is still listed.  Every
+partial sum of the check is a non-negative integer of at most n max(N)^2,
+and ``numerics.exact_float`` turns that bound into float32 below 2^24,
+float64 below 2^53 and a ``NumericError`` above, before any product is
+formed.  A single-constituent table (every product a b has at most one
+constituent, as in groups and Z_n rings) is then decided exactly by
 composing its n x n constituent and multiplicity maps; any other table by
 float products.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, NoReturn
 
 import numpy as np
@@ -347,6 +354,15 @@ def _associativity_violations(T: np.ndarray) -> list[Violation]:
     """((a b) c)_d = (a (b c))_d for every (a, b, c, d), listed by a, then
     (b, c, d) ascending.
 
+    Only the left labels of a generating set G (``_generating_labels``) are
+    checked first; every label is checked, and listed, only when some label
+    of G fails.  G suffices because the left nucleus
+    N_l = {a : (a, x, y) = 0 for all x, y}, with (a, x, y) = (a x) y - a (x y),
+    is a subalgebra: the Teichmueller identity
+    (a b, c, d) - (a, b c, d) + (a, b, c d) = a (b, c, d) + (a, b, c) d
+    gives (a b, c, d) = 0 for a, b in N_l.  So when G lies in N_l, so does
+    the algebra G generates, which holds every label.
+
     Every partial sum is a non-negative integer of at most n max(N)^2, a
     bound that ``exact_float`` must accept before either side is formed.  A
     single-constituent table (every product a b has at most one constituent:
@@ -358,11 +374,13 @@ def _associativity_violations(T: np.ndarray) -> list[Violation]:
     dtype = exact_float(n * top * top, f"associativity sums up to {n} * {top}^2")
     M = T.max(axis=2)
     if np.array_equal(T.sum(axis=2), M):
-        sides = _composed_sides(T.argmax(axis=2), M, dtype)
+        sides = partial(_composed_sides, T.argmax(axis=2), M, dtype)
     else:
-        sides = _product_sides(T.astype(dtype))
+        sides = partial(_product_sides, T.astype(dtype))
+    if next(sides(_generating_labels(T)), None) is None:
+        return []
     out = []
-    for a, lhs, rhs in sides:
+    for a, lhs, rhs in sides(range(n)):
         for b, c, d in np.argwhere(lhs != rhs):
             out.append(Violation("associativity", (a, int(b), int(c), int(d)),
                                  f"(({a} {b}) {c})_{d} = {int(lhs[b, c, d])}, "
@@ -370,19 +388,76 @@ def _associativity_violations(T: np.ndarray) -> list[Violation]:
     return out
 
 
-def _product_sides(F: np.ndarray):
-    """(a, ((a b) c)_d, (a (b c))_d) for each left label a where the two
-    differ, from the float products T[a] @ T.reshape(n, n*n) and
-    T.reshape(n*n, n) @ T[a]."""
+def _generating_labels(T: np.ndarray) -> list[int]:
+    """Labels G, ascending, whose products generate every label, from an
+    exact closure on the pattern T > 0.
+
+    A label is known once it is proved to lie in the algebra G generates.
+    When nothing more can be proved, the smallest unknown label joins G.  A
+    product g s or s g, with g in G and s known, that has exactly one
+    unknown constituent c proves c: the product minus its known constituents
+    is N^c c, with N^c > 0.  Each such product keeps the number and the
+    index sum of its constituents not yet processed, so the closure reads
+    each entry of the rows and columns of G once.
+    """
+    n = len(T)
+    known = [False] * n
+    gens: list[int] = []
+    products: list[list[int]] = []  # [s, constituents left, their index sum]
+    by_factor: list[list[int]] = [[] for _ in range(n)]  # products g s, s g by s
+    by_constituent: list[list[int]] = [[] for _ in range(n)]
+    stack: list[int] = []
+
+    def prove(p):  # a product with one constituent left and a known factor
+        s, left, c = products[p]
+        if left == 1 and known[s] and not known[c]:
+            known[c] = True
+            stack.append(c)
+
+    while True:
+        while stack:
+            x = stack.pop()
+            for p in by_constituent[x]:
+                products[p][1] -= 1
+                products[p][2] -= x
+                if products[p][1] == 1:
+                    prove(p)
+            for p in by_factor[x]:
+                prove(p)
+        if all(known):
+            return gens
+        g = known.index(False)
+        gens.append(g)
+        known[g] = True
+        stack.append(g)
+        # rows s of the products g s, then s g, by constituent
+        unknown = (np.concatenate((T[g], T[:, g])) > 0) & ~np.array(known)
+        counts = unknown.sum(axis=1)
+        rows = np.flatnonzero(counts)
+        first = len(products)
+        products += np.stack([rows % n, counts[rows], (unknown @ np.arange(n))[rows]],
+                             axis=1).tolist()
+        entry_rows, entry_cs = np.nonzero(unknown)
+        for c, p in zip(entry_cs.tolist(), (first + np.searchsorted(rows, entry_rows)).tolist()):
+            by_constituent[c].append(p)
+        for p in range(first, len(products)):
+            by_factor[products[p][0]].append(p)
+            prove(p)
+
+
+def _product_sides(F: np.ndarray, labels: Iterable[int]):
+    """(a, ((a b) c)_d, (a (b c))_d) for each left label a in ``labels``
+    where the two differ, from the float products T[a] @ T.reshape(n, n*n)
+    and T.reshape(n*n, n) @ T[a]."""
     n = len(F)
     rows, cols = F.reshape(n * n, n), F.reshape(n, n * n)
-    for a in range(n):
+    for a in labels:
         lhs, rhs = (F[a] @ cols).reshape(n, n, n), (rows @ F[a]).reshape(n, n, n)
         if not np.array_equal(lhs, rhs):
             yield a, lhs, rhs
 
 
-def _composed_sides(P: np.ndarray, M: np.ndarray, dtype):
+def _composed_sides(P: np.ndarray, M: np.ndarray, dtype, labels: Iterable[int]):
     """The sides of :func:`_product_sides` for a table whose product a b is
     M[a,b] copies of P[a,b] (nothing when M[a,b] = 0).
 
@@ -393,7 +468,7 @@ def _composed_sides(P: np.ndarray, M: np.ndarray, dtype):
     """
     n = len(P)
     b, c = np.indices((n, n))
-    for a in range(n):
+    for a in labels:
         lhs_d, lhs = P[P[a]], M[a][:, None] * M[P[a]]
         rhs_d, rhs = P[a][P], M * M[a][P]
         if not np.any((lhs != rhs) | ((lhs > 0) & (lhs_d != rhs_d))):

@@ -11,7 +11,9 @@ spaces; a list of scalars stays on one line, so a structure table has one
 """
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -136,8 +138,10 @@ def algebra_from_dict(obj: Any, where: str = "algebra") -> BasedAlgebra:
 
 
 def _table_to_dict(table: FusionRing | BasedAlgebra, key: str) -> dict[str, Any]:
+    with _gc_paused():
+        entries = np.stack(table.columns(), axis=1).tolist()
     return {"labels": list(table.labels), "unit": table.unit, "dual": list(table.dual),
-            key: np.stack(table.columns(), axis=1).tolist()}
+            key: entries}
 
 
 def _table_from_dict(obj: Any, where: str, cls, required: tuple[str, ...], **extra):
@@ -202,6 +206,21 @@ def certificate_to_dict(cert: InductionCertificate) -> dict:
 
 # --------------------------------------------------------------------- I/O
 
+@contextmanager
+def _gc_paused():
+    """Keep the cyclic garbage collector off inside the block, and turn it
+    back on after it only if it was on.  Building the lists of a large table
+    makes no cycles, but each new list is tracked and triggers collections
+    that rescan the whole growing heap."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def dumps(obj: Any) -> str:
     """The canonical text of a JSON value, with a trailing newline: an object
     puts one member per line and a list that holds a container one item per
@@ -240,7 +259,8 @@ def load_json(path: str | Path) -> Any:
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
-        return json.loads(text)
+        with _gc_paused():
+            return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -57,6 +58,26 @@ class TestRingRoundtrip:
         path.write_text(serialize.dumps(obj))
         with pytest.raises(SchemaError):
             serialize.parse_ring(path)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_garbage_collector_state_kept(self, tmp_path, enabled):
+        # reading a file and building a table's lists pause the collector
+        # and leave it as the caller had it, also when the read fails
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        serialize.write_ring(good, *su2_level(4))
+        bad.write_text('{"labels": ')
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            serialize.parse_ring(good)
+            assert gc.isenabled() == enabled
+            with pytest.raises(SchemaError, match="invalid JSON"):
+                serialize.load_json(bad)
+            assert gc.isenabled() == enabled
+            serialize.ring_to_dict(*su2_level(4))
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "missing.json"

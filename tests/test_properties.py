@@ -1,19 +1,22 @@
 """Property tests: the invariant search and the invariance rule commute with
 relabelling a model, including relabellings that move the unit off 0; the
 associativity check lists exactly the violations of a four-loop reference,
-on single-constituent tables and on any other."""
+on single-constituent tables and on any other; the labels it checks first
+generate the whole algebra; Deligne products of valid rings are valid."""
+import functools
 import itertools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import modular_matrices, search_invariants
+from fusionkit import (BasedAlgebra, catalog_models, modular_matrices, search_invariants,
+                       validate_fusion_ring)
 from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.invariants import check_invariance
-from fusionkit.rings import _associativity_violations
+from fusionkit.rings import _associativity_violations, _generating_labels
 
-from helpers import brute_force_associativity, permute_model
+from helpers import GROUP_FIXTURES, brute_force_associativity, permute_model, product_model
 
 # SU(2)_k for k <= 6 and Z_n with q = 1 for even n <= 8 (odd n has no q = 1 twist)
 MODELS = [("su2", k) for k in range(1, 7)] + [("cyclic", n) for n in (2, 4, 6, 8)]
@@ -79,3 +82,67 @@ def test_associativity_lists_every_violation_in_order(T):
     violations = _associativity_violations(T)
     assert {v.axiom for v in violations} <= {"associativity"}
     assert [(v.where, v.detail) for v in violations] == brute_force_associativity(T.tolist())
+
+
+@functools.cache
+def generator_source(name):
+    """The dense table of a group fixture, of SU(2)_k ("su2_k") or of Z_n
+    with q = 1 ("z_n"), and whether it is a group."""
+    family, _, size = name.partition("_")
+    if family == "su2":
+        return su2_level(int(size))[0].tensor(), False
+    if family == "z":
+        return cyclic_model(int(size), 1)[0].tensor(), True
+    return BasedAlgebra.from_group_table(GROUP_FIXTURES[name][0]).tensor(), True
+
+
+GENERATOR_SOURCES = ([f"su2_{k}" for k in range(1, 65)] + [f"z_{n}" for n in range(1, 33)]
+                     + list(GROUP_FIXTURES))
+
+
+def generated_dimension(T, gens):
+    """Dimension of the algebra the basis vectors ``gens`` generate: their
+    span, grown by left and right products with each of them until its
+    rank stops growing.  (e_g v)_c = sum_b v_b T[g,b,c] and
+    (v e_g)_c = sum_a v_a T[a,g,c]."""
+    V = np.eye(len(T))[gens]
+    while True:
+        W = np.concatenate([V] + [V @ T[g] for g in gens] + [V @ T[:, g] for g in gens])
+        _, s, vt = np.linalg.svd(W, full_matrices=False)
+        rank = int(np.sum(s > 1e-9 * s[0]))
+        if rank == len(V):
+            return rank
+        V = vt[:rank]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_generating_labels_generate_every_label(data):
+    T, group = generator_source(data.draw(st.sampled_from(GENERATOR_SOURCES), label="table"))
+    n = len(T)
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+    relabelled_T = np.empty_like(T)
+    relabelled_T[np.ix_(perm, perm, perm)] = T
+    gens = _generating_labels(relabelled_T)
+    assert gens == sorted(set(gens))
+    assert generated_dimension(relabelled_T.astype(float), gens) == n
+    if group:  # each generator at least doubles the subgroup the closure knows
+        assert len(gens) <= n.bit_length()
+
+
+def test_catalog_order_generates_from_unit_and_label_1():
+    for name in [f"su2_{k}" for k in range(1, 65)] + [f"z_{n}" for n in range(2, 33)]:
+        assert _generating_labels(generator_source(name)[0]) == [0, 1], name
+
+
+def test_deligne_products_validate():
+    models = [(name, (ring, twists)) for name, ring, twists in catalog_models()]
+    for (x, A), (y, B) in itertools.product(models, repeat=2):
+        if A[0].size * B[0].size <= 25:
+            assert validate_fusion_ring(product_model(A, B)[0]).ok, (x, y)
+
+
+def test_su2_10_squared_validates():
+    ring = product_model(su2_level(10), su2_level(10))[0]
+    assert ring.size == 121
+    assert validate_fusion_ring(ring).ok

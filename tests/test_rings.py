@@ -6,6 +6,7 @@ import pytest
 from fusionkit import (FusionRing, NumericError, StructureError, quantum_dimensions,
                        validate_fusion_ring)
 from fusionkit.catalog import cyclic_model, su2_level
+from fusionkit.rings import _associativity_violations, _generating_labels
 
 from helpers import brute_force_associativity, brute_force_axioms, table_dict, table_rows
 
@@ -75,6 +76,22 @@ class TestValidation:
                    if v.axiom == "associativity"]
             assert violation in want
             assert got == want
+
+    def test_failing_generator_lists_every_label(self):
+        # N[3,4]^5 and N[4,3]^5 raised by 1 in SU(2)_16 keep the pattern, so
+        # the generating set stays {0, 1}; once it fails, the violations are
+        # those of both sides summed over every (a, b, c, d)
+        T = su2_level(16)[0].tensor().copy()
+        T[3, 4, 5] += 1
+        T[4, 3, 5] += 1
+        lhs = np.einsum("abx,xcd->abcd", T, T)
+        rhs = np.einsum("bcy,ayd->abcd", T, T)
+        want = [((a, b, c, d), f"(({a} {b}) {c})_{d} = {lhs[a, b, c, d]}, "
+                               f"({a} ({b} {c}))_{d} = {rhs[a, b, c, d]}")
+                for a, b, c, d in np.argwhere(lhs != rhs).tolist()]
+        assert _generating_labels(T) == [0, 1]
+        assert len(want) == 452
+        assert [(v.where, v.detail) for v in _associativity_violations(T)] == want
 
     def test_collects_all_violations(self):
         # a corrupted entry trips frobenius as well; nothing is short-circuited
