@@ -19,9 +19,8 @@ from .induction import (CertificateReport, InductionCertificate,
                         compute_Z_from_branching, conjugation_certificate,
                         full_report, trivial_certificate, verify_generating,
                         verify_homomorphism)
-from .invariants import (MassMatrix, brute_force_invariants, classify_invariant,
-                         commutant_basis, invariant_counts, search_invariants,
-                         twist_sparsity)
+from .invariants import (MassMatrix, classify_invariant, commutant_basis,
+                         invariant_counts, search_invariants, twist_sparsity)
 from .modular import (DegeneracyReport, ModularData, MonodromySpectra,
                       ResidualReport, TwistData, check_partial_verlinde,
                       is_nondegenerate, modular_matrices, monodromy_spectra,
@@ -39,7 +38,7 @@ __all__ = [
     "ModularData", "MonodromySpectra", "NondegeneracyRequired", "NumericError",
     "RankAmbiguityError", "ResidualReport", "SchemaError", "StructureError",
     "TwistData", "TwistError", "ValidationReport", "VanishingZError",
-    "VerlindeError", "Violation", "brute_force_invariants", "build_model",
+    "VerlindeError", "Violation", "build_model",
     "catalog_models", "check_partial_verlinde", "classify_invariant",
     "commutant_basis", "compute_Z_from_branching", "conjugation_certificate",
     "cyclic_model", "decompose_semisimple", "full_report",

@@ -19,8 +19,9 @@ condition, so the search runs in two stages:
    where every pivot is fixed, are filtered for integrality and the budget.
    Both stages work in mask cells, so every matrix found is on the twist mask.
 
-A raw depth-first search over the mask cells is kept as the small-instance
-oracle (`brute_force_invariants`), independent of `check_invariance`.
+The small-instance oracle, a raw depth-first search over the mask cells
+that is independent of `check_invariance`, lives with the other test
+oracles in `tests/helpers.py` (`brute_force_invariants`).
 """
 from __future__ import annotations
 
@@ -370,57 +371,3 @@ def search_invariants(md: ModularData) -> list[MassMatrix]:
     if not accepted or not accepted[0].is_identity:
         raise NumericError("identity invariant missing from search output")
     return accepted
-
-
-def brute_force_invariants(md: ModularData) -> list[np.ndarray]:
-    """Reference depth-first search over the twist mask with the
-    sum_{l,m} d_l d_m Z[l,m] = w budget; the small-instance oracle for
-    :func:`search_invariants`."""
-    if not md.degeneracy:
-        raise NondegeneracyRequired("brute-force search needs non-degenerate data")
-    w = md.w
-    n = md.size
-    unit = md.ring.unit
-    mask = twist_sparsity(md.twists)
-    dd = np.outer(md.d, md.d)
-    cells = [(i, j) for i in range(n) for j in range(n)
-             if mask[i, j] and (i, j) != (unit, unit)]
-    cells.sort(key=lambda c: (-dd[c], c))
-    coeff = [float(dd[c]) for c in cells]
-    delta = 1e-6 * w
-    suffix_max = [0.0] * (len(cells) + 1)
-    for i in range(len(cells) - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + math.floor(w / coeff[i] + 1e-9) * coeff[i]
-
-    Z = np.zeros((n, n), dtype=np.int64)
-    Z[unit, unit] = 1
-    out: list[np.ndarray] = []
-    eps = scaled_tol(md.tol, n)
-    S = md.S
-
-    def rec(i: int, remaining: float):
-        if remaining < -delta or remaining > suffix_max[i] + delta:
-            return
-        if i == len(cells):
-            if abs(remaining) <= delta and max_abs(S @ Z - Z @ S) <= eps:
-                out.append(Z.copy())
-            return
-        c = coeff[i]
-        cell = cells[i]
-        if i == len(cells) - 1:
-            v = int(round(remaining / c))
-            if v >= 0 and abs(remaining - v * c) <= delta:
-                Z[cell] = v
-                rec(i + 1, remaining - v * c)
-                Z[cell] = 0
-            return
-        top = int((remaining + delta) / c)
-        for v in range(top + 1):
-            Z[cell] = v
-            rec(i + 1, remaining - v * c)
-        Z[cell] = 0
-
-    rec(0, w - float(dd[unit, unit]))
-    out.sort(key=lambda M: (not bool(np.array_equal(M, np.eye(n, dtype=np.int64))),
-                            tuple(M.ravel())))
-    return out

@@ -12,7 +12,9 @@ The structure constants are stored as four read-only int64 arrays
 ``columns()`` returns them and ``tensor()`` scatters them into the dense
 N[a,b]^c once.  Every integer array that enters fusionkit (structure tables,
 invariant files, branching matrices) is read by ``_int_array``, and every
-sparse table by ``_table_columns``.
+sparse table by ``_table_columns``.  Bools, floats and strings are never
+integers there; a list of rows is typed entry by entry and read with
+``np.fromiter``, without an object array of every entry.
 Associativity is decided on a generating set of labels: the left labels a
 with (a x) y = a (x y) for all x, y (the left nucleus) form a subalgebra, so
 it is enough to check a set G whose products prove every label to lie in
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Iterable, Mapping, NoReturn
 
 import numpy as np
@@ -92,11 +95,25 @@ def _int_array(values) -> np.ndarray | None:
     integer type, the shape is ragged or a value does not fit in int64.
 
     An integer ndarray is cast as it is: an unsigned value of 2^63 or more
-    turns negative and fails the caller's range check.  Anything else is read
-    as an object array whose element types must all be in ``_INTS``.
+    turns negative and fails the caller's range check.  A list or tuple of
+    integers, or of equal-length rows of them, is typed on its flat entries
+    and read by ``np.fromiter`` without an object array.  Anything else is
+    read as an object array whose element types must all be in ``_INTS``.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values.astype(np.int64)
+    if isinstance(values, (list, tuple)):
+        flat, shape = values, (len(values),)
+        if values and set(map(type, values)) <= {list, tuple}:
+            widths = set(map(len, values))
+            if len(widths) > 1:
+                return None  # ragged
+            flat, shape = list(chain.from_iterable(values)), (len(values), *widths)
+        if set(map(type, flat)) <= _INTS:
+            try:
+                return np.fromiter(flat, np.int64, len(flat)).reshape(shape)
+            except OverflowError:
+                return None
     try:
         a = np.array(values, dtype=object)
         if set(map(type, a.flat)) <= _INTS:
@@ -173,6 +190,25 @@ def _first_bad_entry(table, n: int, width: int) -> NoReturn:
     raise StructureError(f"{kind} table is not a sequence of {fields} entries")
 
 
+def _checked_header(labels, unit, dual) -> tuple[tuple, np.ndarray]:
+    """The labels as a tuple and the dual map as an int64 array, after the
+    constructor's checks of labels, unit and dual map (``StructureError``)."""
+    labels = _sequence(labels, "labels")
+    if len(labels) > _MAX_LABELS:
+        raise StructureError(f"{len(labels)} labels exceed the limit of {_MAX_LABELS}")
+    if not labels or not all(isinstance(x, str) for x in labels):
+        raise StructureError(f"labels must be a non-empty sequence of strings, got {labels!r}")
+    if len(set(labels)) != len(labels):
+        raise StructureError("label ids must be unique")
+    n = len(labels)
+    if unit is not None and (type(unit) not in _INTS or not 0 <= unit < n):
+        raise StructureError(f"unit index {unit!r} out of range for {n} labels")
+    dual = _int_array(_sequence(dual, "dual map"))
+    if dual is None or dual.shape != (n,) or not np.all((dual >= 0) & (dual < n)):
+        raise StructureError("dual map must list one in-range integer index per label")
+    return labels, dual
+
+
 class _SparseStructure:
     """Common core of :class:`FusionRing` and ``algebras.BasedAlgebra``:
     labels, an optional unit, an involution and non-negative integer
@@ -190,21 +226,8 @@ class _SparseStructure:
     __slots__ = ("labels", "unit", "dual", "_columns", "_tensor")
 
     def __init__(self, labels, unit, dual, table):
-        labels = _sequence(labels, "labels")
-        if len(labels) > _MAX_LABELS:
-            raise StructureError(f"{len(labels)} labels exceed the limit of {_MAX_LABELS}")
-        if not labels or not all(isinstance(x, str) for x in labels):
-            raise StructureError(f"labels must be a non-empty sequence of strings, got {labels!r}")
-        if len(set(labels)) != len(labels):
-            raise StructureError("label ids must be unique")
-        n = len(labels)
-        if unit is not None and (type(unit) not in _INTS or not 0 <= unit < n):
-            raise StructureError(f"unit index {unit!r} out of range for {n} labels")
-        dual = _int_array(_sequence(dual, "dual map"))
-        if dual is None or dual.shape != (n,) or not np.all((dual >= 0) & (dual < n)):
-            raise StructureError("dual map must list one in-range integer index per label")
-
-        columns = _table_columns(table, n, 4)
+        labels, dual = _checked_header(labels, unit, dual)
+        columns = _table_columns(table, len(labels), 4)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unit", None if unit is None else int(unit))
         object.__setattr__(self, "dual", tuple(dual.tolist()))
@@ -293,7 +316,9 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     """Check every fusion-ring axiom, collecting all violations.
 
     Axiom names used in the report: ``involution``, ``unit``, ``conjugate``,
-    ``frobenius``, ``associativity``.
+    ``frobenius``, ``associativity``.  Every check runs on every table,
+    also on one read from orbit rows (``serialize``): those are commutative
+    by construction, but can still fail Frobenius reciprocity.
     """
     T = ring.tensor()
     unit = ring.unit

@@ -8,10 +8,25 @@ bytes as well as on values.  Its layout: an object has one member per line
 and a list that holds a container one item per line, both indented by two
 spaces; a list of scalars stays on one line, so a structure table has one
 [a, b, c, mult] entry per line and is encoded by the C JSON encoder.
+
+A ring or algebra file holds its table in one of two forms, and the writer
+chooses, with no option.  When the dual is an involution and
+N_abc := N[a,b]^{dual c} is the same for every ordering of (a, b, c), as in
+every braided fusion ring (commutativity and the ring axioms), the
+file lists one [x, y, z, mult] row per orbit, x <= y <= z, under
+"fusion_orbits" ("structure_orbits" for algebras), sorted by (x, y, z).
+Otherwise it lists every entry under "fusion" ("structure").  The reader
+takes either, expands orbit rows in numpy into the full entries and passes
+them to the same table reader and constructor.  The validators check every
+axiom on what was read.  A table read from orbit rows is commutative and
+has N[a,b]^c = N[a, dual c]^{dual b} by construction, but its Frobenius
+and antiautomorphism laws still need N_abc = N_{dual a, dual b, dual c},
+which the rows do not imply, so those checks can fail on such a table.
 """
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 from contextlib import contextmanager
 from fractions import Fraction
@@ -25,7 +40,7 @@ from .errors import SchemaError, StructureError
 from .induction import InductionCertificate
 from .invariants import MassMatrix, invariant_counts
 from .modular import TwistData
-from .rings import _INTS, FusionRing, _table_columns
+from .rings import _INTS, FusionRing, _checked_header, _table_columns
 
 
 # ---------------------------------------------------------------- rationals
@@ -138,33 +153,122 @@ def algebra_from_dict(obj: Any, where: str = "algebra") -> BasedAlgebra:
 
 
 def _table_to_dict(table: FusionRing | BasedAlgebra, key: str) -> dict[str, Any]:
+    """The file of a ring (``key`` "fusion") or algebra ("structure"): its
+    orbit rows under ``key + "_orbits"`` when they expand back to exactly its
+    entries, else every [a, b, c, mult] entry under ``key``."""
+    rows = _orbit_rows(table)
+    if rows is None:
+        rows = np.stack(table.columns(), axis=1)
+    else:
+        key += "_orbits"
     with _gc_paused():
-        entries = np.stack(table.columns(), axis=1).tolist()
+        entries = rows.tolist()
     return {"labels": list(table.labels), "unit": table.unit, "dual": list(table.dual),
             key: entries}
 
 
 def _table_from_dict(obj: Any, where: str, cls, required: tuple[str, ...], **extra):
     """Shared parser of ring and algebra files: ``required`` names the fields
-    that must be present, its last one the array of [a, b, c, mult] entries.
-    The ``cls`` constructor checks the labels, unit, dual, entries and
-    ``extra``; a file must not list zero multiplicities, which it drops."""
+    that must be present, its last one the table, given either as [a, b, c,
+    mult] entries under its own name or as orbit rows under that name plus
+    "_orbits" (``_orbit_entries``), never both.  The ``cls`` constructor
+    checks the labels, unit, dual, entries and ``extra``; a file must not
+    list zero multiplicities, which it drops."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a JSON object")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(f"{where}: missing field {key!r}")
-    key = required[-1]
+    full, orbits = required[-1], required[-1] + "_orbits"
+    if full in obj and orbits in obj:
+        raise SchemaError(f"{where}: give {full!r} or {orbits!r}, not both")
+    key = orbits if orbits in obj else full
+    for field in (*required[:-1], key):
+        if field not in obj:
+            raise SchemaError(f"{where}: missing field {field!r}")
     for field in ("labels", "dual", key):
         if not isinstance(obj[field], list):
             raise SchemaError(f"{where}.{field}: expected an array")
     try:
-        table = cls(obj["labels"], obj.get("unit"), obj["dual"], obj[key], **extra)
+        entries = _orbit_entries(obj, where, key) if key == orbits else obj[key]
+        table = cls(obj["labels"], obj.get("unit"), obj["dual"], entries, **extra)
     except StructureError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    if table.columns()[3].size < len(obj[key]):
+    if table.columns()[3].size < len(entries):
         raise SchemaError(f"{where}.{key}: multiplicities must be positive")
     return table
+
+
+# the permutations (p, q, r) of (x, y, z), where each of x, y, z lands in
+# each, and the column of [x, y, z, dual x, dual y, dual z, mult] that each
+# field of the entry (p, q, dual r, mult) is read from
+_PERMS = np.array(list(itertools.permutations(range(3))))
+_SLOTS = np.argsort(_PERMS, axis=1)
+_FIELDS = np.column_stack([_PERMS[:, :2], 3 + _PERMS[:, 2], np.full(6, 6)])
+
+
+def _orbit_rows(table: FusionRing | BasedAlgebra) -> np.ndarray | None:
+    """The orbit rows [x, y, z, mult], x <= y <= z, of a table, sorted, or
+    None unless the dual is an involution and ``_expand_orbits`` of the rows
+    gives back exactly the table's entries.
+
+    A row stands for N[x,y]^{dual z} = mult.  The expansion is exact when
+    N_abc := N[a,b]^{dual c} is the same for every ordering of (a, b, c):
+    the axioms of a fusion ring make it invariant under cyclic shifts, and
+    commutativity (every braided ring) under the rest."""
+    dual = np.array(table.dual)
+    if not np.array_equal(dual[dual], np.arange(table.size)):
+        return None
+    a, b, c, mult = columns = table.columns()
+    z = dual[c]
+    first = np.flatnonzero((a <= b) & (b <= z))
+    first = first[np.lexsort((z[first], b[first], a[first]))]
+    rows = np.stack([a[first], b[first], z[first], mult[first]], axis=1)
+    if not np.array_equal(_expand_orbits(rows, dual), np.stack(columns, axis=1)):
+        return None
+    return rows
+
+
+def _expand_orbits(rows: np.ndarray, dual: np.ndarray) -> np.ndarray:
+    """The (a, b, c, mult) entries N[p,q]^{dual r} = mult of orbit rows
+    [x, y, z, mult], x <= y <= z, sorted by (a, b, c): one for each distinct
+    permutation (p, q, r) of (x, y, z), 6, 3 or 1 of them, those that keep
+    equal neighbours x = y and y = z in order.  Distinct rows give disjoint
+    entries, so a sort that is not stable orders them, and the stable sort
+    of ``_table_columns`` then finds a single run."""
+    n = len(dual)
+    wide = np.concatenate([rows[:, :3].T, dual[rows[:, :3].T], rows[:, 3:].T])
+    x, y, z = wide[:3]
+    # candidate j * len(rows) + i is permutation j of row i
+    kept = np.flatnonzero(((x != y) | (_SLOTS[:, 0] < _SLOTS[:, 1])[:, None])
+                          & ((y != z) | (_SLOTS[:, 1] < _SLOTS[:, 2])[:, None]))
+    fields = [wide[f].ravel()[kept] for f in _FIELDS.T]
+    a, b, c, _ = fields
+    order = np.argsort((a * n + b) * n + c)
+    entries = np.empty((order.size, 4), dtype=np.int64)
+    for i, field in enumerate(fields):
+        entries[:, i] = field[order]
+    return entries
+
+
+def _orbit_entries(obj: dict, where: str, key: str) -> np.ndarray:
+    """The [a, b, c, mult] entries of the orbit rows ``obj[key]``.  The rows
+    are read by ``_table_columns``, under the rule and error text of full
+    tables; their multiplicities must be positive, each row must have
+    x <= y <= z and the dual map must be an involution, or a
+    ``SchemaError`` names the first row or label that fails."""
+    rows = obj[key]
+    labels, dual = _checked_header(obj["labels"], obj.get("unit"), obj["dual"])
+    n = len(labels)
+    x, y, z, mult = _table_columns(rows, n, 4)
+    if mult.size < len(rows):
+        raise SchemaError(f"{where}.{key}: multiplicities must be positive")
+    if np.any(x > y) or np.any(y > z):
+        row = next(row for row in rows if not row[0] <= row[1] <= row[2])
+        raise SchemaError(f"{where}.{key}: row {row} is not sorted as x <= y <= z")
+    bad = np.flatnonzero(dual[dual] != np.arange(n))
+    if bad.size:
+        a = bad[0]
+        raise SchemaError(f"{where}.dual: dual(dual({a})) = {dual[dual[a]]}, "
+                          f"but {key} needs an involution")
+    return _expand_orbits(np.stack([x, y, z, mult], axis=1), dual)
 
 
 def profile_to_dict(profile: BlockProfile) -> dict:

@@ -1,7 +1,8 @@
 """Shared test oracles: brute-force axiom checking, classical group tables
 with their character degrees, closed-form expected invariants for the
 SU(2) series (identity, D-type blocks/permutations, exceptional blocks), the
-relabelling of a model and the Deligne product of two models.
+relabelling of a model, the Deligne product of two models and a raw
+depth-first search for modular invariants.
 
 The oracles are deliberately independent of the package internals: the
 checkers iterate definitions directly and the expected matrices come from
@@ -12,10 +13,13 @@ the models' tables.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from fusionkit import FusionRing, TwistData
+from fusionkit import (FusionRing, ModularData, NondegeneracyRequired, TwistData,
+                       twist_sparsity)
+from fusionkit.numerics import max_abs, scaled_tol
 
 
 # ------------------------------------------------------- axiom brute force
@@ -182,6 +186,19 @@ def table_dict(structure):
     return {(a, b, c): m for a, b, c, m in table_rows(structure)}
 
 
+def full_form(structure, twists=None):
+    """The file dict of a ring or algebra in the full form: every
+    [a, b, c, mult] entry under "fusion" (rings) or "structure" (algebras),
+    then a ring's twists as rational strings or an algebra's dims, in the
+    field order of the writer."""
+    if isinstance(structure, FusionRing):
+        key, after = "fusion", {} if twists is None else {"twists": [str(h) for h in twists.h]}
+    else:
+        key, after = "structure", {} if structure.dims is None else {"dims": list(structure.dims)}
+    return {"labels": list(structure.labels), "unit": structure.unit,
+            "dual": list(structure.dual), key: table_rows(structure), **after}
+
+
 # ------------------------------------------- expected SU(2) invariants
 
 def expected_su2_invariants(k):
@@ -264,3 +281,59 @@ def permute_model(model, perm):
     ring = FusionRing([ring.labels[o] for o in old], int(perm[ring.unit]),
                       [int(perm[ring.dual[o]]) for o in old], rows)
     return ring, TwistData(twists.h[o] for o in old)
+
+
+# ------------------------------------------ brute-force invariant search
+
+def brute_force_invariants(md: ModularData) -> list[np.ndarray]:
+    """Reference depth-first search over the twist mask with the
+    sum_{l,m} d_l d_m Z[l,m] = w budget; the small-instance oracle for
+    ``search_invariants``."""
+    if not md.degeneracy:
+        raise NondegeneracyRequired("brute-force search needs non-degenerate data")
+    w = md.w
+    n = md.size
+    unit = md.ring.unit
+    mask = twist_sparsity(md.twists)
+    dd = np.outer(md.d, md.d)
+    cells = [(i, j) for i in range(n) for j in range(n)
+             if mask[i, j] and (i, j) != (unit, unit)]
+    cells.sort(key=lambda c: (-dd[c], c))
+    coeff = [float(dd[c]) for c in cells]
+    delta = 1e-6 * w
+    suffix_max = [0.0] * (len(cells) + 1)
+    for i in range(len(cells) - 1, -1, -1):
+        suffix_max[i] = suffix_max[i + 1] + math.floor(w / coeff[i] + 1e-9) * coeff[i]
+
+    Z = np.zeros((n, n), dtype=np.int64)
+    Z[unit, unit] = 1
+    out: list[np.ndarray] = []
+    eps = scaled_tol(md.tol, n)
+    S = md.S
+
+    def rec(i: int, remaining: float):
+        if remaining < -delta or remaining > suffix_max[i] + delta:
+            return
+        if i == len(cells):
+            if abs(remaining) <= delta and max_abs(S @ Z - Z @ S) <= eps:
+                out.append(Z.copy())
+            return
+        c = coeff[i]
+        cell = cells[i]
+        if i == len(cells) - 1:
+            v = int(round(remaining / c))
+            if v >= 0 and abs(remaining - v * c) <= delta:
+                Z[cell] = v
+                rec(i + 1, remaining - v * c)
+                Z[cell] = 0
+            return
+        top = int((remaining + delta) / c)
+        for v in range(top + 1):
+            Z[cell] = v
+            rec(i + 1, remaining - v * c)
+        Z[cell] = 0
+
+    rec(0, w - float(dd[unit, unit]))
+    out.sort(key=lambda M: (not bool(np.array_equal(M, np.eye(n, dtype=np.int64))),
+                            tuple(M.ravel())))
+    return out

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fusionkit import (BasedAlgebra, BlockProfile, InductionCertificate,
-                       brute_force_invariants, check_partial_verlinde,
+                       check_partial_verlinde,
                        conjugation_certificate, decompose_semisimple,
                        full_report, invariant_counts, is_nondegenerate,
                        modular_matrices, search_invariants,
@@ -22,7 +22,7 @@ from fusionkit import (BasedAlgebra, BlockProfile, InductionCertificate,
 from fusionkit.catalog import cyclic_model, named_model, su2_level, su2_s_closed_form
 from fusionkit.cli import main as cli_main
 
-from helpers import GROUP_FIXTURES, permute_table, table_dict
+from helpers import GROUP_FIXTURES, brute_force_invariants, permute_table, table_dict
 
 from test_induction import homomorphism_breaking_aplus
 

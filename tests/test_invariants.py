@@ -3,14 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit import (NondegeneracyRequired, NumericError, TwistData, brute_force_invariants,
+from fusionkit import (NondegeneracyRequired, NumericError, TwistData,
                        classify_invariant, commutant_basis, invariant_counts,
                        modular_matrices, search_invariants, twist_sparsity)
 from fusionkit import invariants
 from fusionkit.catalog import cyclic_model, named_model, su2_level, su2_s_closed_form
 from fusionkit.invariants import NODE_BUDGET, _gram_factorization
 
-from helpers import expected_su2_invariants, product_model
+from helpers import brute_force_invariants, expected_su2_invariants, product_model
 
 
 def su2_md(k):

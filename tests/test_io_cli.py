@@ -15,7 +15,7 @@ from fusionkit.cli import _parser, main
 from fusionkit.induction import conjugation_certificate, trivial_certificate
 from fusionkit import serialize
 
-from helpers import GROUP_FIXTURES, cyclic_table, permute_model
+from helpers import GROUP_FIXTURES, cyclic_table, full_form, permute_model
 
 
 class TestRingRoundtrip:
@@ -44,19 +44,35 @@ class TestRingRoundtrip:
             serialize.parse_rational("-1/4", "t")
 
     def test_duplicate_fusion_key_named(self, tmp_path):
-        obj = serialize.ring_to_dict(*cyclic_model(2, 1))
+        obj = full_form(*cyclic_model(2, 1))
         obj["fusion"].append(obj["fusion"][0])
         path = tmp_path / "dup.json"
         path.write_text(serialize.dumps(obj))
         with pytest.raises(SchemaError, match=r"duplicate key \(0, 0, 0\)"):
             serialize.parse_ring(path)
 
-    def test_index_out_of_range(self, tmp_path):
+    def test_duplicate_orbit_named(self, tmp_path):
         obj = serialize.ring_to_dict(*cyclic_model(2, 1))
+        obj["fusion_orbits"].append(obj["fusion_orbits"][0])
+        path = tmp_path / "dup.json"
+        path.write_text(serialize.dumps(obj))
+        with pytest.raises(SchemaError, match=r"duplicate key \(0, 0, 0\)"):
+            serialize.parse_ring(path)
+
+    def test_index_out_of_range(self, tmp_path):
+        obj = full_form(*cyclic_model(2, 1))
         obj["fusion"][0] = [0, 0, 9, 1]
         path = tmp_path / "bad.json"
         path.write_text(serialize.dumps(obj))
         with pytest.raises(SchemaError):
+            serialize.parse_ring(path)
+
+    def test_orbit_index_out_of_range(self, tmp_path):
+        obj = serialize.ring_to_dict(*cyclic_model(2, 1))
+        obj["fusion_orbits"][0] = [0, 0, 9, 1]
+        path = tmp_path / "bad.json"
+        path.write_text(serialize.dumps(obj))
+        with pytest.raises(SchemaError, match=r"structure entry \[0, 0, 9, 1\] needs integer"):
             serialize.parse_ring(path)
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -126,6 +142,21 @@ ISING = """{
   "labels": ["0", "sigma", "psi"],
   "unit": 0,
   "dual": [0, 1, 2],
+  "fusion_orbits": [
+    [0, 0, 0, 1],
+    [0, 1, 1, 1],
+    [0, 2, 2, 1],
+    [1, 1, 2, 1]
+  ],
+  "twists": ["0", "1/16", "1/2"]
+}
+"""
+
+# what the writer gave before orbit rows, which still reads
+ISING_FULL = """{
+  "labels": ["0", "sigma", "psi"],
+  "unit": 0,
+  "dual": [0, 1, 2],
   "fusion": [
     [0, 0, 0, 1],
     [0, 1, 1, 1],
@@ -160,6 +191,15 @@ class TestCanonicalLayout:
         assert main(["gen", "named", "--name", "ising"]) == 0
         assert capsys.readouterr().out == ISING
 
+    def test_full_form_ising_still_reads(self, tmp_path, capsys):
+        paths = tmp_path / "orbits.json", tmp_path / "full.json"
+        for path, text in zip(paths, (ISING, ISING_FULL)):
+            path.write_text(text)
+        assert serialize.parse_ring(paths[1]) == serialize.parse_ring(paths[0])
+        assert serialize.dumps(full_form(*serialize.parse_ring(paths[1]))) == ISING_FULL
+        assert main(["check", str(paths[1])]) == 0
+        assert "axioms: ok" in capsys.readouterr().out
+
     def test_files_rewrite_to_the_same_bytes(self, catalog):
         texts = [serialize.dumps(serialize.ring_to_dict(*model)) for model in catalog.values()]
         for model in (su2_level(6), cyclic_model(5, 2)):
@@ -171,7 +211,7 @@ class TestCanonicalLayout:
             obj = json.loads(text)
             if "nn" in obj:
                 back = serialize.certificate_to_dict(serialize.certificate_from_dict(obj))
-            elif "fusion" in obj:
+            elif "fusion" in obj or "fusion_orbits" in obj:
                 back = serialize.ring_to_dict(*serialize.ring_from_dict(obj))
             else:
                 back = serialize.algebra_to_dict(serialize.algebra_from_dict(obj))
@@ -300,8 +340,18 @@ class TestCLI:
         assert "2 modular invariant(s)" in out
 
     def test_check_corrupted_ring_exits_1(self, tmp_path, capsys):
-        obj = serialize.ring_to_dict(*su2_level(2))
+        obj = full_form(*su2_level(2))
         obj["fusion"] = [e for e in obj["fusion"] if e[:3] != [1, 1, 2]]
+        path = tmp_path / "broken.json"
+        path.write_text(serialize.dumps(obj))
+        assert main(["check", str(path)]) == 1
+        assert "VIOLATED" in capsys.readouterr().out
+
+    def test_check_corrupted_orbit_ring_exits_1(self, tmp_path, capsys):
+        # dropping the orbit row [1, 1, 2] drops N[1,1]^2, N[1,2]^1 and
+        # N[2,1]^1; the file still parses, and the axioms fail
+        obj = serialize.ring_to_dict(*su2_level(2))
+        obj["fusion_orbits"] = [e for e in obj["fusion_orbits"] if e[:3] != [1, 1, 2]]
         path = tmp_path / "broken.json"
         path.write_text(serialize.dumps(obj))
         assert main(["check", str(path)]) == 1
@@ -623,10 +673,11 @@ class TestCLI:
 
 
 def _valid_file(kind):
+    # full-form rings and algebras, so a malformed table is the only fault
     if kind == "ring":
-        return serialize.ring_to_dict(*cyclic_model(2, 1))
+        return full_form(*cyclic_model(2, 1))
     if kind == "algebra":
-        return serialize.algebra_to_dict(BasedAlgebra.from_group_table(cyclic_table(2)))
+        return full_form(BasedAlgebra.from_group_table(cyclic_table(2)))
     if kind == "invariant":
         return {"size": 2, "entries": [[0, 0, 1], [1, 1, 1]]}
     return serialize.certificate_to_dict(trivial_certificate(*su2_level(2)))

@@ -2,16 +2,18 @@
 relabelling a model, including relabellings that move the unit off 0; the
 associativity check lists exactly the violations of a four-loop reference,
 on single-constituent tables and on any other; the labels it checks first
-generate the whole algebra; Deligne products of valid rings are valid."""
+generate the whole algebra; Deligne products of valid rings are valid;
+conjugating the twists keeps the invariant list."""
 import functools
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import (BasedAlgebra, catalog_models, modular_matrices, search_invariants,
-                       validate_fusion_ring)
+from fusionkit import (BasedAlgebra, FusionKitError, TwistData, catalog_models, modular_matrices,
+                       named_model, search_invariants, validate_fusion_ring)
 from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.invariants import check_invariance
 from fusionkit.rings import _associativity_violations, _generating_labels
@@ -146,3 +148,29 @@ def test_su2_10_squared_validates():
     ring = product_model(su2_level(10), su2_level(10))[0]
     assert ring.size == 121
     assert validate_fusion_ring(ring).ok
+
+
+CONJUGATION_MODELS = {
+    **{name: (ring, twists) for name, ring, twists in catalog_models()},
+    "su2_2 x su2_3": product_model(su2_level(2), su2_level(3)),
+    "ising x ising": product_model(named_model("ising"), named_model("ising")),
+}
+
+
+def invariant_list(model):
+    """(Z, flags) of every invariant ``search_invariants`` finds, or the
+    type of the error that stops it."""
+    try:
+        return [(mm.Z.tolist(), mm.is_identity, mm.is_permutation, mm.is_symmetric, mm.type_one)
+                for mm in search_invariants(modular_matrices(*model))]
+    except FusionKitError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", list(CONJUGATION_MODELS))
+def test_conjugate_twists_keep_the_invariant_list(name):
+    # h -> -h mod 1 conjugates S and T; Z is real, so SZ = ZS and TZ = ZT
+    # hold for the conjugate data exactly when they hold for the original
+    ring, twists = CONJUGATION_MODELS[name]
+    conjugate = TwistData(-h for h in twists.h)
+    assert invariant_list((ring, conjugate)) == invariant_list((ring, twists))
