@@ -1,12 +1,16 @@
 """Semisimple based algebras given by non-negative integer structure constants.
 
-The main operation splits such an algebra into simple matrix blocks: the
-center is computed as the nullspace of the commutator constraints, a random
-self-adjoint central element is drawn and its spectrum in the left regular
-representation is clustered; each eigenvalue cluster of size s belongs to one
-simple block of size sqrt(s).  Conjugate pairs of blocks carry
-complex-conjugate scalars, so the random draw must use complex coefficients:
-real ones provably cannot separate a block from its conjugate.
+The main operation splits such an algebra into simple matrix blocks.  The
+center is the nullspace of the commutator constraints with a generating set
+G of labels only (``generating_labels()``, the same G the associativity
+check uses), |G| n rows instead of n^2: in an associative algebra an element
+that commutes with G commutes with everything G generates, which is every
+label.  A random self-adjoint central element is drawn, its left
+multiplication matrix is summed from the sparse columns, and its spectrum is
+clustered; each eigenvalue cluster of size s belongs to one simple block of
+size sqrt(s).  Conjugate pairs of blocks carry complex-conjugate scalars, so
+the random draw must use complex coefficients: real ones provably cannot
+separate a block from its conjugate.
 
 The block profile is what pairs with a mass matrix: the multiset of nonzero
 Z entries must equal the multiset of block sizes, and the algebra is
@@ -14,8 +18,9 @@ commutative exactly when all blocks are 1x1, i.e. when Z is 0/1-valued.
 
 Storage and checks are those of ``rings.FusionRing``: the structure
 constants live only in four read-only int64 arrays (a, b, c, mult) sorted by
-(a, b, c), read through ``columns()`` and ``tensor()``.  Associativity is
-``rings._associativity_violations``.  It checks the left labels of a
+(a, b, c), read through ``columns()`` and ``tensor()``.  The involution law
+reads each entry's mirror at its one cell of the tensor.  Associativity is
+``rings._associativity_violations``.  It checks the left labels of the
 generating set first, which needs no unit (the matrix units e11, e12, e21
 generate M2), and every label only when one of them fails: the left labels
 that associate with everything form a subalgebra.  It composes index maps
@@ -65,10 +70,6 @@ class BasedAlgebra(_SparseStructure):
             dims = tuple(float(x) for x in dims)
         object.__setattr__(self, "dims", dims)
 
-    def left_regular(self) -> np.ndarray:
-        """Stacked left-multiplication matrices L[b][d,g] = N[b,g]^d."""
-        return self.tensor().transpose(0, 2, 1)
-
     @classmethod
     def from_group_table(cls, table, labels=None, dims=None) -> "BasedAlgebra":
         """Group algebra from a multiplication table table[i][j] = index of g_i g_j."""
@@ -116,8 +117,8 @@ def validate_based_algebra(alg: BasedAlgebra) -> ValidationReport:
     if alg.unit is not None:
         out += _unit_violations(T, alg.unit)
     out += _involution_violations(alg.dual)
-    out += _antiautomorphism_violations(T, alg.dual)
-    out += _associativity_violations(T)
+    out += _antiautomorphism_violations(alg)
+    out += _associativity_violations(T, alg.generating_labels())
     if alg.dims is not None:
         d = np.array(alg.dims)
         off = np.abs(T @ d - np.outer(d, d)) > 1e-6 * max(1.0, float(np.max(d)) ** 2)
@@ -129,6 +130,10 @@ def validate_based_algebra(alg: BasedAlgebra) -> ValidationReport:
 def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
     """Simple block sizes of a semisimple based algebra.
 
+    The algebra must be associative (``validate_based_algebra``, which
+    ``decompose`` runs first), since the center is found from a generating
+    set (``_center``).
+
     Draws up to ``_MAX_DRAWS`` random self-adjoint central elements (fresh
     randomness per draw, reproducible via ``seed``); a draw is accepted when
     its regular-representation spectrum splits into exactly as many
@@ -137,27 +142,24 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
     semisimple as expected.
     """
     n = alg.size
-    T = alg.tensor()
-    L = alg.left_regular()
-    # center: coefficient vectors c with sum_b c_b (N[b,g]^d - N[g,b]^d) = 0,
-    # one row per (g, d)
-    constraints = (T.transpose(1, 2, 0) - T.transpose(0, 2, 1)).reshape(n * n, n).astype(float)
-    _, svals, Vt = np.linalg.svd(constraints, full_matrices=False)
-    cutoff = _RANK_RTOL * (svals[0] if svals.size and svals[0] > 0 else 1.0)
-    basis = Vt[svals <= cutoff]  # r x n, real
+    basis = _center(alg)
     r = len(basis)
     if r == 0:
         raise NumericError("center is empty; input is not a unital based algebra")
 
     rng = np.random.default_rng(seed)
     dual = list(alg.dual)
+    a, b, c, mult = alg.columns()
+    cells = c * n + b  # z[c, b] = sum_a coeff[a] N[a,b]^c
     last_sizes: list[int] | None = None
     for _ in range(_MAX_DRAWS):
         coeff = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) @ basis
         coeff = 0.5 * (coeff + np.conj(coeff[dual]))  # self-adjoint part
         if np.max(np.abs(coeff)) < 1e-12:
             continue
-        zmat = np.tensordot(coeff, L, axes=1)
+        weight = coeff[a] * mult
+        zmat = (np.bincount(cells, weight.real, n * n)
+                + 1j * np.bincount(cells, weight.imag, n * n)).reshape(n, n)
         eigs = np.linalg.eigvals(zmat)
         scale = float(np.max(np.abs(eigs))) + 1.0
         clusters = _cluster(eigs, 1e-7 * scale)
@@ -178,6 +180,26 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
         f"central spectrum did not split into {r} clusters after {_MAX_DRAWS} draws"
         + (f" (last multiplicities {sorted(last_sizes)})" if last_sizes else "")
         + "; algebra may not be semisimple")
+
+
+def _center(alg: BasedAlgebra) -> np.ndarray:
+    """Orthonormal real rows spanning the center of an associative algebra.
+
+    The center is the nullspace of sum_b c_b (N[b,g]^d - N[g,b]^d) = 0, one
+    row per (g, d) for g in the generating set G of ``generating_labels()``
+    only: in an associative algebra an element that commutes with G
+    commutes with every product of G, hence with every label.  G is never
+    empty, so there are at least n rows and the reduced SVD keeps every
+    null vector.
+    """
+    n = alg.size
+    T = alg.tensor()
+    gens = list(alg.generating_labels())
+    constraints = (T[:, gens].transpose(1, 2, 0)
+                   - T[gens].transpose(0, 2, 1)).reshape(len(gens) * n, n).astype(float)
+    _, svals, Vt = np.linalg.svd(constraints, full_matrices=False)
+    cutoff = _RANK_RTOL * (svals[0] if svals.size and svals[0] > 0 else 1.0)
+    return Vt[svals <= cutoff]
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[list[complex]]:

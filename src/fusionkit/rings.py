@@ -15,16 +15,23 @@ invariant files, branching matrices) is read by ``_int_array``, and every
 sparse table by ``_table_columns``.  Bools, floats and strings are never
 integers there; a list of rows is typed entry by entry and read with
 ``np.fromiter``, without an object array of every entry.
+
+The anti-automorphism law of an involution is checked entry by entry: the
+mirror of each entry of the columns is read from the tensor at its one
+cell.  Frobenius reciprocity is decided the same way when the dual is a
+permutation, and its violations are listed from dense gathers only when
+that check fails.
+
 Associativity is decided on a generating set of labels: the left labels a
 with (a x) y = a (x y) for all x, y (the left nucleus) form a subalgebra, so
 it is enough to check a set G whose products prove every label to lie in
-the algebra G generates (``_generating_labels``, an exact closure on the
-pattern N > 0; G = {0, 1} for SU(2)_k).  Only when a label of G fails are
-all left labels checked, so every violation is still listed.  Every
-partial sum of the check is a non-negative integer of at most n max(N)^2,
-and ``numerics.exact_float`` turns that bound into float32 below 2^24,
-float64 below 2^53 and a ``NumericError`` above, before any product is
-formed.  A single-constituent table (every product a b has at most one
+the algebra G generates (``generating_labels()``, an exact closure on the
+pattern N > 0, found once per table; G = {0, 1} for SU(2)_k).  Only when a
+label of G fails are all left labels checked, so every violation is still
+listed.  Every partial sum of the check is a non-negative integer of at
+most n max(N)^2, and ``numerics.exact_float`` turns that bound into float32
+below 2^24, float64 below 2^53 and a ``NumericError`` above, before any
+product is formed.  A single-constituent table (every product a b has at most one
 constituent, as in groups and Z_n rings) is then decided exactly by
 composing its n x n constituent and multiplicity maps; any other table by
 float products.
@@ -136,8 +143,10 @@ def _table_columns(table, n: int, width: int) -> tuple[np.ndarray, ...]:
 
     A mapping is read as rows (*key, value).  The whole table is checked in
     bulk: one ``_int_array`` cast, indices in range(n), values in [0, 2^63),
-    and duplicates found by a stable sort on the flat key.  An entry is a
-    duplicate when an earlier entry with the same key has a positive value.
+    and duplicates found by a stable sort on the flat key, skipped when the
+    keys are already non-decreasing (as in every file fusionkit writes).  An
+    entry is a duplicate when an earlier entry with the same key has a
+    positive value.
     When a bulk check fails, ``_first_bad_entry`` names the first bad entry
     in input order.
     """
@@ -153,15 +162,16 @@ def _table_columns(table, n: int, width: int) -> tuple[np.ndarray, ...]:
     if (rows is not None and rows.ndim == 2 and rows.shape[1] == width
             and rows.min(initial=0) >= 0 and rows[:, :-1].max(initial=0) < n):
         key = np.ravel_multi_index(tuple(rows[:, :-1].T), (n,) * (width - 1))
-        order = np.argsort(key, kind="stable")
-        key, positive = key[order], rows[order, -1] > 0
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
+            key, rows = key[order], rows[order]
+        positive = rows[:, -1] > 0
         # positive entries before each entry, and before the first entry of
         # its run of equal keys
         before = np.cumsum(positive) - positive
         run_start = np.concatenate(([True], key[1:] != key[:-1]))
         if not np.any(before > np.maximum.accumulate(np.where(run_start, before, 0))):
-            kept = order[positive]
-            return tuple(col[kept] for col in rows.T)
+            return tuple(col[positive] for col in rows.T)
     _first_bad_entry(table, n, width)
 
 
@@ -220,10 +230,10 @@ class _SparseStructure:
 
     The table is stored only as four read-only int64 columns (a, b, c, mult),
     sorted by (a, b, c): ``columns()`` returns them and ``tensor()`` is their
-    dense scatter.
+    dense scatter.  ``generating_labels()`` is computed once, like the tensor.
     """
 
-    __slots__ = ("labels", "unit", "dual", "_columns", "_tensor")
+    __slots__ = ("labels", "unit", "dual", "_columns", "_tensor", "_generators")
 
     def __init__(self, labels, unit, dual, table):
         labels, dual = _checked_header(labels, unit, dual)
@@ -233,6 +243,7 @@ class _SparseStructure:
         object.__setattr__(self, "dual", tuple(dual.tolist()))
         object.__setattr__(self, "_columns", tuple(readonly(col) for col in columns))
         object.__setattr__(self, "_tensor", None)
+        object.__setattr__(self, "_generators", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -255,6 +266,13 @@ class _SparseStructure:
             t[a, b, c] = mult
             object.__setattr__(self, "_tensor", readonly(t))
         return self._tensor
+
+    def generating_labels(self) -> tuple[int, ...]:
+        """Labels, ascending, whose products generate every label
+        (``_generating_labels`` on the tensor), found once."""
+        if self._generators is None:
+            object.__setattr__(self, "_generators", tuple(_generating_labels(self.tensor())))
+        return self._generators
 
     def _key(self) -> tuple:
         return (self.labels, self.unit, self.dual, *(col.tobytes() for col in self._columns))
@@ -330,8 +348,8 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     out += [Violation("conjugate", (int(lam), int(mu)), f"N[{lam},{mu}]^unit = "
                       f"{T[lam, mu, unit]}, expected {int(mu == ring.dual[lam])}")
             for lam, mu in np.argwhere(T[:, :, unit] != ring.conjugation_matrix())]
-    out += _frobenius_violations(T, ring.dual)
-    out += _associativity_violations(T)
+    out += _frobenius_violations(ring)
+    out += _associativity_violations(T, ring.generating_labels())
     return ValidationReport(tuple(out))
 
 
@@ -354,9 +372,21 @@ def _unit_violations(T: np.ndarray, unit: int) -> list[Violation]:
     return out
 
 
-def _frobenius_violations(T: np.ndarray, dual) -> list[Violation]:
-    """N[a,b]^c = N[dual a, c]^b = N[c, dual b]^a for every triple."""
-    d = np.asarray(dual)
+def _frobenius_violations(ring: _SparseStructure) -> list[Violation]:
+    """N[a,b]^c = N[dual a, c]^b = N[c, dual b]^a for every triple.
+
+    For a permutation dual, each side moves the entries to as many cells as
+    N has, so both sides agreeing with N on its entries is the whole law.
+    Otherwise, or when they disagree, the violations are listed from dense
+    gathers of the tensor.
+    """
+    n, d, T = ring.size, np.asarray(ring.dual), ring.tensor()
+    flat = T.reshape(-1)
+    x, y, z, mult = ring.columns()
+    if (np.array_equal(np.sort(d), np.arange(n))
+            and np.array_equal(flat[(d[x] * n + z) * n + y], mult)
+            and np.array_equal(flat[(z * n + d[y]) * n + x], mult)):
+        return []
     left = T[d].transpose(0, 2, 1)  # [a,b,c] -> N[dual a, c]^b
     right = T[:, d].transpose(2, 1, 0)  # [a,b,c] -> N[c, dual b]^a
     return [Violation("frobenius", (int(a), int(b), int(c)),
@@ -365,23 +395,26 @@ def _frobenius_violations(T: np.ndarray, dual) -> list[Violation]:
             for a, b, c in np.argwhere((T != left) | (T != right))]
 
 
-def _antiautomorphism_violations(T: np.ndarray, dual) -> list[Violation]:
-    """N[a,b]^c = N[dual b, dual a]^{dual c}, witnessed at the nonzero side."""
-    d = np.asarray(dual)
-    mirrored = T[np.ix_(d, d, d)].transpose(1, 0, 2)
-    return [Violation("involution", (int(a), int(b), int(c)),
-                      f"N[{a},{b}]^{c} = {T[a, b, c]} but "
-                      f"N[{d[b]},{d[a]}]^{d[c]} = {mirrored[a, b, c]}")
-            for a, b, c in np.argwhere((T != mirrored) & (T != 0))]
+def _antiautomorphism_violations(alg: _SparseStructure) -> list[Violation]:
+    """N[a,b]^c = N[dual b, dual a]^{dual c}, witnessed at the nonzero side
+    and listed by (a, b, c)."""
+    n, d = alg.size, np.asarray(alg.dual)
+    a, b, c, mult = alg.columns()
+    mirrored = alg.tensor().reshape(-1)[(d[b] * n + d[a]) * n + d[c]]
+    bad = np.flatnonzero(mirrored != mult)
+    return [Violation("involution", (a, b, c), f"N[{a},{b}]^{c} = {v} but "
+                                               f"N[{d[b]},{d[a]}]^{d[c]} = {mv}")
+            for a, b, c, v, mv in zip(*(col[bad].tolist() for col in (a, b, c, mult, mirrored)))]
 
 
-def _associativity_violations(T: np.ndarray) -> list[Violation]:
+def _associativity_violations(T: np.ndarray, generators: Iterable[int]) -> list[Violation]:
     """((a b) c)_d = (a (b c))_d for every (a, b, c, d), listed by a, then
     (b, c, d) ascending.
 
-    Only the left labels of a generating set G (``_generating_labels``) are
-    checked first; every label is checked, and listed, only when some label
-    of G fails.  G suffices because the left nucleus
+    Only the left labels of the generating set G = ``generators`` of T
+    (``_generating_labels``) are checked first; every label is checked, and
+    listed, only when some label of G fails.  G suffices because the left
+    nucleus
     N_l = {a : (a, x, y) = 0 for all x, y}, with (a, x, y) = (a x) y - a (x y),
     is a subalgebra: the Teichmueller identity
     (a b, c, d) - (a, b c, d) + (a, b, c d) = a (b, c, d) + (a, b, c) d
@@ -402,7 +435,7 @@ def _associativity_violations(T: np.ndarray) -> list[Violation]:
         sides = partial(_composed_sides, T.argmax(axis=2), M, dtype)
     else:
         sides = partial(_product_sides, T.astype(dtype))
-    if next(sides(_generating_labels(T)), None) is None:
+    if next(sides(generators), None) is None:
         return []
     out = []
     for a, lhs, rhs in sides(range(n)):

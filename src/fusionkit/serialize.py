@@ -231,8 +231,8 @@ def _expand_orbits(rows: np.ndarray, dual: np.ndarray) -> np.ndarray:
     [x, y, z, mult], x <= y <= z, sorted by (a, b, c): one for each distinct
     permutation (p, q, r) of (x, y, z), 6, 3 or 1 of them, those that keep
     equal neighbours x = y and y = z in order.  Distinct rows give disjoint
-    entries, so a sort that is not stable orders them, and the stable sort
-    of ``_table_columns`` then finds a single run."""
+    entries, so a sort that is not stable orders them, and ``_table_columns``
+    then finds their keys in order and does not sort them again."""
     n = len(dual)
     wide = np.concatenate([rows[:, :3].T, dual[rows[:, :3].T], rows[:, 3:].T])
     x, y, z = wide[:3]

@@ -1,8 +1,10 @@
-"""Shared test oracles: brute-force axiom checking, classical group tables
-with their character degrees, closed-form expected invariants for the
-SU(2) series (identity, D-type blocks/permutations, exceptional blocks), the
-relabelling of a model, the Deligne product of two models and a raw
-depth-first search for modular invariants.
+"""Shared test oracles: brute-force axiom checking, dense forms of the
+permutation-law checks and of the center, the duplicate rule by a stable
+sort, classical group tables with their character degrees, closed-form
+expected invariants for the SU(2) series (identity, D-type
+blocks/permutations, exceptional blocks), the relabelling of a model, the
+Deligne product of two models and a raw depth-first search for modular
+invariants.
 
 The oracles are deliberately independent of the package internals: the
 checkers iterate definitions directly and the expected matrices come from
@@ -71,6 +73,57 @@ def brute_force_associativity(T):
         if lhs != rhs:
             out.append(((a, b, c, d), f"(({a} {b}) {c})_{d} = {lhs}, ({a} ({b} {c}))_{d} = {rhs}"))
     return out
+
+
+# --------------------------------------- dense permutation laws and center
+
+def dense_frobenius_violations(T, dual):
+    """(where, detail) of every (a, b, c) with N[a,b]^c != N[dual a, c]^b or
+    N[a,b]^c != N[c, dual b]^a, in the library's order and wording, from
+    gathers of the whole dense n x n x n tensor."""
+    d = np.asarray(dual)
+    left = T[d].transpose(0, 2, 1)  # [a,b,c] -> N[dual a, c]^b
+    right = T[:, d].transpose(2, 1, 0)  # [a,b,c] -> N[c, dual b]^a
+    return [((a, b, c), f"N[{a},{b}]^{c} = {T[a, b, c]}, N[{d[a]},{c}]^{b} = {left[a, b, c]}, "
+                        f"N[{c},{d[b]}]^{a} = {right[a, b, c]}")
+            for a, b, c in np.argwhere((T != left) | (T != right)).tolist()]
+
+
+def dense_antiautomorphism_violations(T, dual):
+    """(where, detail) of every nonzero N[a,b]^c != N[dual b, dual a]^{dual c},
+    in the library's order and wording, from a dense gather of the tensor."""
+    d = np.asarray(dual)
+    mirrored = T[np.ix_(d, d, d)].transpose(1, 0, 2)
+    return [((a, b, c), f"N[{a},{b}]^{c} = {T[a, b, c]} but "
+                        f"N[{d[b]},{d[a]}]^{d[c]} = {mirrored[a, b, c]}")
+            for a, b, c in np.argwhere((T != mirrored) & (T != 0)).tolist()]
+
+
+def dense_center_projector(T, rtol=1e-7):
+    """Orthogonal projector onto the center {c : sum_b c_b (N[b,g]^d -
+    N[g,b]^d) = 0 for every g, d}, from all n^2 commutator rows; singular
+    values up to ``rtol`` times the largest count as zero."""
+    n = len(T)
+    rows = (T.transpose(1, 2, 0) - T.transpose(0, 2, 1)).reshape(n * n, n).astype(float)
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    basis = vt[s <= rtol * (s[0] if s[0] > 0 else 1.0)]
+    return basis.T @ basis
+
+
+def stable_table_columns(rows, n):
+    """The nonzero (a, b, c, mult) columns of an int64 (m, 4) table with
+    indices in range(n), by a stable sort of its flat keys, or the text of
+    the ``StructureError`` of the duplicate rule: an entry whose key an
+    earlier entry gave a positive value is named, the first in input order."""
+    seen = set()
+    for a, b, c, mult in rows.tolist():
+        if (a, b, c) in seen:
+            return f"duplicate key {(a, b, c)}"
+        if mult:
+            seen.add((a, b, c))
+    order = np.argsort((rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2], kind="stable")
+    kept = order[rows[order, 3] > 0]
+    return tuple(rows[kept, i] for i in range(4))
 
 
 # ------------------------------------------------------------ group tables

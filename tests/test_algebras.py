@@ -4,10 +4,13 @@ import pytest
 from fusionkit import (BasedAlgebra, BlockProfile, NumericError, StructureError,
                        decompose_semisimple, is_commutative,
                        validate_based_algebra, verify_dimension_theorem)
+from fusionkit.algebras import _center
+from fusionkit.catalog import su2_level
 from fusionkit.rings import _generating_labels
 
-from helpers import (GROUP_FIXTURES, brute_force_associativity, cyclic_table, permute_table,
-                     symmetric_table, table_dict, table_rows)
+from helpers import (GROUP_FIXTURES, brute_force_associativity, cyclic_table,
+                     dense_center_projector, permute_table, product_table, symmetric_table,
+                     table_dict, table_rows)
 
 
 def matrix_unit_algebra():
@@ -181,6 +184,46 @@ class TestDecompose:
         for name, (table, _) in GROUP_FIXTURES.items():
             alg = BasedAlgebra.from_group_table(table)
             assert decompose_semisimple(alg).dimension == alg.size, name
+
+
+def center_sources():
+    """(name, algebra): the group fixtures, one relabelling of each, three
+    products, the matrix units and SU(2)_k rings read as algebras."""
+    rng = np.random.default_rng(7)
+    for name, (table, _) in GROUP_FIXTURES.items():
+        yield name, BasedAlgebra.from_group_table(table)
+        perm = rng.permutation(len(table)).tolist()
+        yield f"{name} relabelled", BasedAlgebra.from_group_table(permute_table(table, perm))
+    for x, y in (("s3", "d4"), ("q8", "z3"), ("s3", "s3")):
+        table = product_table(GROUP_FIXTURES[x][0], GROUP_FIXTURES[y][0])
+        yield f"{x}x{y}", BasedAlgebra.from_group_table(table)
+    yield "matrix units", matrix_unit_algebra()
+    for k in (1, 2, 5, 10):
+        ring = su2_level(k)[0]
+        yield f"su2_{k}", BasedAlgebra(ring.labels, ring.unit, ring.dual,
+                                       np.stack(ring.columns(), axis=1))
+
+
+class TestCenter:
+    @pytest.mark.parametrize("name, alg", list(center_sources()),
+                             ids=[name for name, _ in center_sources()])
+    def test_generating_set_gives_the_whole_center(self, name, alg):
+        # the rows of the generators alone cut out the center that all n^2
+        # commutator rows cut out
+        basis = _center(alg)
+        want = dense_center_projector(alg.tensor())
+        assert len(basis) == round(np.trace(want))
+        assert np.max(np.abs(basis.T @ basis - want)) <= 1e-9
+
+    @pytest.mark.parametrize("x, y", [("d6", "s3"), ("s4", "z3")])
+    def test_relabelled_products_give_the_character_degrees(self, x, y):
+        (tx, dx), (ty, dy) = GROUP_FIXTURES[x], GROUP_FIXTURES[y]
+        table = product_table(tx, ty)
+        degrees = tuple(sorted((p * q for p in dx for q in dy), reverse=True))
+        for seed in range(10):
+            perm = np.random.default_rng(seed).permutation(len(table)).tolist()
+            alg = BasedAlgebra.from_group_table(permute_table(table, perm))
+            assert decompose_semisimple(alg, seed=seed).sizes == degrees, seed
 
 
 class TestDimensionTheorem:

@@ -540,6 +540,25 @@ class TestCLI:
         assert main(["decompose", str(path)]) == 0
         assert "blocks: 2 1 1" in capsys.readouterr().out
 
+    def test_decompose_refuses_a_non_associative_algebra(self, tmp_path, capsys, monkeypatch):
+        # the center from a generating set assumes associativity, so the
+        # axioms fail first and decompose_semisimple is never called
+        import fusionkit.cli as cli
+        monkeypatch.setattr(cli, "decompose_semisimple", lambda *args, **kwargs: pytest.fail(
+            "decompose_semisimple called on an invalid algebra"))
+        # Z3 with 1 * 1 redirected to the unit: (1 1) 2 = 2 but 1 (1 2) = 1;
+        # the table is commutative, so the identity dual is an involution
+        alg = BasedAlgebra(["0", "1", "2"], 0, (0, 1, 2),
+                           {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): 1,
+                            (2, 0, 2): 1, (1, 1, 0): 1, (1, 2, 0): 1, (2, 1, 0): 1,
+                            (2, 2, 1): 1})
+        path = tmp_path / "bad.json"
+        path.write_text(serialize.dumps(serialize.algebra_to_dict(alg)))
+        assert main(["decompose", str(path)]) == 1
+        head, *lines = capsys.readouterr().out.splitlines()
+        assert head == "algebra axioms violated:"
+        assert lines and all(line.startswith("associativity at ") for line in lines)
+
     def test_verify_induction_flow(self, tmp_path, capsys):
         cert = trivial_certificate(*su2_level(4))
         path = tmp_path / "cert.json"

@@ -2,8 +2,11 @@
 relabelling a model, including relabellings that move the unit off 0; the
 associativity check lists exactly the violations of a four-loop reference,
 on single-constituent tables and on any other; the labels it checks first
-generate the whole algebra; Deligne products of valid rings are valid;
-conjugating the twists keeps the invariant list."""
+generate the whole algebra; the Frobenius and involution checks, which
+decide valid tables entry by entry, list what dense gathers list, on random
+and corrupted tables; the duplicate rule gives the columns and error text of a stable
+sort; Deligne products of valid rings are valid; conjugating the twists
+keeps the invariant list."""
 import functools
 import itertools
 
@@ -12,13 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import (BasedAlgebra, FusionKitError, TwistData, catalog_models, modular_matrices,
-                       named_model, search_invariants, validate_fusion_ring)
+from fusionkit import (BasedAlgebra, FusionKitError, StructureError, TwistData, catalog_models,
+                       modular_matrices, named_model, search_invariants, validate_fusion_ring)
 from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.invariants import check_invariance
-from fusionkit.rings import _associativity_violations, _generating_labels
+from fusionkit.rings import (_antiautomorphism_violations, _associativity_violations,
+                            _frobenius_violations, _generating_labels, _table_columns)
 
-from helpers import GROUP_FIXTURES, brute_force_associativity, permute_model, product_model
+from helpers import (GROUP_FIXTURES, brute_force_associativity,
+                     dense_antiautomorphism_violations, dense_frobenius_violations,
+                     permute_model, product_model, product_table, stable_table_columns,
+                     table_dict)
 
 # SU(2)_k for k <= 6 and Z_n with q = 1 for even n <= 8 (odd n has no q = 1 twist)
 MODELS = [("su2", k) for k in range(1, 7)] + [("cyclic", n) for n in (2, 4, 6, 8)]
@@ -81,7 +88,7 @@ def structure_tables(draw):
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(structure_tables())
 def test_associativity_lists_every_violation_in_order(T):
-    violations = _associativity_violations(T)
+    violations = _associativity_violations(T, _generating_labels(T))
     assert {v.axiom for v in violations} <= {"associativity"}
     assert [(v.where, v.detail) for v in violations] == brute_force_associativity(T.tolist())
 
@@ -135,6 +142,90 @@ def test_generating_labels_generate_every_label(data):
 def test_catalog_order_generates_from_unit_and_label_1():
     for name in [f"su2_{k}" for k in range(1, 65)] + [f"z_{n}" for n in range(2, 33)]:
         assert _generating_labels(generator_source(name)[0]) == [0, 1], name
+
+
+def law_violations(structure):
+    """The Frobenius and involution-law violations of a ring or algebra, as
+    (where, detail) pairs: entry by entry, then from dense gathers."""
+    sparse = [[(v.where, v.detail) for v in check(structure)]
+              for check in (_frobenius_violations, _antiautomorphism_violations)]
+    dense = [check(structure.tensor(), structure.dual)
+             for check in (dense_frobenius_violations, dense_antiautomorphism_violations)]
+    return sparse, dense
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_permutation_laws_match_dense_gathers(data):
+    # any sparse table with any dual map, a permutation or not
+    n = data.draw(st.integers(1, 5), label="n")
+    cells = st.tuples(*[st.integers(0, n - 1)] * 3)
+    table = data.draw(st.dictionaries(cells, st.integers(1, 3), max_size=2 * n * n), label="N")
+    dual = data.draw(st.permutations(range(n)) | st.lists(st.integers(0, n - 1), min_size=n,
+                                                         max_size=n), label="dual")
+    sparse, dense = law_violations(BasedAlgebra([str(x) for x in range(n)], None, dual, table))
+    assert sparse == dense
+
+
+def corruptions(structure, rng):
+    """(dual, table) of ``structure`` with one defect each: an entry raised
+    by 1, an entry added, an entry removed, a random permutation as the
+    dual and a random map as the dual."""
+    n, dual, table = structure.size, structure.dual, table_dict(structure)
+    key = sorted(table)[rng.integers(len(table))]
+    cell = tuple(rng.integers(n, size=3).tolist())
+    return [(dual, {**table, key: table[key] + 1}),
+            (dual, {**table, cell: table.get(cell, 0) + int(rng.integers(1, 4))}),
+            (dual, {k: v for k, v in table.items() if k != key}),
+            (rng.permutation(n).tolist(), table),
+            (rng.integers(n, size=n).tolist(), table)]
+
+
+def law_sources():
+    """(name, ring or algebra) for the corrupted-table comparison."""
+    for name, ring, twists in catalog_models():
+        yield name, ring
+        perm = np.random.default_rng(ring.size).permutation(ring.size)
+        yield f"{name} relabelled", permute_model((ring, twists), perm)[0]
+    yield "su2_16", su2_level(16)[0]
+    yield "ising x su2_3", product_model(named_model("ising"), su2_level(3))[0]
+    for name, (table, _) in GROUP_FIXTURES.items():
+        yield name, BasedAlgebra.from_group_table(table)
+    yield "s3 x q8", BasedAlgebra.from_group_table(
+        product_table(GROUP_FIXTURES["s3"][0], GROUP_FIXTURES["q8"][0]))
+
+
+@pytest.mark.parametrize("name, structure", list(law_sources()),
+                         ids=[name for name, _ in law_sources()])
+def test_permutation_laws_on_corrupted_tables(name, structure):
+    sparse, dense = law_violations(structure)
+    assert sparse == dense == [[], []]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for dual, table in corruptions(structure, rng):
+        corrupted = type(structure)(structure.labels, structure.unit, dual, table)
+        sparse, dense = law_violations(corrupted)
+        assert sparse == dense
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_duplicate_rule_matches_a_stable_sort(data):
+    # few distinct keys, so they repeat, carrying zero and positive values,
+    # in any order
+    n = data.draw(st.integers(1, 3), label="n")
+    row = st.tuples(*[st.integers(0, n - 1)] * 3, st.sampled_from([0, 0, 1, 2]))
+    rows = data.draw(st.lists(row, min_size=1, max_size=12), label="rows")
+    if data.draw(st.booleans(), label="sorted"):
+        rows.sort(key=lambda r: r[:3])
+    want = stable_table_columns(np.array(rows, dtype=np.int64), n)
+    for form in (rows, np.array(rows, dtype=np.int64)):
+        if isinstance(want, str):
+            with pytest.raises(StructureError) as err:
+                _table_columns(form, n, 4)
+            assert str(err.value) == want
+        else:
+            got = _table_columns(form, n, 4)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
 
 
 def test_deligne_products_validate():

@@ -91,7 +91,8 @@ class TestValidation:
                 for a, b, c, d in np.argwhere(lhs != rhs).tolist()]
         assert _generating_labels(T) == [0, 1]
         assert len(want) == 452
-        assert [(v.where, v.detail) for v in _associativity_violations(T)] == want
+        violations = _associativity_violations(T, _generating_labels(T))
+        assert [(v.where, v.detail) for v in violations] == want
 
     def test_collects_all_violations(self):
         # a corrupted entry trips frobenius as well; nothing is short-circuited
