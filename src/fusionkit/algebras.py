@@ -22,8 +22,9 @@ constants live only in four read-only int64 arrays (a, b, c, mult) sorted by
 reads each entry's mirror at its one cell of the tensor.  Associativity is
 ``rings._associativity_violations``.  It checks the left labels of the
 generating set first, which needs no unit (the matrix units e11, e12, e21
-generate M2), and every label only when one of them fails: the left labels
-that associate with everything form a subalgebra.  It composes index maps
+generate M2) and leaves out a unit label that obeys the unit law, and every
+label only when one of them fails: the left labels that associate with
+everything form a subalgebra.  It composes index maps
 for a single-constituent table such as a group algebra, otherwise takes
 float products that are exact in float32 while n max(N)^2 < 2^24 and in
 float64 while it is below 2^53 (``numerics.exact_float``; larger tables
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import NumericError, StructureError
 from .rings import (ValidationReport, Violation, _antiautomorphism_violations,
                     _associativity_violations, _involution_violations,
-                    _sequence, _SparseStructure, _unit_violations)
+                    _precheck_labels, _sequence, _SparseStructure, _unit_violations)
 
 _RANK_RTOL = 1e-7  # singular-value threshold, relative to the largest
 _MAX_DRAWS = 8  # random central elements tried before giving up
@@ -113,12 +114,11 @@ def validate_based_algebra(alg: BasedAlgebra) -> ValidationReport:
     anti-automorphism law, and multiplicativity of the dimension vector when
     one is attached."""
     T = alg.tensor()
-    out: list[Violation] = []
-    if alg.unit is not None:
-        out += _unit_violations(T, alg.unit)
+    unit_bad = [] if alg.unit is None else _unit_violations(T, alg.unit)
+    out: list[Violation] = list(unit_bad)
     out += _involution_violations(alg.dual)
     out += _antiautomorphism_violations(alg)
-    out += _associativity_violations(T, alg.generating_labels())
+    out += _associativity_violations(T, _precheck_labels(alg, not unit_bad))
     if alg.dims is not None:
         d = np.array(alg.dims)
         off = np.abs(T @ d - np.outer(d, d)) > 1e-6 * max(1.0, float(np.max(d)) ** 2)

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericError, TwistError, VanishingZError, VerlindeError
-from .numerics import (default_tolerance, max_abs, mod1, phase_vector, readonly,
+from .numerics import (default_tolerance, max_abs, mod1, readonly, root_of_unity,
                        scaled_tol, unit_phase)
 from .rings import DimensionVector, FusionRing, quantum_dimensions
 
@@ -42,7 +42,10 @@ class TwistData:
         object.__setattr__(self, "h", tuple(mod1(Fraction(v)) for v in self.h))
 
     def phases(self) -> np.ndarray:
-        return phase_vector(self.h)
+        """Read-only w_l = e^{2 pi i h_l}, evaluated on the integer numerators
+        (``numerators``) without a ``Fraction`` per phase."""
+        e, H = self.numerators()
+        return _roots(e.tolist(), H)
 
     def numerators(self) -> tuple[np.ndarray, int]:
         """(e, H) with h_l = e_l / H for the common denominator H; e is int64
@@ -54,6 +57,11 @@ class TwistData:
 
     def __len__(self) -> int:
         return len(self.h)
+
+
+def _roots(js: list[int], H: int) -> np.ndarray:
+    """Read-only e^{2 pi i j/H} for Python ints 0 <= j < H."""
+    return readonly(np.array([root_of_unity(j, H) for j in js], dtype=complex))
 
 
 def validate_twists(ring: FusionRing, twists: TwistData) -> None:
@@ -157,29 +165,48 @@ class MonodromySpectra:
 
 def y_matrix(ring: FusionRing, twists: TwistData, *,
              dims: DimensionVector | None = None) -> np.ndarray:
-    """Y[m,n] = sum_l (w_m w_n / w_l) N[m,n]^l d_l from exact twist exponents
-    h_l = e_l / H; the phase of (e_m + e_n - e_l) mod H is computed once per
-    distinct value, and each Y[m,n] adds its terms in increasing l."""
+    """Y[m,n] = sum_l (w_m w_n / w_l) N[m,n]^l d_l from the ring's sorted
+    columns (m, n, l, N) and the integer twist numerators h_l = e_l / H.
+
+    Each entry's exponent j = (e_m + e_n - e_l) mod H is an integer, and the
+    phase ``root_of_unity(j, H)`` is evaluated once per distinct j.  When H
+    is at most the entry count, the phases sit in a table indexed by j;
+    otherwise ``np.unique`` numbers the distinct j, which keeps memory
+    bounded for huge H.  The real and imaginary parts of Y are each one
+    ``np.bincount`` over the flat index of the cell (m, n); the columns are
+    sorted, so every Y[m,n] adds its terms in increasing l.
+    """
     validate_twists(ring, twists)
+    n = ring.size
     d = (dims or quantum_dimensions(ring)).d
     e, H = twists.numerators()  # e_m + e_n - e_l lies in (-H, 2H)
     a, b, c, mult = ring.columns()
-    k, inverse = np.unique((e[a] + e[b] - e[c]) % H, return_inverse=True)
-    phase = np.array([unit_phase(Fraction(j, H)) for j in k.tolist()], dtype=complex)
-    Y = np.zeros((ring.size, ring.size), dtype=complex)
-    np.add.at(Y, (a, b), phase[inverse] * (mult * d[c]))
+    j = (e[a] + e[b] - e[c]) % H
+    if H <= len(j):
+        seen = np.zeros(H, dtype=bool)
+        seen[j] = True
+        k = np.flatnonzero(seen)
+        phase, slot = np.zeros(H, dtype=complex), j
+        phase[k] = _roots(k.tolist(), H)
+    else:
+        k, slot = np.unique(j, return_inverse=True)
+        phase = _roots(k.tolist(), H)
+    weight, cell = mult * d[c], a * n + b
+    Y = np.empty((n, n), dtype=complex)
+    Y.real = np.bincount(cell, phase.real[slot] * weight, n * n).reshape(n, n)
+    Y.imag = np.bincount(cell, phase.imag[slot] * weight, n * n).reshape(n, n)
     return Y
 
 
-def _central_charge(z: complex, twists: TwistData, tol: float) -> Fraction:
+def _central_charge(z: complex, H: int, tol: float) -> Fraction:
     """Snap 4 arg(z)/pi to an exact rational representative in [0, 8).
 
     The twists are roots of unity, so for the models handled here z has a
     rational argument in units of pi/4; the denominator is bounded in terms
-    of the common twist denominator.
+    of the common twist denominator H.
     """
     c_float = (4.0 / math.pi) * math.atan2(z.imag, z.real) % 8.0
-    limit = max(240, 24 * math.lcm(*(t.denominator for t in twists.h)))
+    limit = max(240, 24 * H)
     cand = Fraction(c_float).limit_denominator(limit)
     cand = Fraction(cand.numerator % (8 * cand.denominator), cand.denominator)
     # verify against the unit phase rather than against the float estimate
@@ -200,12 +227,17 @@ def modular_matrices(ring: FusionRing, twists: TwistData, *,
     dims = dims or quantum_dimensions(ring)
     Y = y_matrix(ring, twists, dims=dims)
     z = complex(np.sum(dims.d * dims.d * twists.phases()))
+    e, H = twists.numerators()
     eps = scaled_tol(tol, ring.size)
     if abs(z) <= eps * dims.w:
         raise VanishingZError(f"|z| = {abs(z):.3e} vanishes; S undefined")
-    c = _central_charge(z, twists, eps)
-    t_exps = tuple(mod1(h - Fraction(c, 24)) for h in twists.h)
-    T = np.diag(phase_vector(t_exps))
+    c = _central_charge(z, H, eps)
+    # t_l = h_l - c/24 = (24 q e_l - p H) / (24 q H) mod 1, for c = p/q
+    p, q = c.numerator, c.denominator
+    D = 24 * q * H
+    t = [(24 * q * x - p * H) % D for x in e.tolist()]
+    t_exps = tuple(Fraction(x, D) for x in t)
+    T = np.diag(_roots(t, D))
     S = Y / abs(z)
     return ModularData(ring=ring, twists=twists, d=dims.d, w=dims.w, Y=Y, S=S, T=T,
                        t_exponents=t_exps, z=z, c=c, C=ring.conjugation_matrix(),

@@ -3,6 +3,13 @@
 Twist exponents are kept as exact ``Fraction`` values everywhere; floats only
 appear when a phase is actually evaluated.  Equality decisions (T-sparsity,
 monodromy triviality) are therefore combinatorial, never float comparisons.
+
+Every phase comes from one integer core, ``root_of_unity(j, H)`` =
+e^{2 pi i j/H}: the quarter turn is split off in integers and the rest,
+an exact rational of at most 1/4 turn, is rounded once by Python's
+correctly rounded integer division.  Callers that hold twists as integer
+numerators over a common denominator (``TwistData.numerators``) evaluate
+each phase without building a ``Fraction``.
 """
 from __future__ import annotations
 
@@ -47,26 +54,25 @@ def mod1(x: Fraction) -> Fraction:
     return Fraction(x.numerator % x.denominator, x.denominator)
 
 
-def unit_phase(t: Fraction) -> complex:
-    """e^{2 pi i t} for exact rational t.
+def root_of_unity(j: int, H: int) -> complex:
+    """e^{2 pi i j/H} for Python ints 0 <= j < H; (j, H) need not be reduced.
 
-    The argument is reduced to a quarter turn before calling trig functions,
-    so multiples of 1/4 evaluate to exact unit-circle points (1, i, -1, -i).
+    The quarter turn q = floor(4j/H) is split off in integers, so multiples
+    of 1/4 evaluate to exact unit-circle points (1, i, -1, -i).  The rest,
+    (4j - qH)/(4H) of a turn, is rounded once by integer true division.
     """
-    t = mod1(t)
-    quarter = (4 * t.numerator) // t.denominator  # in 0..3
-    rest = t - Fraction(quarter, 4)
+    quarter, rest = divmod(4 * j, H)
     base = _QUARTER[quarter]
     if rest == 0:
         return base
-    angle = 2.0 * math.pi * float(rest)
+    angle = 2.0 * math.pi * (rest / (4 * H))
     return base * complex(math.cos(angle), math.sin(angle))
 
 
-def phase_vector(ts) -> np.ndarray:
-    out = np.array([unit_phase(t) for t in ts], dtype=complex)
-    out.flags.writeable = False
-    return out
+def unit_phase(t: Fraction) -> complex:
+    """e^{2 pi i t} for exact rational t."""
+    t = Fraction(t)
+    return root_of_unity(t.numerator % t.denominator, t.denominator)
 
 
 def max_abs(a: np.ndarray) -> float:

@@ -10,7 +10,10 @@ eigenvector of the fusion matrices, computed as Perron-Frobenius data.
 The structure constants are stored as four read-only int64 arrays
 (a, b, c, mult) sorted by (a, b, c), checked in bulk when the ring is built;
 ``columns()`` returns them and ``tensor()`` scatters them into the dense
-N[a,b]^c once.  Every integer array that enters fusionkit (structure tables,
+N[a,b]^c once.  ``tensor()`` is the one place where tables become dense
+(the axiom checks, block profiles, certificates and the Verlinde check use
+it); the quantum dimensions, like the modular data, read the columns with
+``np.bincount``.  Every integer array that enters fusionkit (structure tables,
 invariant files, branching matrices) is read by ``_int_array``, and every
 sparse table by ``_table_columns``.  Bools, floats and strings are never
 integers there; a list of rows is typed entry by entry and read with
@@ -26,13 +29,15 @@ Associativity is decided on a generating set of labels: the left labels a
 with (a x) y = a (x y) for all x, y (the left nucleus) form a subalgebra, so
 it is enough to check a set G whose products prove every label to lie in
 the algebra G generates (``generating_labels()``, an exact closure on the
-pattern N > 0, found once per table; G = {0, 1} for SU(2)_k).  Only when a
-label of G fails are all left labels checked, so every violation is still
-listed.  Every partial sum of the check is a non-negative integer of at
-most n max(N)^2, and ``numerics.exact_float`` turns that bound into float32
-below 2^24, float64 below 2^53 and a ``NumericError`` above, before any
-product is formed.  A single-constituent table (every product a b has at most one
-constituent, as in groups and Z_n rings) is then decided exactly by
+pattern N > 0, found once per table; G = {0, 1} for SU(2)_k).  When the
+unit law holds, the unit is in the left nucleus and leaves G, so SU(2)_k
+checks label 1 alone.  Only when a label of G fails are all left labels
+checked, so every violation is still listed.  Every partial sum of the
+check is a non-negative integer of at most n max(N)^2, and
+``numerics.exact_float`` turns that bound into float32 below 2^24, float64
+below 2^53 and a ``NumericError`` above, before any product is formed.  A
+single-constituent table (every product a b has at most one constituent, as
+in groups and Z_n rings) is then decided exactly by
 composing its n x n constituent and multiplicity maps; any other table by
 float products.
 """
@@ -344,12 +349,13 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     if ring.dual[unit] != unit:
         out.append(Violation("involution", (unit,), "dual(unit) != unit"))
     out += _involution_violations(ring.dual)
-    out += _unit_violations(T, unit)
+    unit_bad = _unit_violations(T, unit)
+    out += unit_bad
     out += [Violation("conjugate", (int(lam), int(mu)), f"N[{lam},{mu}]^unit = "
                       f"{T[lam, mu, unit]}, expected {int(mu == ring.dual[lam])}")
             for lam, mu in np.argwhere(T[:, :, unit] != ring.conjugation_matrix())]
     out += _frobenius_violations(ring)
-    out += _associativity_violations(T, ring.generating_labels())
+    out += _associativity_violations(T, _precheck_labels(ring, not unit_bad))
     return ValidationReport(tuple(out))
 
 
@@ -358,6 +364,14 @@ def _involution_violations(dual) -> list[Violation]:
     d = np.asarray(dual)
     return [Violation("involution", (int(a),), f"dual(dual({a})) = {d[d[a]]}")
             for a in np.flatnonzero(d[d] != np.arange(len(d)))]
+
+
+def _precheck_labels(structure: _SparseStructure, unit_law: bool) -> tuple[int, ...]:
+    """The labels the associativity check tries first: the generating set,
+    without the unit when there is one and the unit law holds, because
+    (u x) y = x y = u (x y) puts the unit u in the left nucleus."""
+    gens = structure.generating_labels()
+    return tuple(g for g in gens if g != structure.unit) if unit_law else gens
 
 
 def _unit_violations(T: np.ndarray, unit: int) -> list[Violation]:
@@ -411,15 +425,17 @@ def _associativity_violations(T: np.ndarray, generators: Iterable[int]) -> list[
     """((a b) c)_d = (a (b c))_d for every (a, b, c, d), listed by a, then
     (b, c, d) ascending.
 
-    Only the left labels of the generating set G = ``generators`` of T
-    (``_generating_labels``) are checked first; every label is checked, and
-    listed, only when some label of G fails.  G suffices because the left
-    nucleus
+    Only the left labels of ``generators`` are checked first: a generating
+    set G of T (``_generating_labels``), less any label already known to lie
+    in the left nucleus, such as a unit that obeys the unit law
+    (``_precheck_labels``).  Every label is checked, and listed, only when
+    one of them fails.  This suffices because the left nucleus
     N_l = {a : (a, x, y) = 0 for all x, y}, with (a, x, y) = (a x) y - a (x y),
     is a subalgebra: the Teichmueller identity
     (a b, c, d) - (a, b c, d) + (a, b, c d) = a (b, c, d) + (a, b, c) d
     gives (a b, c, d) = 0 for a, b in N_l.  So when G lies in N_l, so does
-    the algebra G generates, which holds every label.
+    the algebra G generates, which holds every label; an empty
+    ``generators`` decides at once.
 
     Every partial sum is a non-negative integer of at most n max(N)^2, a
     bound that ``exact_float`` must accept before either side is formed.  A
@@ -538,16 +554,20 @@ def _composed_sides(P: np.ndarray, M: np.ndarray, dtype, labels: Iterable[int]):
 
 
 def quantum_dimensions(ring: FusionRing) -> DimensionVector:
-    """Perron-Frobenius dimensions of a valid fusion ring.
+    """Perron-Frobenius dimensions of a valid fusion ring, read from the
+    sparse columns without the dense tensor.
 
-    Power iteration on sum_mu N_mu (primitive for the connected rings handled
-    here), normalized so d[unit] = 1, with the eigenvector refined until
-    successive iterates agree to ``_PF_TOL``.  The multiplicativity residual
-    max |sum_nu N[l,m]^nu d_nu - d_l d_m| is returned alongside.
+    Power iteration on A = sum_mu N_mu, A[l,nu] = sum_mu N[l,mu]^nu
+    (primitive for the connected rings handled here; one ``np.bincount``
+    over the cells (l, nu), exact in float64), normalized so d[unit] = 1,
+    with the eigenvector refined until successive iterates agree to
+    ``_PF_TOL``.  The multiplicativity residual
+    max |sum_nu N[l,m]^nu d_nu - d_l d_m| is returned alongside; its sums
+    are one ``np.bincount`` over the cells (l, m), in increasing nu.
     """
     n = ring.size
-    T = ring.tensor()
-    A = T.sum(axis=1, dtype=float)  # sum_mu N_mu
+    a, b, c, mult = ring.columns()
+    A = np.bincount(a * n + c, mult, n * n).reshape(n, n)
     v = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(_PF_STEPS):
         w = A @ v
@@ -570,7 +590,8 @@ def quantum_dimensions(ring: FusionRing) -> DimensionVector:
     if np.any(d <= 0):
         raise NumericError("Perron vector is not strictly positive")
 
-    residual = float(np.max(np.abs(T @ d - np.outer(d, d))))
+    products = np.bincount(a * n + b, mult * d[c], n * n).reshape(n, n)
+    residual = float(np.max(np.abs(products - np.outer(d, d))))
     limit = 1e-8 * max(1.0, float(np.max(d)) ** 2)
     if residual > limit:
         raise NumericError(f"dimension residual {residual:.3e} exceeds {limit:.3e}")

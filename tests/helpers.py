@@ -1,6 +1,7 @@
 """Shared test oracles: brute-force axiom checking, dense forms of the
 permutation-law checks and of the center, the duplicate rule by a stable
-sort, classical group tables with their character degrees, closed-form
+sort, phases through ``Fraction`` arithmetic, quantum dimensions from the
+dense tensor, classical group tables with their character degrees, closed-form
 expected invariants for the SU(2) series (identity, D-type
 blocks/permutations, exceptional blocks), the relabelling of a model, the
 Deligne product of two models and a raw depth-first search for modular
@@ -16,12 +17,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from fusionkit import (FusionRing, ModularData, NondegeneracyRequired, TwistData,
                        twist_sparsity)
-from fusionkit.numerics import max_abs, scaled_tol
+from fusionkit.numerics import max_abs, mod1, scaled_tol
+from fusionkit.rings import DimensionVector
 
 
 # ------------------------------------------------------- axiom brute force
@@ -124,6 +127,54 @@ def stable_table_columns(rows, n):
     order = np.argsort((rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2], kind="stable")
     kept = order[rows[order, 3] > 0]
     return tuple(rows[kept, i] for i in range(4))
+
+
+# ------------------------------------------------- phases and dimensions
+
+_QUARTER = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def fraction_unit_phase(t):
+    """e^{2 pi i t} for rational t, reduced to a quarter turn with
+    ``Fraction`` arithmetic and rounded by ``Fraction.__float__``."""
+    t = mod1(Fraction(t))
+    quarter = (4 * t.numerator) // t.denominator
+    rest = t - Fraction(quarter, 4)
+    if rest == 0:
+        return _QUARTER[quarter]
+    angle = 2.0 * math.pi * float(rest)
+    return _QUARTER[quarter] * complex(math.cos(angle), math.sin(angle))
+
+
+def fraction_phases(ts):
+    """``fraction_unit_phase`` of each rational, as a complex array."""
+    return np.array([fraction_unit_phase(t) for t in ts], dtype=complex)
+
+
+def dense_quantum_dimensions(ring):
+    """Perron-Frobenius dimensions from the dense tensor T: the library's
+    power iteration (same tolerance and step limit) on T summed over its
+    middle axis, then the residual with each
+    sum_nu N[l,m]^nu d_nu added over the (n, n) slices T[:, :, nu] in
+    increasing nu."""
+    T = ring.tensor()
+    n = ring.size
+    A = T.sum(axis=1, dtype=float)
+    v = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(100_000):
+        w = A @ v
+        w /= np.linalg.norm(w)
+        if np.max(np.abs(w - v)) < 1e-12:
+            v = w
+            break
+        v = w
+    v = A @ v / float(v @ (A @ v))
+    d = v / v[ring.unit]
+    products = np.zeros((n, n))
+    for nu in range(n):
+        products += T[:, :, nu] * d[nu]
+    residual = float(np.max(np.abs(products - np.outer(d, d))))
+    return DimensionVector(d=d, w=float(np.dot(d, d)), residual=residual)
 
 
 # ------------------------------------------------------------ group tables

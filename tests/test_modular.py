@@ -5,16 +5,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit import (TwistData, TwistError, VanishingZError,
                        VerlindeError, check_partial_verlinde, is_nondegenerate,
                        modular_matrices, monodromy_spectra, quantum_dimensions,
-                       sl2z_relations, statistics_characters, validate_twists,
-                       verlinde_fusion, y_matrix)
+                       search_invariants, sl2z_relations, statistics_characters,
+                       validate_twists, verlinde_fusion, y_matrix)
 from fusionkit.catalog import cyclic_model, named_model, su2_level
-from fusionkit.numerics import unit_phase
+from fusionkit.numerics import mod1, root_of_unity, unit_phase
+from fusionkit.serialize import parse_ring, write_ring
 
-from helpers import table_rows
+from helpers import fraction_phases, fraction_unit_phase, product_model, table_rows
+
+
+def bits(z):
+    """The bytes of a complex128, so signed zeros and the last bit count."""
+    return np.complex128(z).tobytes()
 
 
 class TestPhases:
@@ -27,6 +35,28 @@ class TestPhases:
     def test_generic_value(self):
         got = unit_phase(Fraction(3, 16))
         assert abs(got - cmath.exp(2j * math.pi * 3 / 16)) < 1e-15
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_root_of_unity_matches_fraction_phase(self, data):
+        # any denominator up to 2^80 (past 2^53, converting j and H to floats
+        # first would round twice), the pair unreduced by a factor g, and the
+        # rational shifted by whole turns for unit_phase
+        H = data.draw(st.integers(1, 64) | st.integers(2 ** 53, 2 ** 80) | st.integers(1, 2 ** 80),
+                      label="H")
+        j = data.draw(st.integers(0, H - 1), label="j")
+        g = data.draw(st.integers(1, 2 ** 20), label="g")
+        turns = data.draw(st.integers(-3, 3), label="turns")
+        want = bits(fraction_unit_phase(Fraction(j, H)))
+        assert bits(root_of_unity(j, H)) == want
+        assert bits(root_of_unity(g * j, g * H)) == want
+        assert bits(unit_phase(Fraction(j, H) + turns)) == want
+
+    @pytest.mark.parametrize("m", [1, 3, 2 ** 40 + 1, 2 ** 78])
+    def test_quarter_turns_are_exact_points(self, m):
+        for quarter, point in enumerate((1 + 0j, 1j, -1 + 0j, -1j)):
+            assert bits(root_of_unity(quarter * m, 4 * m)) == bits(point)
+            assert bits(fraction_unit_phase(Fraction(quarter, 4))) == bits(point)
 
 
 class TestTwistValidation:
@@ -73,7 +103,7 @@ class TestYMatrix:
         h = twists.h
         want = np.zeros((ring.size, ring.size), dtype=complex)
         for a, b, c, m in table_rows(ring):
-            want[a, b] += unit_phase(h[a] + h[b] - h[c]) * (m * d[c])
+            want[a, b] += fraction_unit_phase(h[a] + h[b] - h[c]) * (m * d[c])
         return want
 
     @pytest.mark.parametrize("model", [
@@ -85,6 +115,22 @@ class TestYMatrix:
     def test_matches_per_entry_phase_sum(self, model):
         ring, twists = model
         assert y_matrix(ring, twists).tobytes() == self.per_entry_y(ring, twists).tobytes()
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["table", "unique"])
+    @pytest.mark.parametrize("ring", [su2_level(10)[0], cyclic_model(8, 1)[0]],
+                             ids=["su2_10", "z8"])
+    def test_exponent_table_and_unique_sides(self, ring, extra, monkeypatch):
+        # common denominator H equal to the entry count takes the table,
+        # one more takes np.unique; both give the per-entry sum's bits
+        n, H = ring.size, len(ring.columns()[0]) + extra
+        twists = TwistData(Fraction(min(x, n - x), H) for x in range(n))
+        assert twists.numerators()[1] == H
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+        Y = y_matrix(ring, twists, dims=quantum_dimensions(ring))
+        assert len(calls) == extra
+        assert Y.tobytes() == self.per_entry_y(ring, twists).tobytes()
 
     def test_catalog_matches_per_entry_phase_sum(self, catalog):
         for name, (ring, twists) in catalog.items():
@@ -150,6 +196,31 @@ class TestModularMatrices:
         for a in range(5):
             want = (twists.h[a] - Fraction(c, 24)) % 1
             assert md.t_exponents[a] == want
+
+    def test_t_from_integer_numerators(self, catalog_modular):
+        # catalog models (c = 1/2 for ising, 14/5 for fibonacci) and products
+        products = {f"{x} x {y}": modular_matrices(*product_model(named_model(x), named_model(y)))
+                    for x, y in (("ising", "fibonacci"), ("fibonacci", "fibonacci"),
+                                 ("ising", "trivial"))}
+        charges = set()
+        for name, md in {**catalog_modular, **products}.items():
+            want = tuple(mod1(h - Fraction(md.c, 24)) for h in md.twists.h)
+            assert md.t_exponents == want, name
+            assert all(type(t) is Fraction for t in md.t_exponents), name
+            assert md.T.tobytes() == np.diag(fraction_phases(want)).tobytes(), name
+            phases = md.twists.phases()
+            assert phases.tobytes() == fraction_phases(md.twists.h).tobytes(), name
+            assert not phases.flags.writeable
+            charges.add(md.c)
+        assert {Fraction(1, 2), Fraction(14, 5), Fraction(33, 10)} <= charges
+
+    def test_read_ring_keeps_its_tensor_unbuilt(self, tmp_path):
+        # the modular data and the invariant search read the sparse columns only
+        for model in (su2_level(10), cyclic_model(8, 1), named_model("ising")):
+            write_ring(tmp_path / "ring.json", *model)
+            ring, twists = parse_ring(tmp_path / "ring.json")
+            search_invariants(modular_matrices(ring, twists))
+            assert ring._tensor is None
 
     def test_vanishing_z(self):
         ring, twists = cyclic_model(2, 2)  # the fermion: z = 1 - 1 = 0

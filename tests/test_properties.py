@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import (BasedAlgebra, FusionKitError, StructureError, TwistData, catalog_models,
-                       modular_matrices, named_model, search_invariants, validate_fusion_ring)
+                       modular_matrices, named_model, search_invariants,
+                       validate_based_algebra, validate_fusion_ring)
 from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.invariants import check_invariance
 from fusionkit.rings import (_antiautomorphism_violations, _associativity_violations,
@@ -24,8 +25,8 @@ from fusionkit.rings import (_antiautomorphism_violations, _associativity_violat
 
 from helpers import (GROUP_FIXTURES, brute_force_associativity,
                      dense_antiautomorphism_violations, dense_frobenius_violations,
-                     permute_model, product_model, product_table, stable_table_columns,
-                     table_dict)
+                     permute_model, permute_table, product_model, product_table,
+                     stable_table_columns, table_dict)
 
 # SU(2)_k for k <= 6 and Z_n with q = 1 for even n <= 8 (odd n has no q = 1 twist)
 MODELS = [("su2", k) for k in range(1, 7)] + [("cyclic", n) for n in (2, 4, 6, 8)]
@@ -137,6 +138,46 @@ def test_generating_labels_generate_every_label(data):
     assert generated_dimension(relabelled_T.astype(float), gens) == n
     if group:  # each generator at least doubles the subgroup the closure knows
         assert len(gens) <= n.bit_length()
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_associativity_precheck_without_the_unit_lists_every_violation(data):
+    # a relabelled SU(2)_k ring or group algebra, valid or with one defect
+    # (an entry raised, added or removed, or the unit row broken): the
+    # validator lists exactly what checking every label first lists
+    source = data.draw(st.sampled_from([("su2", k) for k in range(1, 13)]
+                                       + [("group", g) for g in sorted(GROUP_FIXTURES)]),
+                       label="source")
+    if source[0] == "su2":
+        n = source[1] + 1
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        structure = permute_model(su2_level(source[1]), perm)[0]
+    else:
+        table = GROUP_FIXTURES[source[1]][0]
+        perm = data.draw(st.permutations(range(len(table))), label="perm")
+        structure = BasedAlgebra.from_group_table(permute_table(table, perm))
+    n, unit, table = structure.size, structure.unit, table_dict(structure)
+    key = data.draw(st.sampled_from(sorted(table)), label="entry")
+    cell = data.draw(st.tuples(*[st.integers(0, n - 1)] * 3), label="cell")
+    defect = data.draw(st.sampled_from(["none", "raise", "add", "remove", "unit"]), label="defect")
+    if defect == "raise":
+        table[key] += 1
+    elif defect == "add":
+        table[cell] = table.get(cell, 0) + data.draw(st.integers(1, 3), label="mult")
+    elif defect == "remove":
+        del table[key]
+    elif defect == "unit":
+        row = (unit, *cell[1:]) if data.draw(st.booleans(), label="left") else (cell[1], unit, cell[2])
+        table[row] = table.get(row, 0) + 1
+    corrupted = type(structure)(structure.labels, unit, structure.dual, table)
+    validate = validate_fusion_ring if source[0] == "su2" else validate_based_algebra
+    report = validate(corrupted)
+    if defect == "unit":
+        assert "unit" in report.axioms()
+    listed = [(v.where, v.detail) for v in report.violations if v.axiom == "associativity"]
+    every = _associativity_violations(corrupted.tensor(), range(n))
+    assert listed == [(v.where, v.detail) for v in every]
 
 
 def test_catalog_order_generates_from_unit_and_label_1():

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fusionkit import (FusionRing, NumericError, StructureError, quantum_dimensions,
+from fusionkit import (FusionRing, NumericError, StructureError, quantum_dimensions, rings,
                        validate_fusion_ring)
-from fusionkit.catalog import cyclic_model, su2_level
-from fusionkit.rings import _associativity_violations, _generating_labels
+from fusionkit.catalog import catalog_models, cyclic_model, named_model, su2_level
+from fusionkit.rings import _associativity_violations, _generating_labels, _precheck_labels
 
-from helpers import brute_force_associativity, brute_force_axioms, table_dict, table_rows
+from helpers import (brute_force_associativity, brute_force_axioms, dense_quantum_dimensions,
+                     permute_model, product_model, table_dict, table_rows)
 
 
 def z2_ring():
@@ -93,6 +94,28 @@ class TestValidation:
         assert len(want) == 452
         violations = _associativity_violations(T, _generating_labels(T))
         assert [(v.where, v.detail) for v in violations] == want
+
+    def test_precheck_drops_the_unit_only_under_the_unit_law(self, monkeypatch):
+        ring = su2_level(64)[0]
+        assert ring.generating_labels() == (0, 1)
+        assert _precheck_labels(ring, True) == (1,)
+        assert _precheck_labels(ring, False) == (0, 1)
+        assert _precheck_labels(named_model("trivial")[0], True) == ()
+        # the valid ring's check tries label 1 alone; a broken unit row keeps 0
+        tried = []
+        sides = rings._product_sides
+
+        def spy(F, labels):
+            tried.append(list(labels))
+            return sides(F, tried[-1])
+
+        monkeypatch.setattr(rings, "_product_sides", spy)
+        assert validate_fusion_ring(ring).ok
+        table = table_dict(su2_level(4)[0])
+        table[(0, 1, 3)] = 1
+        broken = FusionRing(ring.labels[:5], 0, range(5), table)
+        assert "unit" in validate_fusion_ring(broken).axioms()
+        assert tried[:2] == [[1], [0, 1]]
 
     def test_collects_all_violations(self):
         # a corrupted entry trips frobenius as well; nothing is short-circuited
@@ -276,6 +299,48 @@ class TestQuantumDimensions:
                 total = sum(m * dims.d[c] for (x, y, c), m in table_dict(ring).items()
                             if (x, y) == (a, b))
                 assert total == pytest.approx(dims.d[a] * dims.d[b], abs=1e-8), name
+
+
+def dimension_models():
+    """(name, ring): the catalog, Deligne products and relabelled models."""
+    for name, ring, _ in catalog_models():
+        yield name, ring
+    products = {"su2_3 x su2_4": (su2_level(3), su2_level(4)),
+                "ising x fibonacci": (named_model("ising"), named_model("fibonacci")),
+                "su2_2 x z4": (su2_level(2), cyclic_model(4, 1))}
+    for name, (x, y) in products.items():
+        yield name, product_model(x, y)[0]
+    rng = np.random.default_rng(7)
+    relabelled = {"su2_10": su2_level(10), "z8": cyclic_model(8, 1),
+                  "su2_2 x su2_3": product_model(su2_level(2), su2_level(3))}
+    for name, model in relabelled.items():
+        yield f"{name} relabelled", permute_model(model, rng.permutation(model[0].size))[0]
+
+
+class TestDimensionsFromColumns:
+    @pytest.mark.parametrize("name, ring", list(dimension_models()),
+                             ids=[name for name, _ in dimension_models()])
+    def test_matches_dense_oracle(self, name, ring):
+        got = quantum_dimensions(ring)
+        assert ring._tensor is None
+        want = dense_quantum_dimensions(ring)
+        assert got.d.tobytes() == want.d.tobytes()
+        assert (got.w, got.residual) == (want.w, want.residual)
+
+    @pytest.mark.parametrize("n, fusion, message", [
+        (2, {}, "fusion matrices have a zero total column; ring disconnected?"),
+        (2, {(1, 1, 1): 1}, "Perron vector has non-positive unit component"),
+        (2, {(0, 0, 0): 1}, "Perron vector is not strictly positive"),
+        # unit law and a positive Perron vector, but N_1 and N_2 do not commute
+        (3, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1, (2, 0, 2): 1,
+             (1, 1, 0): 1, (1, 1, 2): 1, (2, 2, 0): 1, (2, 2, 1): 1, (1, 2, 1): 1, (2, 1, 2): 1},
+         "dimension residual 5.000e-01 exceeds 1.866e-08"),
+    ], ids=["zero-column", "unit-component", "not-positive", "residual"])
+    def test_error_messages(self, n, fusion, message):
+        ring = FusionRing([str(x) for x in range(n)], 0, range(n), fusion)
+        with pytest.raises(NumericError) as err:
+            quantum_dimensions(ring)
+        assert str(err.value) == message
 
 
 class TestFusionMatrices:
