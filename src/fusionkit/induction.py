@@ -97,12 +97,13 @@ class InductionCertificate:
 
 
 def _integer_matrix(values) -> np.ndarray:
-    """``values`` read by ``rings._int_array``; ragged rows or an entry that
-    is not an integer (a bool, float or string) is a StructureError."""
+    """``values`` read by ``rings._int_array`` into an array of its own (an
+    int64 ndarray is copied); ragged rows or an entry that is not an
+    integer (a bool, float or string) is a StructureError."""
     a = _int_array(values)
     if a is None:
         raise StructureError("branching data must be a rectangular array of int64 integers")
-    return a
+    return a.copy() if a is values else a
 
 
 @dataclass(frozen=True)

@@ -188,8 +188,10 @@ def _gram_factorization(Z: np.ndarray, node_budget: int):
     """Backtracking search for non-negative integer rows b with
     sum_i b_i^t b_i = Z.  Rows are anchored at the first label whose diagonal
     residual is still positive, which also forces the unit column of B to be
-    a standard basis vector when Z[0,0] = 1.  Each row position visited
-    counts one node against ``node_budget``; the rows chosen so far keep their
+    a standard basis vector when Z[0,0] = 1.  Past the lead, a row visits
+    only the positions m with R[lead, m] > 0 and R[m, m] > 0, where b_m may
+    be positive; every other entry is 0.  Each row position visited counts
+    one node against ``node_budget``; the rows chosen so far keep their
     candidate generators on an explicit stack, not on the call stack."""
     n = Z.shape[0]
     budget = node_budget
@@ -209,18 +211,23 @@ def _gram_factorization(Z: np.ndarray, node_budget: int):
         lead = int(lead_candidates[0])
         prev_b = prev if prev is not None and prev[lead] and not any(prev[:lead]) else None
         tick(lead + 1)  # the positions up to the lead
+        # past the lead, b_m > 0 needs R[lead, m] > 0 and R[m, m] > 0
+        diagonal = np.diagonal(R)[lead + 1:]
+        positions = [lead, *(lead + 1 + np.flatnonzero(
+            (R[lead, lead + 1:] > 0) & (diagonal > 0))).tolist()]
         row = [0] * n
         values = [iter(range(math.isqrt(int(R[lead, lead])), 0, -1))]
         while values:
-            pos = lead + len(values) - 1
+            pos = positions[len(values) - 1]
             v = next(values[-1], None)
             if v is None:
                 values.pop()
                 continue
             row[pos] = v
             tick()
-            if pos + 1 < n:
-                top = min(math.isqrt(int(R[pos + 1, pos + 1])), int(R[lead, pos + 1]) // row[lead])
+            if len(values) < len(positions):
+                nxt = positions[len(values)]
+                top = min(math.isqrt(int(R[nxt, nxt])), int(R[lead, nxt]) // row[lead])
                 values.append(iter(range(top, -1, -1)))
                 continue
             b = tuple(row)

@@ -19,7 +19,7 @@ non-degeneracy verdict, in the ``ModularData`` that every later check reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -34,12 +34,17 @@ from .rings import DimensionVector, FusionRing, quantum_dimensions
 @dataclass(frozen=True)
 class TwistData:
     """Exact rational twist exponents, canonicalized into [0, 1); ``h`` may
-    be given as any iterable of rationals."""
+    be given as any iterable of rationals.  A ``Fraction`` already in
+    [0, 1) is kept as it is."""
 
     h: tuple[Fraction, ...]
+    _numerators: tuple[np.ndarray, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h", tuple(mod1(Fraction(v)) for v in self.h))
+        object.__setattr__(self, "h", tuple(
+            v if type(v) is Fraction and 0 <= v.numerator < v.denominator else mod1(v)
+            for v in self.h))
 
     def phases(self) -> np.ndarray:
         """Read-only w_l = e^{2 pi i h_l}, evaluated on the integer numerators
@@ -48,12 +53,15 @@ class TwistData:
         return _roots(e.tolist(), H)
 
     def numerators(self) -> tuple[np.ndarray, int]:
-        """(e, H) with h_l = e_l / H for the common denominator H; e is int64
-        unless H is huge, so sums of a few e_l stay exact."""
-        H = math.lcm(*(t.denominator for t in self.h))
-        e = np.array([t.numerator * (H // t.denominator) for t in self.h],
-                     dtype=np.int64 if H < 2 ** 62 else object)
-        return e, H
+        """(e, H) with h_l = e_l / H for the common denominator H, computed
+        once; e is read-only and int64 unless H is huge, so sums of a few
+        e_l stay exact."""
+        if self._numerators is None:
+            H = math.lcm(*(t.denominator for t in self.h))
+            e = np.array([t.numerator * (H // t.denominator) for t in self.h],
+                         dtype=np.int64 if H < 2 ** 62 else object)
+            object.__setattr__(self, "_numerators", (readonly(e), H))
+        return self._numerators
 
     def __len__(self) -> int:
         return len(self.h)

@@ -10,7 +10,10 @@ eigenvector of the fusion matrices, computed as Perron-Frobenius data.
 The structure constants are stored as four read-only int64 arrays
 (a, b, c, mult) sorted by (a, b, c), checked in bulk when the ring is built;
 ``columns()`` returns them and ``tensor()`` scatters them into the dense
-N[a,b]^c once.  ``tensor()`` is the one place where tables become dense
+N[a,b]^c once.  A table already sorted with positive multiplicities, as
+every file fusionkit writes, is kept without a duplicate scan, and the
+column-major array of an orbit expansion without a copy (``_table_columns``).
+``tensor()`` is the one place where tables become dense
 (the axiom checks, block profiles, certificates and the Verlinde check use
 it); the quantum dimensions, like the modular data, read the columns with
 ``np.bincount``.  Every integer array that enters fusionkit (structure tables,
@@ -106,14 +109,15 @@ def _int_array(values) -> np.ndarray | None:
     """``values`` as an int64 array, or None when an element is not of an
     integer type, the shape is ragged or a value does not fit in int64.
 
-    An integer ndarray is cast as it is: an unsigned value of 2^63 or more
-    turns negative and fails the caller's range check.  A list or tuple of
+    An integer ndarray is cast as it is, and an int64 one is returned
+    itself, not copied: an unsigned value of 2^63 or more turns negative
+    and fails the caller's range check.  A list or tuple of
     integers, or of equal-length rows of them, is typed on its flat entries
     and read by ``np.fromiter`` without an object array.  Anything else is
     read as an object array whose element types must all be in ``_INTS``.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        return values.astype(np.int64)
+        return values.astype(np.int64, copy=False)
     if isinstance(values, (list, tuple)):
         flat, shape = values, (len(values),)
         if values and set(map(type, values)) <= {list, tuple}:
@@ -147,9 +151,15 @@ def _table_columns(table, n: int, width: int) -> tuple[np.ndarray, ...]:
     (l, m, value) of an invariant file for ``width`` 3.
 
     A mapping is read as rows (*key, value).  The whole table is checked in
-    bulk: one ``_int_array`` cast, indices in range(n), values in [0, 2^63),
-    and duplicates found by a stable sort on the flat key, skipped when the
-    keys are already non-decreasing (as in every file fusionkit writes).  An
+    bulk: one ``_int_array`` cast, indices in range(n) and values in
+    [0, 2^63).  When the flat keys are strictly increasing and every value
+    is positive, as in every file fusionkit writes and every expansion of
+    orbit rows, there is no duplicate and no zero to drop, and the columns
+    of the cast are returned as they are: views, contiguous when the rows
+    are column-major.  Only an int64 ndarray that the caller can still
+    write is copied first, so the columns never alias it.  Otherwise
+    duplicates are found by a stable sort on the flat key, skipped when the
+    keys are already non-decreasing, and zero entries are dropped.  An
     entry is a duplicate when an earlier entry with the same key has a
     positive value.
     When a bulk check fails, ``_first_bad_entry`` names the first bad entry
@@ -166,7 +176,15 @@ def _table_columns(table, n: int, width: int) -> tuple[np.ndarray, ...]:
         rows = rows.reshape(0, width)
     if (rows is not None and rows.ndim == 2 and rows.shape[1] == width
             and rows.min(initial=0) >= 0 and rows[:, :-1].max(initial=0) < n):
-        key = np.ravel_multi_index(tuple(rows[:, :-1].T), (n,) * (width - 1))
+        # the flat key of the checked indices; below n^3 < 2^63 (_MAX_LABELS)
+        key = rows[:, 0].copy()
+        for col in rows.T[1:-1]:
+            key *= n
+            key += col
+        if np.all(key[1:] > key[:-1]) and rows[:, -1].min(initial=1) > 0:
+            if rows is table and (table.flags.writeable or not table.flags.owndata):
+                rows = rows.copy(order="F")
+            return tuple(rows.T)
         if np.any(key[1:] < key[:-1]):
             order = np.argsort(key, kind="stable")
             key, rows = key[order], rows[order]

@@ -16,9 +16,12 @@ every braided fusion ring (commutativity and the ring axioms), the
 file lists one [x, y, z, mult] row per orbit, x <= y <= z, under
 "fusion_orbits" ("structure_orbits" for algebras), sorted by (x, y, z).
 Otherwise it lists every entry under "fusion" ("structure").  The reader
-takes either, expands orbit rows in numpy into the full entries and passes
-them to the same table reader and constructor.  The validators check every
-axiom on what was read.  A table read from orbit rows is commutative and
+takes either and passes the entries to the same table reader and
+constructor.  Orbit rows are expanded in numpy straight into one
+column-major (E, 4) array, sorted by (a, b, c) with positive
+multiplicities, which the constructor keeps as its columns without another
+scan for duplicates or a copy.  The validators check every axiom on what
+was read.  A table read from orbit rows is commutative and
 has N[a,b]^c = N[a, dual c]^{dual b} by construction, but its Frobenius
 and antiautomorphism laws still need N_abc = N_{dual a, dual b, dual c},
 which the rows do not imply, so those checks can fail on such a table.
@@ -56,7 +59,7 @@ def parse_rational(text: str, where: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"{where}: {text!r} is not a rational p/q") from None
-    if not 0 <= value < 1:
+    if not 0 <= value.numerator < value.denominator:  # 0 <= value < 1, on ints
         raise SchemaError(f"{where}: twist {text!r} must lie in [0, 1)")
     if format_rational(value) != text.strip():
         raise SchemaError(f"{where}: twist {text!r} is not in lowest terms")
@@ -196,12 +199,10 @@ def _table_from_dict(obj: Any, where: str, cls, required: tuple[str, ...], **ext
     return table
 
 
-# the permutations (p, q, r) of (x, y, z), where each of x, y, z lands in
-# each, and the column of [x, y, z, dual x, dual y, dual z, mult] that each
-# field of the entry (p, q, dual r, mult) is read from
-_PERMS = np.array(list(itertools.permutations(range(3))))
-_SLOTS = np.argsort(_PERMS, axis=1)
-_FIELDS = np.column_stack([_PERMS[:, :2], 3 + _PERMS[:, 2], np.full(6, 6)])
+# each permutation (p, q, r) of (x, y, z), as the indices in (x, y, z) of
+# p, q and r, with whether it keeps x before y and y before z
+_PERMS = [(perm, (perm.index(0) < perm.index(1), perm.index(1) < perm.index(2)))
+          for perm in itertools.permutations(range(3))]
 
 
 def _orbit_rows(table: FusionRing | BasedAlgebra) -> np.ndarray | None:
@@ -221,36 +222,66 @@ def _orbit_rows(table: FusionRing | BasedAlgebra) -> np.ndarray | None:
     first = np.flatnonzero((a <= b) & (b <= z))
     first = first[np.lexsort((z[first], b[first], a[first]))]
     rows = np.stack([a[first], b[first], z[first], mult[first]], axis=1)
-    if not np.array_equal(_expand_orbits(rows, dual), np.stack(columns, axis=1)):
+    if not all(map(np.array_equal, _expand_orbits(rows.T, dual).T, columns)):
         return None
     return rows
 
 
-def _expand_orbits(rows: np.ndarray, dual: np.ndarray) -> np.ndarray:
+def _expand_orbits(rows, dual: np.ndarray) -> np.ndarray:
     """The (a, b, c, mult) entries N[p,q]^{dual r} = mult of orbit rows
-    [x, y, z, mult], x <= y <= z, sorted by (a, b, c): one for each distinct
-    permutation (p, q, r) of (x, y, z), 6, 3 or 1 of them, those that keep
-    equal neighbours x = y and y = z in order.  Distinct rows give disjoint
-    entries, so a sort that is not stable orders them, and ``_table_columns``
-    then finds their keys in order and does not sort them again."""
+    given as columns (x, y, z, mult), x <= y <= z, sorted by (a, b, c): one
+    for each distinct permutation (p, q, r) of (x, y, z), 6, 3 or 1 of
+    them, those that keep equal neighbours x = y and y = z in order.
+
+    The result is one read-only (E, 4) int64 array in column-major order,
+    so each column is contiguous, allocated once.  Each kept permutation
+    writes its flat keys (p n + q) n + dual r into column 1 and its
+    multiplicities into column 2; one argsort orders the keys, ``np.take``
+    gathers the sorted keys into column 0 and the multiplicities into
+    column 3, and floor divisions split the keys into a, b, c in place.
+    Distinct rows give distinct keys, so the keys come out strictly
+    increasing, and with positive multiplicities the constructor
+    (``_table_columns``) keeps these columns as they are, without another
+    sort or copy."""
     n = len(dual)
-    wide = np.concatenate([rows[:, :3].T, dual[rows[:, :3].T], rows[:, 3:].T])
-    x, y, z = wide[:3]
-    # candidate j * len(rows) + i is permutation j of row i
-    kept = np.flatnonzero(((x != y) | (_SLOTS[:, 0] < _SLOTS[:, 1])[:, None])
-                          & ((y != z) | (_SLOTS[:, 1] < _SLOTS[:, 2])[:, None]))
-    fields = [wide[f].ravel()[kept] for f in _FIELDS.T]
-    a, b, c, _ = fields
-    order = np.argsort((a * n + b) * n + c)
-    entries = np.empty((order.size, 4), dtype=np.int64)
-    for i, field in enumerate(fields):
-        entries[:, i] = field[order]
+    x, y, z, _ = fields = rows
+    xy, yz = x != y, y != z
+    keep = {(True, True): None, (True, False): yz, (False, True): xy, (False, False): xy & yz}
+    picks = [(perm, keep[ordered]) for perm, ordered in _PERMS]
+    sizes = [x.size if kept is None else np.count_nonzero(kept) for _, kept in picks]
+    entries = np.empty((sum(sizes), 4), dtype=np.int64, order="F")
+    a, b, c, mult = entries.T
+    start = 0
+    for (perm, kept), size in zip(picks, sizes):
+        p, q, r, m = (fields[i] if kept is None else fields[i][kept] for i in (*perm, 3))
+        key = b[start:start + size]
+        np.multiply(p, n, out=key)
+        key += q
+        key *= n
+        key += dual[r]
+        c[start:start + size] = m
+        start += size
+    # mode="clip" gathers without a buffer (every index is in range); the
+    # order is freed before the split's one temporary
+    order = np.argsort(b)
+    np.take(b, order, out=a, mode="clip")
+    np.take(c, order, out=mult, mode="clip")
+    del order
+    # the keys split by floor division, which numpy does several times
+    # faster than remainder: c = key - (key // n) n, and b likewise
+    np.floor_divide(a, n, out=b)  # a n + b
+    np.multiply(b, n, out=c)
+    np.subtract(a, c, out=c)
+    np.floor_divide(b, n, out=a)
+    b -= a * n
+    entries.flags.writeable = False
     return entries
 
 
 def _orbit_entries(obj: dict, where: str, key: str) -> np.ndarray:
-    """The [a, b, c, mult] entries of the orbit rows ``obj[key]``.  The rows
-    are read by ``_table_columns``, under the rule and error text of full
+    """The [a, b, c, mult] entries of the orbit rows ``obj[key]``, as the
+    column-major array of ``_expand_orbits``.  The rows are read by
+    ``_table_columns``, under the rule and error text of full
     tables; their multiplicities must be positive, each row must have
     x <= y <= z and the dual map must be an involution, or a
     ``SchemaError`` names the first row or label that fails."""
@@ -268,7 +299,7 @@ def _orbit_entries(obj: dict, where: str, key: str) -> np.ndarray:
         a = bad[0]
         raise SchemaError(f"{where}.dual: dual(dual({a})) = {dual[dual[a]]}, "
                           f"but {key} needs an involution")
-    return _expand_orbits(np.stack([x, y, z, mult], axis=1), dual)
+    return _expand_orbits((x, y, z, mult), dual)
 
 
 def profile_to_dict(profile: BlockProfile) -> dict:

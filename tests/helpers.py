@@ -129,6 +129,26 @@ def stable_table_columns(rows, n):
     return tuple(rows[kept, i] for i in range(4))
 
 
+def reference_expand_orbits(rows, dual):
+    """The (a, b, c, mult) entries of orbit rows [x, y, z, mult], x <= y <= z,
+    sorted by (a, b, c), as an (E, 4) int64 array: every permutation of
+    (x, y, z) as a candidate from a 7 x m table [x, y, z, dual x, dual y,
+    dual z, mult], kept when it keeps equal neighbours in order."""
+    perms = np.array(list(itertools.permutations(range(3))))
+    slots = np.argsort(perms, axis=1)
+    fields_of = np.column_stack([perms[:, :2], 3 + perms[:, 2], np.full(6, 6)])
+    rows, dual = np.asarray(rows, dtype=np.int64).reshape(-1, 4), np.asarray(dual)
+    n = len(dual)
+    wide = np.concatenate([rows[:, :3].T, dual[rows[:, :3].T], rows[:, 3:].T])
+    x, y, z = wide[:3]
+    kept = np.flatnonzero(((x != y) | (slots[:, 0] < slots[:, 1])[:, None])
+                          & ((y != z) | (slots[:, 1] < slots[:, 2])[:, None]))
+    fields = [wide[f].ravel()[kept] for f in fields_of.T]
+    a, b, c, _ = fields
+    order = np.argsort((a * n + b) * n + c)
+    return np.stack([field[order] for field in fields], axis=1)
+
+
 # ------------------------------------------------- phases and dimensions
 
 _QUARTER = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -388,6 +408,71 @@ def permute_model(model, perm):
 
 
 # ------------------------------------------ brute-force invariant search
+
+class _BudgetHit(Exception):
+    pass
+
+
+def reference_gram_factorization(Z, node_budget):
+    """(type_one, gram_rows) of the Gram search that visits every row
+    position from the lead on, each one node: non-negative integer rows b,
+    anchored at the first label with a positive diagonal residual, with
+    sum_i b_i^t b_i = Z; "unknown" past ``node_budget`` nodes."""
+    n = Z.shape[0]
+    budget = node_budget
+
+    def tick(nodes=1):
+        nonlocal budget
+        budget -= nodes
+        if budget < 0:
+            raise _BudgetHit
+
+    def candidates(R, prev):
+        lead_candidates = np.nonzero(np.diagonal(R))[0]
+        if lead_candidates.size == 0:
+            return
+        lead = int(lead_candidates[0])
+        prev_b = prev if prev is not None and prev[lead] and not any(prev[:lead]) else None
+        tick(lead + 1)
+        row = [0] * n
+        values = [iter(range(math.isqrt(int(R[lead, lead])), 0, -1))]
+        while values:
+            pos = lead + len(values) - 1
+            v = next(values[-1], None)
+            if v is None:
+                values.pop()
+                continue
+            row[pos] = v
+            tick()
+            if pos + 1 < n:
+                top = min(math.isqrt(int(R[pos + 1, pos + 1])), int(R[lead, pos + 1]) // row[lead])
+                values.append(iter(range(top, -1, -1)))
+                continue
+            b = tuple(row)
+            if prev_b is not None and b > prev_b:
+                continue
+            R2 = R - np.outer(b, b)
+            if not np.any(R2 < 0):
+                yield b, R2
+
+    R = Z.astype(np.int64)
+    prev = None
+    rows = []
+    stack = []
+    try:
+        while R.any():
+            stack.append(candidates(R, prev))
+            while stack and (step := next(stack[-1], None)) is None:
+                stack.pop()
+            if step is None:
+                return "no", None
+            prev, R = step
+            del rows[len(stack) - 1:]
+            rows.append(prev)
+    except _BudgetHit:
+        return "unknown", None
+    return "yes", tuple(rows)
+
 
 def brute_force_invariants(md: ModularData) -> list[np.ndarray]:
     """Reference depth-first search over the twist mask with the

@@ -60,6 +60,17 @@ class TestConstruction:
         with pytest.raises(StructureError):
             corrupted(cert, aplus=A)
 
+    def test_branching_arrays_are_copied(self):
+        # an int64 array passed in stays the caller's: writable, and not
+        # seen by the certificate when it changes later
+        ring, twists = su2_level(2)
+        mm = trivial_certificate(ring, twists).mm
+        aplus, aminus = np.eye(3, dtype=np.int64), np.eye(3, dtype=np.int64)
+        cert = InductionCertificate(ring, twists, mm, aplus, aminus)
+        assert aplus.flags.writeable and aminus.flags.writeable
+        aplus[0, 1] = aminus[2, 0] = 5
+        assert np.array_equal(cert.aplus, np.eye(3)) and np.array_equal(cert.aminus, np.eye(3))
+
     def test_negative_nm_count(self):
         with pytest.raises(StructureError, match="non-negative"):
             trivial_certificate(*su2_level(4), nm_count=-3)

@@ -10,7 +10,8 @@ from fusionkit import invariants
 from fusionkit.catalog import cyclic_model, named_model, su2_level, su2_s_closed_form
 from fusionkit.invariants import NODE_BUDGET, _gram_factorization
 
-from helpers import brute_force_invariants, expected_su2_invariants, product_model
+from helpers import (brute_force_invariants, expected_su2_invariants, product_model,
+                     reference_gram_factorization)
 
 
 def su2_md(k):
@@ -310,6 +311,28 @@ class TestClassify:
                 if searched[0] != "unknown":
                     assert (mm.type_one, mm.gram_rows) == searched
         assert kinds == {"identity", "permutation", "other"}
+
+    def test_gram_search_on_the_lead_support_matches_every_position(self, catalog_modular):
+        # positions past the lead where b_m must be 0 are not visited; the
+        # verdict and the rows are those of the walk over every position, and
+        # a budget that walk finishes within is never exceeded
+        mats = [Z for k in range(1, 65) for Z in expected_su2_invariants(k)]
+        mats += [mm.Z for md in catalog_modular.values() if md.degeneracy
+                 for mm in search_invariants(md)]
+        mats += [mm.Z for n in (4, 8, 12, 16)
+                 for mm in search_invariants(modular_matrices(*cyclic_model(n, 1)))]
+        mats += [mm.Z for mm in search_invariants(
+            modular_matrices(*product_model(su2_level(4), su2_level(4))))]
+        verdicts = set()
+        for Z in mats:
+            want = reference_gram_factorization(Z, NODE_BUDGET)
+            assert _gram_factorization(Z, NODE_BUDGET) == want
+            verdicts.add(want[0])
+            for budget in (2, 10, 40):
+                small = reference_gram_factorization(Z, budget)
+                if small[0] != "unknown":
+                    assert _gram_factorization(Z, budget) == small
+        assert verdicts == {"yes", "no"}
 
     def test_asymmetric_is_not_type_one(self):
         Z = np.eye(3, dtype=np.int64)

@@ -43,6 +43,12 @@ class TestRingRoundtrip:
         with pytest.raises(SchemaError):
             serialize.parse_rational("-1/4", "t")
 
+    @pytest.mark.parametrize("text", ["1", "2", "7/7"])
+    def test_whole_turns_rejected(self, text):
+        # "7/7" parses to 1, then fails the range before the lowest-terms rule
+        with pytest.raises(SchemaError, match=r"twist '.*' must lie in \[0, 1\)"):
+            serialize.parse_rational(text, "t")
+
     def test_duplicate_fusion_key_named(self, tmp_path):
         obj = full_form(*cyclic_model(2, 1))
         obj["fusion"].append(obj["fusion"][0])

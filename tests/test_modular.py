@@ -59,6 +59,29 @@ class TestPhases:
             assert bits(fraction_unit_phase(Fraction(quarter, 4))) == bits(point)
 
 
+class TestTwistData:
+    def test_canonical_fractions_are_kept(self):
+        h = [Fraction(0), Fraction(3, 16), Fraction(2**70, 2**70 + 1)]
+        twists = TwistData(h)
+        assert all(got is given for got, given in zip(twists.h, h, strict=True))
+
+    @pytest.mark.parametrize("value, want", [
+        (Fraction(5, 4), Fraction(1, 4)), (Fraction(-1, 3), Fraction(2, 3)), (Fraction(1), 0),
+        (1, 0), (-2, 0), (True, 0), ("7/6", Fraction(1, 6)), (0.5, Fraction(1, 2))])
+    def test_other_values_are_reduced_mod_1(self, value, want):
+        (h,) = TwistData([value]).h
+        assert type(h) is Fraction and h == want
+
+    def test_numerators_are_computed_once(self):
+        twists = TwistData([Fraction(0), Fraction(1, 6), Fraction(3, 4)])
+        e, H = first = twists.numerators()
+        assert twists.numerators() is first
+        assert H == 12 and e.tolist() == [0, 2, 9] and not e.flags.writeable
+        fresh = TwistData(twists.h)
+        assert fresh == twists and hash(fresh) == hash(twists)
+        assert repr(fresh) == repr(twists) == f"TwistData(h={twists.h!r})"
+
+
 class TestTwistValidation:
     def test_nonzero_unit_twist(self):
         ring, _ = cyclic_model(2, 0)

@@ -10,6 +10,7 @@ files and non-integer entries end in one error line.
 """
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from fusionkit import BasedAlgebra, catalog_models, validate_fusion_ring
 from fusionkit.catalog import cyclic_model, named_model, su2_level
 from fusionkit.cli import main
 from fusionkit.induction import conjugation_certificate, trivial_certificate
-from fusionkit.rings import FusionRing, _int_array
+from fusionkit.errors import StructureError
+from fusionkit.rings import FusionRing, _int_array, _table_columns
 from fusionkit import serialize
 
 from helpers import (GROUP_FIXTURES, full_form, permute_model, permute_table, product_model,
-                     table_rows)
+                     reference_expand_orbits, stable_table_columns, table_rows)
 
 
 def orbit_form_expected(structure):
@@ -163,6 +165,123 @@ def test_random_tables_choose_by_the_oracle(alg):
     assert written_key(obj, "structure").endswith("_orbits") == orbit_form_expected(alg)
     assert_round_trips(serialize.algebra_to_dict, serialize.algebra_from_dict, alg,
                        full_form(alg))
+
+
+# ------------------------------------------------------ the orbit expansion
+
+@st.composite
+def orbit_rows(draw):
+    """Distinct sorted triples x <= y <= z on n <= 6 labels with positive
+    multiplicities, and a random involution as the dual."""
+    n = draw(st.integers(1, 6), label="n")
+    order = draw(st.permutations(range(n)), label="order")
+    dual = list(range(n))
+    for i in range(0, n - 1, 2):
+        if draw(st.booleans()):
+            dual[order[i]], dual[order[i + 1]] = order[i + 1], order[i]
+    triples = draw(st.lists(st.sampled_from(
+        list(itertools.combinations_with_replacement(range(n), 3))), unique=True), label="rows")
+    rows = [[*t, draw(st.integers(1, 3))] for t in sorted(triples)]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4), np.array(dual)
+
+
+def assert_expansion(rows, dual):
+    """``_expand_orbits`` of the columns of ``rows`` equals the reference,
+    as one read-only column-major array with strictly increasing keys."""
+    n = len(dual)
+    got = serialize._expand_orbits(tuple(rows.T), dual)
+    assert np.array_equal(got, reference_expand_orbits(rows, dual))
+    assert got.dtype == np.int64 and got.flags.f_contiguous and not got.flags.writeable
+    key = (got[:, 0] * n + got[:, 1]) * n + got[:, 2]
+    assert np.all(key[1:] > key[:-1])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(orbit_rows())
+def test_expansion_matches_the_reference(case):
+    assert_expansion(*case)
+
+
+@pytest.mark.parametrize("dual", [[0, 1, 2, 3], [0, 2, 1, 3], [1, 0, 3, 2]], ids=str)
+def test_expansion_of_every_row_kind(dual):
+    # x = y = z, x = y < z, x < y = z and x < y < z on four labels, each row
+    # with its own multiplicity, under the identity and two other involutions
+    triples = list(itertools.combinations_with_replacement(range(4), 3))
+    rows = np.array([[*t, i + 1] for i, t in enumerate(triples)], dtype=np.int64)
+    kinds = {(x == y, y == z) for x, y, z in triples}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert_expansion(rows, np.array(dual))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_fast_exit_matches_a_stable_sort(data):
+    # strictly increasing keys with positive values leave the table as it is
+    n = data.draw(st.integers(1, 4), label="n")
+    keys = sorted(data.draw(st.sets(st.integers(0, n ** 3 - 1)), label="keys"))
+    values = data.draw(st.lists(st.integers(1, 2 ** 63 - 1), min_size=len(keys),
+                                max_size=len(keys)), label="values")
+    rows = [[key // n ** 2, key // n % n, key % n, value] for key, value in zip(keys, values)]
+    array = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    want = stable_table_columns(array, n)
+    owned = np.array(array, order="F")
+    owned.flags.writeable = False
+    frozen_view = np.array(array, order="F")[:]
+    frozen_view.flags.writeable = False  # its base can still be written
+    for form in (rows, array, np.asfortranarray(array), owned, frozen_view,
+                 array.astype(np.uint64)):
+        got = _table_columns(form, n, 4)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+        assert all(col.dtype == np.int64 for col in got)
+        # only a read-only array that owns its data is kept, not copied
+        shared = isinstance(form, np.ndarray) and any(np.shares_memory(col, form) for col in got)
+        assert shared == (form is owned and len(keys) > 0)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 2]],  # a zero
+    [[0, 0, 0, 1], [0, 1, 0, 2], [0, 1, 0, 0]],  # a repeated key, later zero
+    [[0, 1, 0, 0], [0, 1, 0, 2], [1, 0, 0, 1]],  # a repeated key, first zero
+    [[0, 0, 0, 1], [0, 1, 0, 2], [0, 1, 0, 3]],  # a duplicate
+    [[0, 1, 0, 2], [0, 0, 0, 1], [1, 1, 1, 1]],  # unsorted
+    [[0, 1, 0, 2], [0, 0, 0, 1], [0, 1, 0, 1]],  # unsorted with a duplicate
+], ids=["zero", "repeat-zero", "zero-repeat", "duplicate", "unsorted", "unsorted-duplicate"])
+def test_other_tables_take_the_slow_path(rows):
+    array = np.array(rows, dtype=np.int64)
+    want = stable_table_columns(array, 2)
+    owned = np.array(array, order="F")
+    owned.flags.writeable = False
+    for form in (rows, array, owned):
+        if isinstance(want, str):
+            with pytest.raises(StructureError) as err:
+                _table_columns(form, 2, 4)
+            assert str(err.value) == want
+        else:
+            got = _table_columns(form, 2, 4)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+            assert not any(np.shares_memory(col, owned) for col in got)
+
+
+def test_table_columns_do_not_alias_a_writable_input():
+    ring, _ = su2_level(4)
+    rows = np.asfortranarray(np.stack(ring.columns(), axis=1))
+    copy = FusionRing(ring.labels, ring.unit, ring.dual, rows)
+    rows[0, 3] = 7
+    assert copy == ring
+
+
+def test_reading_su2_64_peaks_below_twice_its_columns():
+    # the orbit rows expand straight into the columns the ring keeps
+    obj = json.loads(serialize.dumps(serialize.ring_to_dict(*su2_level(64))))
+    tracemalloc.start()
+    try:
+        ring, _ = serialize.ring_from_dict(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(col.nbytes for col in ring.columns())
+    assert columns == 47905 * 4 * 8
+    assert peak <= 2 * columns
 
 
 # ------------------------------------------------------- malformed orbits
