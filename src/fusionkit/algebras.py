@@ -18,17 +18,21 @@ commutative exactly when all blocks are 1x1, i.e. when Z is 0/1-valued.
 
 Storage and checks are those of ``rings.FusionRing``: the structure
 constants live only in four read-only int64 arrays (a, b, c, mult) sorted by
-(a, b, c), read through ``columns()`` and ``tensor()``.  The involution law
-reads each entry's mirror at its one cell of the tensor.  Associativity is
-``rings._associativity_violations``.  It checks the left labels of the
-generating set first, which needs no unit (the matrix units e11, e12, e21
-generate M2) and leaves out a unit label that obeys the unit law, and every
-label only when one of them fails: the left labels that associate with
-everything form a subalgebra.  It composes index maps
-for a single-constituent table such as a group algebra, otherwise takes
-float products that are exact in float32 while n max(N)^2 < 2^24 and in
-float64 while it is below 2^53 (``numerics.exact_float``; larger tables
-raise ``NumericError``).
+(a, b, c), and validation and decomposition read only these ``columns()``;
+``tensor()`` is the dense view of tests and ``is_commutative``.  The
+involution law gathers each entry's mirror from a scratch array of the flat
+cells (``rings._flat_table``), the dimension vector is checked on sums
+sum_c N[a,b]^c d_c from one ``np.bincount``, and the commutator rows of
+the center are scattered from each generator's column (a mask) and row (a
+slice).  Associativity is ``rings._associativity_violations``.  It checks
+the left labels of the generating set first, which needs no unit (the
+matrix units e11, e12, e21 generate M2) and leaves out a unit label that
+obeys the unit law, and every label only when one of them fails: the left
+labels that associate with everything form a subalgebra.  It composes index
+maps for a single-constituent table such as a group algebra, otherwise
+takes float products in blocks, exact in float32 while n max(N)^2 < 2^24
+and in float64 while it is below 2^53 (``numerics.exact_float``; larger
+tables raise ``NumericError``).
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ import numpy as np
 from .errors import NumericError, StructureError
 from .rings import (ValidationReport, Violation, _antiautomorphism_violations,
                     _associativity_violations, _involution_violations,
-                    _precheck_labels, _sequence, _SparseStructure, _unit_violations)
+                    _precheck_labels, _row, _sequence, _SparseStructure, _unit_violations)
 
 _RANK_RTOL = 1e-7  # singular-value threshold, relative to the largest
 _MAX_DRAWS = 8  # random central elements tried before giving up
@@ -113,15 +117,16 @@ def validate_based_algebra(alg: BasedAlgebra) -> ValidationReport:
     """Unit axiom (when a unit index is given), associativity, the involution
     anti-automorphism law, and multiplicativity of the dimension vector when
     one is attached."""
-    T = alg.tensor()
-    unit_bad = [] if alg.unit is None else _unit_violations(T, alg.unit)
+    unit_bad = [] if alg.unit is None else _unit_violations(alg)
     out: list[Violation] = list(unit_bad)
     out += _involution_violations(alg.dual)
     out += _antiautomorphism_violations(alg)
-    out += _associativity_violations(T, _precheck_labels(alg, not unit_bad))
+    out += _associativity_violations(alg, _precheck_labels(alg, not unit_bad))
     if alg.dims is not None:
-        d = np.array(alg.dims)
-        off = np.abs(T @ d - np.outer(d, d)) > 1e-6 * max(1.0, float(np.max(d)) ** 2)
+        n, d = alg.size, np.array(alg.dims)
+        a, b, c, mult = alg.columns()
+        products = np.bincount(a * n + b, mult * d[c], n * n).reshape(n, n)
+        off = np.abs(products - np.outer(d, d)) > 1e-6 * max(1.0, float(np.max(d)) ** 2)
         out += [Violation("dimension", (int(a), int(b)), f"sum_c N[{a},{b}]^c d_c != d_{a} d_{b}")
                 for a, b in np.argwhere(off)]
     return ValidationReport(tuple(out))
@@ -190,14 +195,18 @@ def _center(alg: BasedAlgebra) -> np.ndarray:
     only: in an associative algebra an element that commutes with G
     commutes with every product of G, hence with every label.  G is never
     empty, so there are at least n rows and the reduced SVD keeps every
-    null vector.
+    null vector.  The rows of g are scattered from the entries with middle
+    index g (a mask of the columns) and first index g (a slice).
     """
     n = alg.size
-    T = alg.tensor()
-    gens = list(alg.generating_labels())
-    constraints = (T[:, gens].transpose(1, 2, 0)
-                   - T[gens].transpose(0, 2, 1)).reshape(len(gens) * n, n).astype(float)
-    _, svals, Vt = np.linalg.svd(constraints, full_matrices=False)
+    a, b, c, mult = alg.columns()
+    gens = alg.generating_labels()
+    constraints = np.zeros((len(gens), n, n))  # [g, d, b]
+    for i, g in enumerate(gens):
+        col, row = b == g, _row(a, g)
+        constraints[i, c[col], a[col]] = mult[col]
+        constraints[i, c[row], b[row]] -= mult[row]
+    _, svals, Vt = np.linalg.svd(constraints.reshape(len(gens) * n, n), full_matrices=False)
     cutoff = _RANK_RTOL * (svals[0] if svals.size and svals[0] > 0 else 1.0)
     return Vt[svals <= cutoff]
 

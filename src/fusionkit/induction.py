@@ -29,10 +29,15 @@ The homomorphism and generating sums are float contractions (BLAS), exact
 because the inputs are non-negative integers: an integer bound on every
 partial sum goes through ``numerics.exact_float``, the rule the
 associativity check of the extended algebra uses, which picks float32 below
-2^24 and float64 below 2^53 and raises ``NumericError`` above.  That check
-(``validate_based_algebra``) runs over the left labels of a generating set
-of the extended algebra, and over every label only when one of them fails:
-the labels that associate on the left with everything form a subalgebra.
+2^24 and float64 below 2^53 and raises ``NumericError`` above.  The bounds
+read the columns, and each check scatters the dense N and N_mm it needs
+from the columns in its own dtype, kept only while it runs; the
+contractions run in blocks of the base label l, so the (l, beta, gamma)
+intermediate is never formed whole.  The theta bound sums the columns
+exactly.  The associativity check (``validate_based_algebra``) runs over
+the left labels of a generating set of the extended algebra, and over every
+label only when one of them fails: the labels that associate on the left
+with everything form a subalgebra.
 """
 from __future__ import annotations
 
@@ -46,7 +51,8 @@ from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
 from .invariants import _unit_entry, check_invariance, invariant_counts
 from .modular import ModularData, TwistData, modular_matrices
 from .numerics import exact_float, max_abs, readonly
-from .rings import _INTS, FusionRing, _int_array, quantum_dimensions
+from .rings import (_INTS, FusionRing, _blocks, _int_array, _scatter,
+                    quantum_dimensions)
 
 DIM_TOL = 1e-6
 GEN_TOL = 1e-6
@@ -162,18 +168,24 @@ def verify_homomorphism(cert: InductionCertificate, sign: str) -> HomomorphismRe
 
     The two sides are float contractions, exact under ``exact_float`` for
     the bounds rowsum(A)^2 max(N_mm) and max_{l,m} sum_nu N[l,m]^nu max(A).
+    N and N_mm are scattered from the columns in that dtype; both sides are
+    formed and compared in blocks of l (``rings._blocks``), and the first
+    differing (l, m, beta) in that order is the violation.
     """
     A = cert.branching(sign)
-    N, N_mm = cert.ring.tensor(), cert.mm.tensor()
-    bound = max(_row_bound(A) ** 2 * int(N_mm.max()), _row_bound(N) * int(A.max()))
+    bound = max(_row_bound(A) ** 2 * _top(cert.mm), _pair_bound(cert.ring) * int(A.max()))
     dtype = exact_float(bound, f"homomorphism[{sign}] sums up to {bound}")
-    got = _branched_product(A, A, N_mm, dtype)
-    want = np.tensordot(N.astype(dtype), A.astype(dtype), axes=(2, 0))
-    if np.array_equal(got, want):
-        return HomomorphismReport(sign=sign, passed=True, violation=None)
-    l, m, b = (int(x) for x in np.argwhere(got != want)[0])
-    return HomomorphismReport(sign=sign, passed=False,
-                              violation=(l, m, b, int(got[l, m, b]), int(want[l, m, b])))
+    N, N_mm = _scatter(cert.ring, dtype), _scatter(cert.mm, dtype)
+    A = A.astype(dtype)
+    size, size_mm = A.shape
+    for ls in _blocks(size, (2 * size + size_mm) * size_mm * A.itemsize):
+        got = A @ np.tensordot(A[ls], N_mm, axes=(1, 0))  # [l, m, d]
+        want = np.tensordot(N[ls], A, axes=(2, 0))
+        if not np.array_equal(got, want):
+            l, m, b = (int(x) for x in np.argwhere(got != want)[0])
+            return HomomorphismReport(sign=sign, passed=False, violation=(
+                ls.start + l, m, b, int(got[l, m, b]), int(want[l, m, b])))
+    return HomomorphismReport(sign=sign, passed=True, violation=None)
 
 
 def _row_bound(X: np.ndarray) -> int:
@@ -183,11 +195,17 @@ def _row_bound(X: np.ndarray) -> int:
     return max(1, int(X.sum(axis=-1, dtype=float).max()))
 
 
-def _branched_product(A: np.ndarray, B: np.ndarray, N_mm: np.ndarray, dtype) -> np.ndarray:
-    """[l, m, d] = sum_{b,c} A[l,b] B[m,c] N_mm[b,c,d] in ``dtype``, as two
-    contractions whose partial sums are at most rowsum(A) rowsum(B) max(N_mm)."""
-    left = np.tensordot(A.astype(dtype), N_mm.astype(dtype), axes=(1, 0))  # [l, c, d]
-    return B.astype(dtype) @ left
+def _pair_bound(structure) -> int:
+    """``_row_bound`` of the dense table, max_{a,b} sum_c N[a,b]^c and at
+    least 1, summed from the columns in float64."""
+    n = structure.size
+    a, b, _, mult = structure.columns()
+    return max(1, int(np.bincount(a * n + b, mult, n * n).max()))
+
+
+def _top(structure) -> int:
+    """max(N), from the columns (0 for an empty table)."""
+    return int(structure.columns()[3].max(initial=0))
 
 
 def _exact_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -197,6 +215,18 @@ def _exact_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if int(X.sum(axis=-1, dtype=object).max(initial=0)) * int(Y.max(initial=0)) < 2 ** 63:
         return X @ Y
     return X.astype(object) @ Y.astype(object)
+
+
+def _theta_bound(ring: FusionRing, theta: tuple[int, ...]) -> np.ndarray:
+    """[l, m] = sum_nu theta_nu N[nu,l]^m, summed from the columns exactly:
+    in int64 when every sum is below 2^63 (they are at most
+    sum(theta) max(N), as Python ints), else in Python ints."""
+    n = ring.size
+    nu, l, m, mult = ring.columns()
+    dtype = np.int64 if sum(theta) * _top(ring) < 2 ** 63 else object
+    bound = np.zeros(n * n, dtype)
+    np.add.at(bound, l * n + m, np.array(theta, dtype)[nu] * mult.astype(dtype, copy=False))
+    return bound.reshape(n, n)
 
 
 def compute_Z_from_branching(cert: InductionCertificate) -> np.ndarray:
@@ -216,20 +246,31 @@ def verify_generating(cert: InductionCertificate, *,
 
     Raises NondegeneracyRequired on a degenerate base braiding, where the
     identity genuinely fails in general.
+
+    The mixed products [l, m, beta] are exact integers in the
+    ``exact_float`` dtype, formed in blocks of l from N_mm scattered from
+    the columns, each block also scanned once for the sectors it covers.
+    The weighted sum is one contraction over all of them, so its rounding,
+    and the residual, do not depend on the blocks.
     """
     md = md or modular_matrices(cert.ring, cert.twists)
     if not md.degeneracy:
         raise NondegeneracyRequired("generating identity requires a non-degenerate base")
     d = md.d
     dm = np.array(cert.mm.dims)
-    N_mm = cert.mm.tensor()
-    bound = _row_bound(cert.aplus) * _row_bound(cert.aminus) * int(N_mm.max())
+    bound = _row_bound(cert.aplus) * _row_bound(cert.aminus) * _top(cert.mm)
     dtype = exact_float(bound, f"generating sums up to {bound}")
-    mixed = _branched_product(cert.aplus, cert.aminus, N_mm, dtype)
+    N_mm = _scatter(cert.mm, dtype)
+    Ap, Am = cert.aplus.astype(dtype), cert.aminus.astype(dtype)
+    n, m = Ap.shape
+    mixed = np.empty((n, n, m), dtype)
+    covered = np.zeros(m, dtype=bool)
+    for ls in _blocks(n, m * m * mixed.itemsize):
+        mixed[ls] = Am @ np.tensordot(Ap[ls], N_mm, axes=(1, 0))
+        covered |= np.any(mixed[ls] > 0, axis=(0, 1))
     lhs = np.einsum("l,m,lmd->d", d, d, mixed, optimize=True)
     residual = float(np.max(np.abs(lhs - md.w * dm))) / md.w
-    uncovered = tuple(int(b) for b in range(cert.mm.size)
-                      if not np.any(mixed[:, :, b] > 0))
+    uncovered = tuple(np.flatnonzero(~covered).tolist())
     return GeneratingReport(passed=(residual <= GEN_TOL and not uncovered),
                             max_residual=residual, uncovered=uncovered)
 
@@ -305,9 +346,7 @@ def full_report(cert: InductionCertificate, *,
     checks.append(CheckResult("counts", counts_ok, detail))
 
     if cert.theta is not None:
-        n = ring.size
-        theta = np.array([cert.theta], dtype=np.int64)
-        bound = _exact_product(theta, ring.tensor().reshape(n, n * n)).reshape(n, n)
+        bound = _theta_bound(ring, cert.theta)
         for name, A in (("+", cert.aplus), ("-", cert.aminus)):
             gram = _exact_product(A, A.T)
             if np.any(gram > bound):

@@ -13,20 +13,23 @@ The structure constants are stored as four read-only int64 arrays
 N[a,b]^c once.  A table already sorted with positive multiplicities, as
 every file fusionkit writes, is kept without a duplicate scan, and the
 column-major array of an orbit expansion without a copy (``_table_columns``).
-``tensor()`` is the one place where tables become dense
-(the axiom checks, block profiles, certificates and the Verlinde check use
-it); the quantum dimensions, like the modular data, read the columns with
-``np.bincount``.  Every integer array that enters fusionkit (structure tables,
-invariant files, branching matrices) is read by ``_int_array``, and every
-sparse table by ``_table_columns``.  Bools, floats and strings are never
-integers there; a list of rows is typed entry by entry and read with
+Every integer array that enters fusionkit (structure tables, invariant
+files, branching matrices) is read by ``_int_array``, and every sparse
+table by ``_table_columns``.  Bools, floats and strings are never integers
+there; a list of rows is typed entry by entry and read with
 ``np.fromiter``, without an object array of every entry.
 
-The anti-automorphism law of an involution is checked entry by entry: the
-mirror of each entry of the columns is read from the tensor at its one
-cell.  Frobenius reciprocity is decided the same way when the dual is a
-permutation, and its violations are listed from dense gathers only when
-that check fails.
+The axiom checks, like the quantum dimensions and the modular data, read
+the columns; ``tensor()`` stays the dense view of tests, ``fusion_matrices``
+and the Verlinde check, and the checks build it only to list the violations
+of a failed Frobenius law.  A label's row is a slice of the sorted columns
+and its column a mask, so the unit law, the conjugate law and the
+generating set read n x n scatters of them.  The anti-automorphism law of
+an involution is checked entry by entry: the mirror of each entry is
+gathered from ``_flat_table``, a scratch array of the flat cells in the
+narrowest unsigned dtype that holds max(N), built for that one check.
+Frobenius reciprocity is decided the same way when the dual is a
+permutation.
 
 Associativity is decided on a generating set of labels: the left labels a
 with (a x) y = a (x y) for all x, y (the left nucleus) form a subalgebra, so
@@ -39,10 +42,11 @@ checked, so every violation is still listed.  Every partial sum of the
 check is a non-negative integer of at most n max(N)^2, and
 ``numerics.exact_float`` turns that bound into float32 below 2^24, float64
 below 2^53 and a ``NumericError`` above, before any product is formed.  A
-single-constituent table (every product a b has at most one constituent, as
-in groups and Z_n rings) is then decided exactly by
-composing its n x n constituent and multiplicity maps; any other table by
-float products.
+single-constituent table (no (a, b) repeats in the columns, as in groups
+and Z_n rings) is then decided exactly by composing its n x n constituent
+and multiplicity maps, scattered from the columns; any other table by
+float products of a dense copy in that dtype, compared in blocks of about
+``_BLOCK_BYTES``, with the full sides formed only for a label that fails.
 """
 from __future__ import annotations
 
@@ -95,6 +99,9 @@ _INTS = frozenset([int] + [np.dtype(code).type for code in np.typecodes["AllInte
 # the flat key (a n + b) n + c of a structure entry, like the dense tensor's
 # n^3 cells, must be addressable in int64
 _MAX_LABELS = 2 ** 21 - 1
+# the bytes of the float products the associativity check and the
+# certificate contractions form at once (``_blocks``)
+_BLOCK_BYTES = 2 ** 20
 
 
 def _sequence(values, what: str) -> tuple:
@@ -283,18 +290,14 @@ class _SparseStructure:
     def tensor(self) -> np.ndarray:
         """Dense read-only int64 array T[a, b, c] = N[a,b]^c, built once."""
         if self._tensor is None:
-            n = self.size
-            t = np.zeros((n, n, n), dtype=np.int64)
-            a, b, c, mult = self._columns
-            t[a, b, c] = mult
-            object.__setattr__(self, "_tensor", readonly(t))
+            object.__setattr__(self, "_tensor", readonly(_scatter(self, np.int64)))
         return self._tensor
 
     def generating_labels(self) -> tuple[int, ...]:
         """Labels, ascending, whose products generate every label
-        (``_generating_labels`` on the tensor), found once."""
+        (``_generating_labels`` on the columns), found once."""
         if self._generators is None:
-            object.__setattr__(self, "_generators", tuple(_generating_labels(self.tensor())))
+            object.__setattr__(self, "_generators", tuple(_generating_labels(self)))
         return self._generators
 
     def _key(self) -> tuple:
@@ -361,19 +364,21 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     also on one read from orbit rows (``serialize``): those are commutative
     by construction, but can still fail Frobenius reciprocity.
     """
-    T = ring.tensor()
     unit = ring.unit
     out: list[Violation] = []
     if ring.dual[unit] != unit:
         out.append(Violation("involution", (unit,), "dual(unit) != unit"))
     out += _involution_violations(ring.dual)
-    unit_bad = _unit_violations(T, unit)
+    unit_bad = _unit_violations(ring)
     out += unit_bad
+    a, b, c, mult = ring.columns()
+    at_unit = c == unit
+    got = _matrix(a[at_unit], b[at_unit], mult[at_unit], ring.size)  # N[lam,mu]^unit
     out += [Violation("conjugate", (int(lam), int(mu)), f"N[{lam},{mu}]^unit = "
-                      f"{T[lam, mu, unit]}, expected {int(mu == ring.dual[lam])}")
-            for lam, mu in np.argwhere(T[:, :, unit] != ring.conjugation_matrix())]
+                      f"{got[lam, mu]}, expected {int(mu == ring.dual[lam])}")
+            for lam, mu in np.argwhere(got != ring.conjugation_matrix())]
     out += _frobenius_violations(ring)
-    out += _associativity_violations(T, _precheck_labels(ring, not unit_bad))
+    out += _associativity_violations(ring, _precheck_labels(ring, not unit_bad))
     return ValidationReport(tuple(out))
 
 
@@ -392,11 +397,54 @@ def _precheck_labels(structure: _SparseStructure, unit_law: bool) -> tuple[int, 
     return tuple(g for g in gens if g != structure.unit) if unit_law else gens
 
 
-def _unit_violations(T: np.ndarray, unit: int) -> list[Violation]:
-    """N[unit,b]^c = N[b,unit]^c = delta_bc."""
-    eye = np.eye(len(T), dtype=np.int64)
+def _row(a: np.ndarray, label: int) -> slice:
+    """The entries with first index ``label``: a slice of the sorted columns."""
+    return slice(*np.searchsorted(a, (label, label + 1)).tolist())
+
+
+def _matrix(x: np.ndarray, y: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The n x n int64 matrix with ``values`` at the cells (x, y), zero elsewhere."""
+    m = np.zeros((n, n), dtype=np.int64)
+    m[x, y] = values
+    return m
+
+
+def _flat_key(i: np.ndarray, j: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """The flat cell (i n + j) n + k of index columns, in one new array."""
+    key = np.multiply(i, n)
+    key += j
+    key *= n
+    key += k
+    return key
+
+
+def _flat_table(structure: _SparseStructure) -> np.ndarray:
+    """N[a,b]^c at the flat cell (a n + b) n + c, zero elsewhere, in the
+    narrowest unsigned dtype that holds max(N): scratch for the exact
+    lookups of one check, never kept."""
+    top = int(structure.columns()[3].max(initial=0))
+    return _scatter(structure, np.min_scalar_type(top)).reshape(-1)
+
+
+def _scatter(structure: _SparseStructure, dtype) -> np.ndarray:
+    """A new dense array T[a, b, c] = N[a,b]^c in ``dtype``."""
+    n = structure.size
+    t = np.zeros((n, n, n), dtype)
+    a, b, c, mult = structure.columns()
+    t.reshape(-1)[_flat_key(a, b, c, n)] = mult
+    return t
+
+
+def _unit_violations(structure: _SparseStructure) -> list[Violation]:
+    """N[unit,b]^c = N[b,unit]^c = delta_bc, from the unit's row (a slice of
+    the columns) and column (a mask)."""
+    n, unit = structure.size, structure.unit
+    x, y, z, mult = structure.columns()
+    row, col = _row(x, unit), y == unit
+    eye = np.eye(n, dtype=np.int64)
     out = []
-    for left, got in ((True, T[unit]), (False, T[:, unit])):
+    for left, got in ((True, _matrix(y[row], z[row], mult[row], n)),
+                      (False, _matrix(x[col], z[col], mult[col], n))):
         for b, c in np.argwhere(got != eye):
             where = (unit, int(b), int(c)) if left else (int(b), unit, int(c))
             out.append(Violation("unit", where, f"N[{where[0]},{where[1]}]^{c} = "
@@ -408,17 +456,18 @@ def _frobenius_violations(ring: _SparseStructure) -> list[Violation]:
     """N[a,b]^c = N[dual a, c]^b = N[c, dual b]^a for every triple.
 
     For a permutation dual, each side moves the entries to as many cells as
-    N has, so both sides agreeing with N on its entries is the whole law.
-    Otherwise, or when they disagree, the violations are listed from dense
-    gathers of the tensor.
+    N has, so both sides agreeing with N on its entries is the whole law;
+    they are read from ``_flat_table``.  Otherwise, or when they disagree,
+    the violations are listed from dense gathers of the tensor.
     """
-    n, d, T = ring.size, np.asarray(ring.dual), ring.tensor()
-    flat = T.reshape(-1)
+    n, d = ring.size, np.asarray(ring.dual)
     x, y, z, mult = ring.columns()
-    if (np.array_equal(np.sort(d), np.arange(n))
-            and np.array_equal(flat[(d[x] * n + z) * n + y], mult)
-            and np.array_equal(flat[(z * n + d[y]) * n + x], mult)):
-        return []
+    if np.array_equal(np.sort(d), np.arange(n)):
+        flat = _flat_table(ring)
+        if (np.array_equal(flat[_flat_key(d[x], z, y, n)], mult)
+                and np.array_equal(flat[_flat_key(z, d[y], x, n)], mult)):
+            return []
+    T = ring.tensor()
     left = T[d].transpose(0, 2, 1)  # [a,b,c] -> N[dual a, c]^b
     right = T[:, d].transpose(2, 1, 0)  # [a,b,c] -> N[c, dual b]^a
     return [Violation("frobenius", (int(a), int(b), int(c)),
@@ -429,22 +478,23 @@ def _frobenius_violations(ring: _SparseStructure) -> list[Violation]:
 
 def _antiautomorphism_violations(alg: _SparseStructure) -> list[Violation]:
     """N[a,b]^c = N[dual b, dual a]^{dual c}, witnessed at the nonzero side
-    and listed by (a, b, c)."""
+    and listed by (a, b, c); each mirror is read from ``_flat_table``."""
     n, d = alg.size, np.asarray(alg.dual)
     a, b, c, mult = alg.columns()
-    mirrored = alg.tensor().reshape(-1)[(d[b] * n + d[a]) * n + d[c]]
+    mirrored = _flat_table(alg)[_flat_key(d[b], d[a], d[c], n)]
     bad = np.flatnonzero(mirrored != mult)
     return [Violation("involution", (a, b, c), f"N[{a},{b}]^{c} = {v} but "
                                                f"N[{d[b]},{d[a]}]^{d[c]} = {mv}")
             for a, b, c, v, mv in zip(*(col[bad].tolist() for col in (a, b, c, mult, mirrored)))]
 
 
-def _associativity_violations(T: np.ndarray, generators: Iterable[int]) -> list[Violation]:
+def _associativity_violations(structure: _SparseStructure,
+                              generators: Iterable[int]) -> list[Violation]:
     """((a b) c)_d = (a (b c))_d for every (a, b, c, d), listed by a, then
     (b, c, d) ascending.
 
     Only the left labels of ``generators`` are checked first: a generating
-    set G of T (``_generating_labels``), less any label already known to lie
+    set G (``generating_labels()``), less any label already known to lie
     in the left nucleus, such as a unit that obeys the unit law
     (``_precheck_labels``).  Every label is checked, and listed, only when
     one of them fails.  This suffices because the left nucleus
@@ -457,18 +507,20 @@ def _associativity_violations(T: np.ndarray, generators: Iterable[int]) -> list[
 
     Every partial sum is a non-negative integer of at most n max(N)^2, a
     bound that ``exact_float`` must accept before either side is formed.  A
-    single-constituent table (every product a b has at most one constituent:
-    groups, Z_n rings, matrix units) composes index maps; any other table
-    takes float products.
+    single-constituent table (no (a, b) repeats in the columns: groups, Z_n
+    rings, matrix units) composes index maps scattered from the columns;
+    any other table takes float products of a dense copy in that dtype.
     """
-    n = len(T)
-    top = int(T.max())
+    n = structure.size
+    a, b, c, mult = structure.columns()
+    top = int(mult.max(initial=0))
     dtype = exact_float(n * top * top, f"associativity sums up to {n} * {top}^2")
-    M = T.max(axis=2)
-    if np.array_equal(T.sum(axis=2), M):
-        sides = partial(_composed_sides, T.argmax(axis=2), M, dtype)
+    if not np.any((a[1:] == a[:-1]) & (b[1:] == b[:-1])):
+        P, M = np.zeros((2, n, n), dtype=np.int64)
+        P[a, b], M[a, b] = c, mult
+        sides = partial(_composed_sides, P, M, dtype)
     else:
-        sides = partial(_product_sides, T.astype(dtype))
+        sides = partial(_product_sides, _scatter(structure, dtype))
     if next(sides(generators), None) is None:
         return []
     out = []
@@ -480,9 +532,9 @@ def _associativity_violations(T: np.ndarray, generators: Iterable[int]) -> list[
     return out
 
 
-def _generating_labels(T: np.ndarray) -> list[int]:
+def _generating_labels(structure: _SparseStructure) -> list[int]:
     """Labels G, ascending, whose products generate every label, from an
-    exact closure on the pattern T > 0.
+    exact closure on the pattern of the columns.
 
     A label is known once it is proved to lie in the algebra G generates.
     When nothing more can be proved, the smallest unknown label joins G.  A
@@ -492,7 +544,8 @@ def _generating_labels(T: np.ndarray) -> list[int]:
     index sum of its constituents not yet processed, so the closure reads
     each entry of the rows and columns of G once.
     """
-    n = len(T)
+    n = structure.size
+    a, b, c, _ = structure.columns()
     known = [False] * n
     gens: list[int] = []
     products: list[list[int]] = []  # [s, constituents left, their index sum]
@@ -523,30 +576,51 @@ def _generating_labels(T: np.ndarray) -> list[int]:
         known[g] = True
         stack.append(g)
         # rows s of the products g s, then s g, by constituent
-        unknown = (np.concatenate((T[g], T[:, g])) > 0) & ~np.array(known)
+        unknown = np.zeros((2 * n, n), dtype=bool)
+        row, col = _row(a, g), b == g
+        unknown[b[row], c[row]] = True
+        unknown[n + a[col], c[col]] = True
+        unknown &= ~np.array(known)
         counts = unknown.sum(axis=1)
         rows = np.flatnonzero(counts)
         first = len(products)
         products += np.stack([rows % n, counts[rows], (unknown @ np.arange(n))[rows]],
                              axis=1).tolist()
         entry_rows, entry_cs = np.nonzero(unknown)
-        for c, p in zip(entry_cs.tolist(), (first + np.searchsorted(rows, entry_rows)).tolist()):
-            by_constituent[c].append(p)
+        for con, p in zip(entry_cs.tolist(), (first + np.searchsorted(rows, entry_rows)).tolist()):
+            by_constituent[con].append(p)
         for p in range(first, len(products)):
             by_factor[products[p][0]].append(p)
             prove(p)
 
 
+def _blocks(n: int, row_bytes: int) -> list[slice]:
+    """range(n) cut into slices of rows of ``row_bytes`` each, about
+    ``_BLOCK_BYTES`` per slice and at least one row."""
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
 def _product_sides(F: np.ndarray, labels: Iterable[int]):
     """(a, ((a b) c)_d, (a (b c))_d) for each left label a in ``labels``
-    where the two differ, from the float products T[a] @ T.reshape(n, n*n)
-    and T.reshape(n*n, n) @ T[a]."""
+    where the two differ, from the float products F[a] @ F.reshape(n, n*n)
+    and F.reshape(n*n, n) @ F[a].
+
+    The products are compared in blocks of the middle index c
+    (``_blocks``): ((a b) c)_d for c in a block is F[a] times a strided
+    view of F, (a (b c))_d is a contiguous copy of the same cells times
+    F[a], so F is read once per label and each product is one wide matrix
+    product.  Only a label that fails has its full sides formed.
+    """
     n = len(F)
     rows, cols = F.reshape(n * n, n), F.reshape(n, n * n)
+    blocks = _blocks(n, 3 * n * n * F.itemsize)  # both sides and the copy
     for a in labels:
-        lhs, rhs = (F[a] @ cols).reshape(n, n, n), (rows @ F[a]).reshape(n, n, n)
-        if not np.array_equal(lhs, rhs):
-            yield a, lhs, rhs
+        if all(np.array_equal(F[a] @ F[:, s].reshape(n, -1),
+                              (np.ascontiguousarray(F[:, s]).reshape(-1, n) @ F[a]).reshape(n, -1))
+               for s in blocks):
+            continue
+        yield a, (F[a] @ cols).reshape(n, n, n), (rows @ F[a]).reshape(n, n, n)
 
 
 def _composed_sides(P: np.ndarray, M: np.ndarray, dtype, labels: Iterable[int]):

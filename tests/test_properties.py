@@ -27,6 +27,7 @@ from helpers import (GROUP_FIXTURES, brute_force_associativity,
                      dense_antiautomorphism_violations, dense_frobenius_violations,
                      permute_model, permute_table, product_model, product_table,
                      stable_table_columns, table_dict)
+from references import structure_of
 
 # SU(2)_k for k <= 6 and Z_n with q = 1 for even n <= 8 (odd n has no q = 1 twist)
 MODELS = [("su2", k) for k in range(1, 7)] + [("cyclic", n) for n in (2, 4, 6, 8)]
@@ -89,7 +90,8 @@ def structure_tables(draw):
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(structure_tables())
 def test_associativity_lists_every_violation_in_order(T):
-    violations = _associativity_violations(T, _generating_labels(T))
+    structure = structure_of(T)
+    violations = _associativity_violations(structure, _generating_labels(structure))
     assert {v.axiom for v in violations} <= {"associativity"}
     assert [(v.where, v.detail) for v in violations] == brute_force_associativity(T.tolist())
 
@@ -133,7 +135,7 @@ def test_generating_labels_generate_every_label(data):
     perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
     relabelled_T = np.empty_like(T)
     relabelled_T[np.ix_(perm, perm, perm)] = T
-    gens = _generating_labels(relabelled_T)
+    gens = _generating_labels(structure_of(relabelled_T))
     assert gens == sorted(set(gens))
     assert generated_dimension(relabelled_T.astype(float), gens) == n
     if group:  # each generator at least doubles the subgroup the closure knows
@@ -176,13 +178,13 @@ def test_associativity_precheck_without_the_unit_lists_every_violation(data):
     if defect == "unit":
         assert "unit" in report.axioms()
     listed = [(v.where, v.detail) for v in report.violations if v.axiom == "associativity"]
-    every = _associativity_violations(corrupted.tensor(), range(n))
+    every = _associativity_violations(corrupted, range(n))
     assert listed == [(v.where, v.detail) for v in every]
 
 
 def test_catalog_order_generates_from_unit_and_label_1():
     for name in [f"su2_{k}" for k in range(1, 65)] + [f"z_{n}" for n in range(2, 33)]:
-        assert _generating_labels(generator_source(name)[0]) == [0, 1], name
+        assert _generating_labels(structure_of(generator_source(name)[0])) == [0, 1], name
 
 
 def law_violations(structure):
@@ -198,10 +200,12 @@ def law_violations(structure):
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(st.data())
 def test_permutation_laws_match_dense_gathers(data):
-    # any sparse table with any dual map, a permutation or not
+    # any sparse table with any dual map, a permutation or not; some
+    # multiplicities need more than one or two bytes
     n = data.draw(st.integers(1, 5), label="n")
     cells = st.tuples(*[st.integers(0, n - 1)] * 3)
-    table = data.draw(st.dictionaries(cells, st.integers(1, 3), max_size=2 * n * n), label="N")
+    mults = st.integers(1, 3) | st.sampled_from([255, 256, 2 ** 16, 2 ** 40])
+    table = data.draw(st.dictionaries(cells, mults, max_size=2 * n * n), label="N")
     dual = data.draw(st.permutations(range(n)) | st.lists(st.integers(0, n - 1), min_size=n,
                                                          max_size=n), label="dual")
     sparse, dense = law_violations(BasedAlgebra([str(x) for x in range(n)], None, dual, table))

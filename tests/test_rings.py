@@ -10,6 +10,7 @@ from fusionkit.rings import _associativity_violations, _generating_labels, _prec
 
 from helpers import (brute_force_associativity, brute_force_axioms, dense_quantum_dimensions,
                      permute_model, product_model, table_dict, table_rows)
+from references import structure_of
 
 
 def z2_ring():
@@ -90,9 +91,10 @@ class TestValidation:
         want = [((a, b, c, d), f"(({a} {b}) {c})_{d} = {lhs[a, b, c, d]}, "
                                f"({a} ({b} {c}))_{d} = {rhs[a, b, c, d]}")
                 for a, b, c, d in np.argwhere(lhs != rhs).tolist()]
-        assert _generating_labels(T) == [0, 1]
+        structure = structure_of(T)
+        assert _generating_labels(structure) == [0, 1]
         assert len(want) == 452
-        violations = _associativity_violations(T, _generating_labels(T))
+        violations = _associativity_violations(structure, _generating_labels(structure))
         assert [(v.where, v.detail) for v in violations] == want
 
     def test_precheck_drops_the_unit_only_under_the_unit_law(self, monkeypatch):
