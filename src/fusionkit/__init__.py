@@ -1,6 +1,6 @@
 """fusionkit: modular data and modular invariants for braided fusion rings.
 
-Core pipeline: describe a fusion ring (labels, duals, fusion tensor) plus
+Core pipeline: describe a fusion ring (labels, duals, sparse fusion table) plus
 rational twist exponents; build the Y/S/T matrices and central charge; test
 whether the braiding is non-degenerate; enumerate and classify every modular
 invariant mass matrix; decompose extended sector algebras into simple blocks
@@ -8,10 +8,9 @@ and verify induction certificates against the mass matrix they predict.
 """
 
 from .algebras import (BasedAlgebra, BlockProfile, decompose_semisimple,
-                       is_commutative, validate_based_algebra,
-                       verify_dimension_theorem)
+                       validate_based_algebra, verify_dimension_theorem)
 from .catalog import (CATALOG, ModelSpec, build_model, catalog_models,
-                      cyclic_model, named_model, su2_level, su2_s_closed_form)
+                      cyclic_model, named_model, su2_level)
 from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
                      NumericError, RankAmbiguityError, SchemaError,
                      StructureError, TwistError, VanishingZError, VerlindeError)
@@ -21,11 +20,9 @@ from .induction import (CertificateReport, InductionCertificate,
                         verify_homomorphism)
 from .invariants import (MassMatrix, classify_invariant, commutant_basis,
                          invariant_counts, search_invariants, twist_sparsity)
-from .modular import (DegeneracyReport, ModularData, MonodromySpectra,
-                      ResidualReport, TwistData, check_partial_verlinde,
-                      is_nondegenerate, modular_matrices, monodromy_spectra,
-                      sl2z_relations, statistics_characters, validate_twists,
-                      verlinde_fusion, y_matrix)
+from .modular import (DegeneracyReport, ModularData, ResidualReport, TwistData,
+                      check_partial_verlinde, is_nondegenerate, modular_matrices,
+                      sl2z_relations, validate_twists, verlinde_fusion, y_matrix)
 from .rings import (DimensionVector, FusionRing, ValidationReport, Violation,
                     quantum_dimensions, validate_fusion_ring)
 
@@ -33,18 +30,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasedAlgebra", "BlockProfile", "CATALOG", "CertificateError",
-    "CertificateReport", "DegeneracyReport", "DimensionVector", "FusionKitError",
-    "FusionRing", "InductionCertificate", "MassMatrix", "ModelSpec",
-    "ModularData", "MonodromySpectra", "NondegeneracyRequired", "NumericError",
+    "CertificateReport", "DegeneracyReport", "DimensionVector",
+    "FusionKitError", "FusionRing", "InductionCertificate", "MassMatrix",
+    "ModelSpec", "ModularData", "NondegeneracyRequired", "NumericError",
     "RankAmbiguityError", "ResidualReport", "SchemaError", "StructureError",
     "TwistData", "TwistError", "ValidationReport", "VanishingZError",
-    "VerlindeError", "Violation", "build_model",
-    "catalog_models", "check_partial_verlinde", "classify_invariant",
-    "commutant_basis", "compute_Z_from_branching", "conjugation_certificate",
-    "cyclic_model", "decompose_semisimple", "full_report",
-    "invariant_counts", "is_commutative", "is_nondegenerate", "modular_matrices",
-    "monodromy_spectra", "named_model", "quantum_dimensions", "search_invariants",
-    "sl2z_relations", "statistics_characters", "su2_level", "su2_s_closed_form",
+    "VerlindeError", "Violation", "build_model", "catalog_models",
+    "check_partial_verlinde", "classify_invariant", "commutant_basis",
+    "compute_Z_from_branching", "conjugation_certificate", "cyclic_model",
+    "decompose_semisimple", "full_report", "invariant_counts",
+    "is_nondegenerate", "modular_matrices", "named_model",
+    "quantum_dimensions", "search_invariants", "sl2z_relations", "su2_level",
     "trivial_certificate", "twist_sparsity", "validate_based_algebra",
     "validate_fusion_ring", "validate_twists", "verify_dimension_theorem",
     "verify_generating", "verify_homomorphism", "verlinde_fusion", "y_matrix",

@@ -1,15 +1,17 @@
 """Semisimple based algebras given by non-negative integer structure constants.
 
-The main operation splits such an algebra into simple matrix blocks.  The
-center is the nullspace of the commutator constraints with a generating set
-G of labels only (``generating_labels()``, the same G the associativity
-check uses), |G| n rows instead of n^2: in an associative algebra an element
-that commutes with G commutes with everything G generates, which is every
-label.  A random self-adjoint central element is drawn, its left
-multiplication matrix is summed from the sparse columns, and its spectrum is
-clustered; each eigenvalue cluster of size s belongs to one simple block of
-size sqrt(s).  Conjugate pairs of blocks carry complex-conjugate scalars, so
-the random draw must use complex coefficients: real ones provably cannot
+The main operation splits such an algebra into simple matrix blocks, once
+its trace form has full rank: its kernel is the radical, which the central
+spectrum misses when everything annihilates it.  The center is the
+nullspace of the commutator constraints with a generating set G of labels
+only (``generating_labels()``, the same G the associativity check uses),
+|G| n rows instead of n^2: in an associative algebra an element that
+commutes with G commutes with everything G generates, which is every label.
+A random self-adjoint central element is drawn, its left multiplication
+matrix is summed from the sparse columns, and its spectrum is clustered;
+each eigenvalue cluster of size s belongs to one simple block of size
+sqrt(s).  Conjugate pairs of blocks carry complex-conjugate scalars, so the
+random draw must use complex coefficients: real ones provably cannot
 separate a block from its conjugate.
 
 The block profile is what pairs with a mass matrix: the multiset of nonzero
@@ -18,13 +20,11 @@ commutative exactly when all blocks are 1x1, i.e. when Z is 0/1-valued.
 
 Storage and checks are those of ``rings.FusionRing``: the structure
 constants live only in four read-only int64 arrays (a, b, c, mult) sorted by
-(a, b, c), and validation and decomposition read only these ``columns()``;
-``tensor()`` is the dense view of tests and ``is_commutative``.  The
-involution law gathers each entry's mirror from a scratch array of the flat
-cells (``rings._flat_table``), the dimension vector is checked on sums
-sum_c N[a,b]^c d_c from one ``np.bincount``, and the commutator rows of
-the center are scattered from each generator's column (a mask) and row (a
-slice).  Associativity is ``rings._associativity_violations``.  It checks
+(a, b, c), and validation and decomposition read only these ``columns()``.
+The involution law gathers each entry's mirror from a scratch array of the
+flat cells (``rings._flat_table``), the dimension vector and the trace form
+are sums from one ``np.bincount``, and the commutator rows of the center
+are scattered from each generator's column (a mask) and row (a slice).  Associativity is ``rings._associativity_violations``.  It checks
 the left labels of the generating set first, which needs no unit (the
 matrix units e11, e12, e21 generate M2) and leaves out a unit label that
 obeys the unit law, and every label only when one of them fails: the left
@@ -76,12 +76,10 @@ class BasedAlgebra(_SparseStructure):
         object.__setattr__(self, "dims", dims)
 
     @classmethod
-    def from_group_table(cls, table, labels=None, dims=None) -> "BasedAlgebra":
-        """Group algebra from a multiplication table table[i][j] = index of g_i g_j."""
+    def from_group_table(cls, table) -> "BasedAlgebra":
+        """Group algebra on labels g0, g1, ... from table[i][j] = index of g_i g_j."""
         table = [list(row) for row in table]
         n = len(table)
-        if labels is None:
-            labels = [f"g{i}" for i in range(n)]
         unit = next((e for e in range(n)
                      if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
         if unit is None:
@@ -93,7 +91,7 @@ class BasedAlgebra(_SparseStructure):
                 raise StructureError(f"element {g} does not have a unique inverse")
             dual[g] = inv[0]
         structure = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
-        return cls(labels, unit, dual, structure, dims=dims)
+        return cls([f"g{i}" for i in range(n)], unit, dual, structure)
 
     def _key(self) -> tuple:
         return super()._key() + (self.dims,)
@@ -137,7 +135,7 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
 
     The algebra must be associative (``validate_based_algebra``, which
     ``decompose`` runs first), since the center is found from a generating
-    set (``_center``).
+    set (``_center``), and have no radical (``_check_trace_form``).
 
     Draws up to ``_MAX_DRAWS`` random self-adjoint central elements (fresh
     randomness per draw, reproducible via ``seed``); a draw is accepted when
@@ -147,10 +145,9 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
     semisimple as expected.
     """
     n = alg.size
+    _check_trace_form(alg)
     basis = _center(alg)
     r = len(basis)
-    if r == 0:
-        raise NumericError("center is empty; input is not a unital based algebra")
 
     rng = np.random.default_rng(seed)
     dual = list(alg.dual)
@@ -185,6 +182,22 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
         f"central spectrum did not split into {r} clusters after {_MAX_DRAWS} draws"
         + (f" (last multiplicities {sorted(last_sizes)})" if last_sizes else "")
         + "; algebra may not be semisimple")
+
+
+def _check_trace_form(alg: BasedAlgebra) -> None:
+    """Raise NumericError unless G[x,y] = sum_c N[x,y]^c t_c, with
+    t_c = Tr L(c) = sum_b N[c,b]^b, has full rank at ``_RANK_RTOL``: the
+    kernel of G is the radical, so a semisimple algebra has none."""
+    n = alg.size
+    a, b, c, mult = alg.columns()
+    t = np.bincount(a[b == c], mult[b == c], n)
+    svals = np.linalg.svd(np.bincount(a * n + b, mult * t[c], n * n).reshape(n, n),
+                          compute_uv=False)
+    ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0
+    if ratio <= _RANK_RTOL:
+        rank = np.count_nonzero(svals > _RANK_RTOL * svals[0])
+        raise NumericError(f"trace form has rank {rank} of {n} (smallest singular value "
+                           f"ratio {ratio:.1e}); algebra has a radical, not semisimple")
 
 
 def _center(alg: BasedAlgebra) -> np.ndarray:
@@ -232,8 +245,3 @@ def verify_dimension_theorem(Z: np.ndarray, profile: BlockProfile) -> bool:
     entries = Counter(int(v) for v in Z.ravel() if v != 0)
     return entries == Counter(profile.sizes)
 
-
-def is_commutative(alg: BasedAlgebra) -> bool:
-    """Exact symmetry N[b,b']^{b''} = N[b',b]^{b''} of the structure constants."""
-    T = alg.tensor()
-    return bool(np.array_equal(T, T.transpose(1, 0, 2)))

@@ -15,7 +15,6 @@ and the test corpus.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,18 +51,6 @@ def su2_level(k: int) -> tuple[FusionRing, TwistData]:
     ring = FusionRing(labels, 0, list(range(k + 1)), rows)
     twists = TwistData(Fraction(a * (a + 2), 4 * (k + 2)) for a in range(k + 1))
     return ring, twists
-
-
-def su2_s_closed_form(k: int) -> np.ndarray:
-    """Independent S-matrix oracle: S[a,b] = sqrt(2/(k+2)) sin(pi (a+1)(b+1)/(k+2))."""
-    if k < 1:
-        raise StructureError(f"level must be >= 1, got {k}")
-    n = k + 2
-    S = np.zeros((k + 1, k + 1), dtype=complex)
-    for a in range(k + 1):
-        for b in range(k + 1):
-            S[a, b] = math.sqrt(2.0 / n) * math.sin(math.pi * (a + 1) * (b + 1) / n)
-    return S
 
 
 def cyclic_model(n: int, q: int = 0) -> tuple[FusionRing, TwistData]:

@@ -51,8 +51,7 @@ from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
 from .invariants import _unit_entry, check_invariance, invariant_counts
 from .modular import ModularData, TwistData, modular_matrices
 from .numerics import exact_float, max_abs, readonly
-from .rings import (_INTS, FusionRing, _blocks, _int_array, _scatter,
-                    quantum_dimensions)
+from .rings import _INTS, FusionRing, _blocks, _int_array, _scatter
 
 DIM_TOL = 1e-6
 GEN_TOL = 1e-6
@@ -297,8 +296,7 @@ def full_report(cert: InductionCertificate, *,
                               "unit label induces the extended unit once" if unit_ok
                               else "unit row is not the standard basis vector at the extended unit"))
 
-    dims_nn = quantum_dimensions(ring)
-    d = dims_nn.d
+    d = ring.dimensions().d
     dm = np.array(mm.dims)
     worst = max(max_abs(cert.aplus @ dm - d), max_abs(cert.aminus @ dm - d))
     dim_ok = worst <= DIM_TOL * max(1.0, float(np.max(d)))
@@ -313,7 +311,7 @@ def full_report(cert: InductionCertificate, *,
     checks.append(CheckResult("z_matrix", *_unit_entry(Z, e_nn)))
 
     try:
-        md = modular_matrices(ring, cert.twists, dims=dims_nn, tol=tol)
+        md = modular_matrices(ring, cert.twists, tol=tol)
     except FusionKitError as exc:  # vanishing z or twist trouble
         nd = False
         checks.append(CheckResult("modular_invariance", False, f"no modular data: {exc}"))
@@ -381,6 +379,6 @@ def _self_certificate(ring: FusionRing, twists: TwistData, aminus,
     """Certificate whose extended algebra is the base ring itself, with its
     quantum dimensions, A+ = identity and the given A-."""
     mm = BasedAlgebra(ring.labels, ring.unit, ring.dual, np.stack(ring.columns(), axis=1),
-                      dims=quantum_dimensions(ring).d)
+                      dims=ring.dimensions().d)
     return InductionCertificate(ring, twists, mm, np.eye(ring.size, dtype=np.int64), aminus,
                                 nm_count=nm_count)

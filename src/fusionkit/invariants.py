@@ -98,15 +98,15 @@ def check_invariance(md: ModularData, Z: np.ndarray) -> tuple[float, float, tupl
     return residual_s, max_abs(md.T @ Z - Z @ md.T), tuple(failed)
 
 
-def commutant_basis(S: np.ndarray, mask: np.ndarray,
-                    tol: float | None = None) -> np.ndarray:
+def commutant_basis(S: np.ndarray, mask: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal real basis of { X supported on mask : SX = XS }.
 
     Let K[(a,b),(c,d)] = S[a,c] conj(S[b,d]) on the masked cells: a
     mask-supported X commutes with S iff K X = X.  For unitary S, K is a
     contraction, so a real X has K X = X iff M X = X for the symmetric
     M = (Re K + Re K^t) / 2, and the basis is the eigenvalue-1 eigenspace of
-    one ``eigh`` of M.  Eigenvalues with |1 - lambda| within a decade of the
+    one ``eigh`` of M.  The cutoff is ``tol`` (``md.tol``) scaled by the
+    label count.  Eigenvalues with |1 - lambda| within a decade of the
     cutoff raise RankAmbiguityError rather than guessing; an eigenvalue above
     1 + cutoff, or a basis element that misses SX = XS by more than the
     cutoff, means S is not unitary and raises NumericError.

@@ -13,8 +13,9 @@ T*T = 1.  The braiding is non-degenerate exactly when the weight vectors
 y^l = Y[l,:] of the non-unit labels are orthogonal to y^0; then S is unitary,
 (ST)^3 = S^2 = C, |z|^2 = w, and S diagonalizes the fusion rules.
 
-``modular_matrices`` resolves the tolerance once and stores it, with the
-non-degeneracy verdict, in the ``ModularData`` that every later check reads.
+``modular_matrices`` reads d and w from ``FusionRing.dimensions()``, found
+once per ring, and stores the tolerance it resolves, with the non-degeneracy
+verdict, in the ``ModularData`` that every later check reads.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import NumericError, TwistError, VanishingZError, VerlindeError
 from .numerics import (default_tolerance, max_abs, mod1, readonly, root_of_unity,
                        scaled_tol, unit_phase)
-from .rings import DimensionVector, FusionRing, quantum_dimensions
+from .rings import DimensionVector, FusionRing, _scatter
 
 
 @dataclass(frozen=True)
@@ -154,27 +155,9 @@ class DegeneracyReport:
         return self.witnesses[0] if self.witnesses else None
 
 
-@dataclass(frozen=True)
-class MonodromySpectra:
-    """Exact monodromy eigenvalue exponents per label pair.
-
-    ``pairs[(m, n)]`` lists h_l - h_m - h_n (mod 1) once per fusion channel,
-    i.e. with multiplicity N[m,n]^l; the eigenvalue itself is
-    e^{2 pi i (h_l - h_m - h_n)}.  A label is degenerate when all its
-    exponents against every partner vanish.
-    """
-
-    pairs: Mapping[tuple[int, int], tuple[Fraction, ...]]
-    degenerate_labels: tuple[int, ...]
-
-    def eigenvalues(self, m: int, n: int) -> tuple[complex, ...]:
-        return tuple(unit_phase(t) for t in self.pairs[(m, n)])
-
-
-def y_matrix(ring: FusionRing, twists: TwistData, *,
-             dims: DimensionVector | None = None) -> np.ndarray:
-    """Y[m,n] = sum_l (w_m w_n / w_l) N[m,n]^l d_l from the ring's sorted
-    columns (m, n, l, N) and the integer twist numerators h_l = e_l / H.
+def y_matrix(ring: FusionRing, twists: TwistData) -> np.ndarray:
+    """Y[m,n] = sum_l (w_m w_n / w_l) N[m,n]^l d_l from the sorted columns
+    (m, n, l, N), the ``dimensions()`` and the twist numerators h_l = e_l / H.
 
     Each entry's exponent j = (e_m + e_n - e_l) mod H is an integer, and the
     phase ``root_of_unity(j, H)`` is evaluated once per distinct j.  When H
@@ -186,7 +169,7 @@ def y_matrix(ring: FusionRing, twists: TwistData, *,
     """
     validate_twists(ring, twists)
     n = ring.size
-    d = (dims or quantum_dimensions(ring)).d
+    d = ring.dimensions().d
     e, H = twists.numerators()  # e_m + e_n - e_l lies in (-H, 2H)
     a, b, c, mult = ring.columns()
     j = (e[a] + e[b] - e[c]) % H
@@ -228,12 +211,11 @@ def _central_charge(z: complex, H: int, tol: float) -> Fraction:
 
 
 def modular_matrices(ring: FusionRing, twists: TwistData, *,
-                     dims: DimensionVector | None = None,
                      tol: float | None = None) -> ModularData:
     """Assemble the full modular data; raises VanishingZError when z = 0."""
     tol = default_tolerance() if tol is None else tol
-    dims = dims or quantum_dimensions(ring)
-    Y = y_matrix(ring, twists, dims=dims)
+    dims = ring.dimensions()
+    Y = y_matrix(ring, twists)
     z = complex(np.sum(dims.d * dims.d * twists.phases()))
     e, H = twists.numerators()
     eps = scaled_tol(tol, ring.size)
@@ -280,11 +262,10 @@ def is_nondegenerate(ring: FusionRing, twists: TwistData, *,
 
     Needs only Y, d and w, so it also covers models with a vanishing Gauss
     sum.  A label l is degenerate exactly when y^l stays parallel to y^0.
-    Equivalent characterizations (S unitary; |z|^2 = w; trivial monodromy of
-    the witness against everything) are exercised by the test suite.
+    Equivalent characterizations (S unitary; |z|^2 = w; a trivial braiding
+    phase of the witness against everything) are exercised by the test suite.
     """
-    dims = quantum_dimensions(ring)
-    return _degeneracy(y_matrix(ring, twists, dims=dims), dims, ring.unit,
+    return _degeneracy(y_matrix(ring, twists), ring.dimensions(), ring.unit,
                        scaled_tol(tol, ring.size))
 
 
@@ -293,7 +274,7 @@ def verlinde_fusion(md: ModularData, *, tol: float = 1e-6) -> tuple[np.ndarray, 
 
     Returns the rounded integer tensor and the worst pre-rounding deviation.
     Raises VerlindeError when the deviation exceeds ``tol``, an entry rounds
-    negative, or the result disagrees with the ring's own tensor.
+    negative, or the result disagrees with the ring's own table.
     """
     S = md.S
     weights = 1.0 / S[md.ring.unit, :]
@@ -306,7 +287,7 @@ def verlinde_fusion(md: ModularData, *, tol: float = 1e-6) -> tuple[np.ndarray, 
         raise VerlindeError(f"Verlinde sum is {deviation:.3e} from integers")
     if np.any(rounded < 0):
         raise VerlindeError("Verlinde sum produced a negative multiplicity")
-    if not np.array_equal(rounded, md.ring.tensor()):
+    if not np.array_equal(rounded, _scatter(md.ring, np.int64)):
         raise VerlindeError("Verlinde tensor disagrees with the ring's fusion tensor")
     return rounded, deviation
 
@@ -324,25 +305,3 @@ def sl2z_relations(md: ModularData) -> ResidualReport:
     }
     return ResidualReport(res, scaled_tol(md.tol, md.size))
 
-
-def monodromy_spectra(ring: FusionRing, twists: TwistData) -> MonodromySpectra:
-    """Monodromy eigenvalue exponents h_l - h_m - h_n per channel, exactly."""
-    validate_twists(ring, twists)
-    n = ring.size
-    h = twists.h
-    pairs: dict[tuple[int, int], list[Fraction]] = {(m, nn): [] for m in range(n) for nn in range(n)}
-    for a, b, c, mult in zip(*(col.tolist() for col in ring.columns())):
-        t = mod1(h[c] - h[a] - h[b])
-        pairs[(a, b)].extend([t] * mult)
-    frozen = {k: tuple(sorted(v)) for k, v in pairs.items()}
-    degenerate = tuple(
-        m for m in range(n)
-        if all(t == 0 for nn in range(n) for t in frozen[(m, nn)]))
-    # the unit label always has trivial monodromy; report only true witnesses
-    degenerate = tuple(m for m in degenerate if m != ring.unit)
-    return MonodromySpectra(pairs=frozen, degenerate_labels=degenerate)
-
-
-def statistics_characters(md: ModularData) -> np.ndarray:
-    """chi[l, m] = Y[l,m] / d_l; the N_m-eigenvalue of the weight vector y^l."""
-    return md.Y / md.d[:, None]

@@ -2,7 +2,8 @@
 
 Twist exponents are kept as exact ``Fraction`` values everywhere; floats only
 appear when a phase is actually evaluated.  Equality decisions (T-sparsity,
-monodromy triviality) are therefore combinatorial, never float comparisons.
+the unit and conjugation laws of the twists) are therefore combinatorial,
+never float comparisons.
 
 Every phase comes from one integer core, ``root_of_unity(j, H)`` =
 e^{2 pi i j/H}: the quarter turn is split off in integers and the rest,

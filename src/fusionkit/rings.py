@@ -7,12 +7,12 @@ exactly once, in a x abar), Frobenius reciprocity and associativity of the
 product.  Quantum dimensions are the unique strictly positive simultaneous
 eigenvector of the fusion matrices, computed as Perron-Frobenius data.
 
-The structure constants are stored as four read-only int64 arrays
-(a, b, c, mult) sorted by (a, b, c), checked in bulk when the ring is built;
-``columns()`` returns them and ``tensor()`` scatters them into the dense
-N[a,b]^c once.  A table already sorted with positive multiplicities, as
-every file fusionkit writes, is kept without a duplicate scan, and the
-column-major array of an orbit expansion without a copy (``_table_columns``).
+The structure constants are stored only as four read-only int64 arrays
+(a, b, c, mult) sorted by (a, b, c), checked in bulk when the ring is built
+and returned by ``columns()``.  A table already sorted with positive
+multiplicities, as every file fusionkit writes, is kept without a duplicate
+scan, and the column-major array of an orbit expansion without a copy
+(``_table_columns``).
 Every integer array that enters fusionkit (structure tables, invariant
 files, branching matrices) is read by ``_int_array``, and every sparse
 table by ``_table_columns``.  Bools, floats and strings are never integers
@@ -20,12 +20,11 @@ there; a list of rows is typed entry by entry and read with
 ``np.fromiter``, without an object array of every entry.
 
 The axiom checks, like the quantum dimensions and the modular data, read
-the columns; ``tensor()`` stays the dense view of tests, ``fusion_matrices``
-and the Verlinde check, and the checks build it only to list the violations
-of a failed Frobenius law.  A label's row is a slice of the sorted columns
-and its column a mask, so the unit law, the conjugate law and the
-generating set read n x n scatters of them.  The anti-automorphism law of
-an involution is checked entry by entry: the mirror of each entry is
+the columns, and build a dense int64 copy (``_scatter``) only to list the
+violations of a failed Frobenius law.  A label's row is a slice of the
+sorted columns and its column a mask, so the unit law, the conjugate law
+and the generating set read n x n scatters of them.  The anti-automorphism
+law of an involution is checked entry by entry: the mirror of each entry is
 gathered from ``_flat_table``, a scratch array of the flat cells in the
 narrowest unsigned dtype that holds max(N), built for that one check.
 Frobenius reciprocity is decided the same way when the dual is a
@@ -96,8 +95,8 @@ _PF_STEPS = 100_000  # quantum_dimensions: power-iteration steps before giving u
 # the exact types that count as integers (``type(x) in _INTS``): bools,
 # floats and strings never do
 _INTS = frozenset([int] + [np.dtype(code).type for code in np.typecodes["AllInteger"]])
-# the flat key (a n + b) n + c of a structure entry, like the dense tensor's
-# n^3 cells, must be addressable in int64
+# the flat key (a n + b) n + c of a structure entry, like the n^3 cells of
+# a dense table, must be addressable in int64
 _MAX_LABELS = 2 ** 21 - 1
 # the bytes of the float products the associativity check and the
 # certificate contractions form at once (``_blocks``)
@@ -259,11 +258,11 @@ class _SparseStructure:
     the ``validate_*`` functions check the axioms and collect every violation.
 
     The table is stored only as four read-only int64 columns (a, b, c, mult),
-    sorted by (a, b, c): ``columns()`` returns them and ``tensor()`` is their
-    dense scatter.  ``generating_labels()`` is computed once, like the tensor.
+    sorted by (a, b, c), which ``columns()`` returns.  ``generating_labels()``
+    and a ring's ``dimensions()`` are computed once.
     """
 
-    __slots__ = ("labels", "unit", "dual", "_columns", "_tensor", "_generators")
+    __slots__ = ("labels", "unit", "dual", "_columns", "_dimensions", "_generators")
 
     def __init__(self, labels, unit, dual, table):
         labels, dual = _checked_header(labels, unit, dual)
@@ -272,7 +271,7 @@ class _SparseStructure:
         object.__setattr__(self, "unit", None if unit is None else int(unit))
         object.__setattr__(self, "dual", tuple(dual.tolist()))
         object.__setattr__(self, "_columns", tuple(readonly(col) for col in columns))
-        object.__setattr__(self, "_tensor", None)
+        object.__setattr__(self, "_dimensions", None)
         object.__setattr__(self, "_generators", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -286,12 +285,6 @@ class _SparseStructure:
         """Read-only int64 columns (a, b, c, mult) of the nonzero entries,
         sorted by (a, b, c)."""
         return self._columns
-
-    def tensor(self) -> np.ndarray:
-        """Dense read-only int64 array T[a, b, c] = N[a,b]^c, built once."""
-        if self._tensor is None:
-            object.__setattr__(self, "_tensor", readonly(_scatter(self, np.int64)))
-        return self._tensor
 
     def generating_labels(self) -> tuple[int, ...]:
         """Labels, ascending, whose products generate every label
@@ -319,8 +312,8 @@ class _SparseStructure:
 class FusionRing(_SparseStructure):
     """Immutable fusion-ring data: string ``labels`` (a label's index is its
     position), a required ``unit`` index, the conjugation map ``dual`` and
-    the sparse ``fusion`` table N[a,b]^c, read back through ``columns()`` or
-    ``tensor()``.  Axioms are checked by :func:`validate_fusion_ring`.
+    the sparse ``fusion`` table N[a,b]^c, read back through ``columns()``.
+    Axioms are checked by :func:`validate_fusion_ring`.
     """
 
     __slots__ = ()
@@ -330,13 +323,11 @@ class FusionRing(_SparseStructure):
             raise StructureError("a fusion ring needs a unit index")
         super().__init__(labels, unit, dual, fusion)
 
-    def fusion_matrix(self, mu: int) -> np.ndarray:
-        """(N_mu)[lam, nu] = N[lam, mu]^nu."""
-        return self.fusion_matrices()[mu]
-
-    def fusion_matrices(self) -> np.ndarray:
-        """Stacked regular representation: [mu][lam, nu] = N[lam, mu]^nu."""
-        return self.tensor().transpose(1, 0, 2)
+    def dimensions(self) -> DimensionVector:
+        """The ring's :func:`quantum_dimensions`, found once."""
+        if self._dimensions is None:
+            object.__setattr__(self, "_dimensions", quantum_dimensions(self))
+        return self._dimensions
 
     def conjugation_matrix(self) -> np.ndarray:
         C = np.zeros((self.size, self.size), dtype=np.int64)
@@ -458,7 +449,7 @@ def _frobenius_violations(ring: _SparseStructure) -> list[Violation]:
     For a permutation dual, each side moves the entries to as many cells as
     N has, so both sides agreeing with N on its entries is the whole law;
     they are read from ``_flat_table``.  Otherwise, or when they disagree,
-    the violations are listed from dense gathers of the tensor.
+    the violations are listed from dense gathers of an int64 copy.
     """
     n, d = ring.size, np.asarray(ring.dual)
     x, y, z, mult = ring.columns()
@@ -467,7 +458,7 @@ def _frobenius_violations(ring: _SparseStructure) -> list[Violation]:
         if (np.array_equal(flat[_flat_key(d[x], z, y, n)], mult)
                 and np.array_equal(flat[_flat_key(z, d[y], x, n)], mult)):
             return []
-    T = ring.tensor()
+    T = _scatter(ring, np.int64)
     left = T[d].transpose(0, 2, 1)  # [a,b,c] -> N[dual a, c]^b
     right = T[:, d].transpose(2, 1, 0)  # [a,b,c] -> N[c, dual b]^a
     return [Violation("frobenius", (int(a), int(b), int(c)),
@@ -647,7 +638,7 @@ def _composed_sides(P: np.ndarray, M: np.ndarray, dtype, labels: Iterable[int]):
 
 def quantum_dimensions(ring: FusionRing) -> DimensionVector:
     """Perron-Frobenius dimensions of a valid fusion ring, read from the
-    sparse columns without the dense tensor.
+    sparse columns (``FusionRing.dimensions()`` keeps them).
 
     Power iteration on A = sum_mu N_mu, A[l,nu] = sum_mu N[l,mu]^nu
     (primitive for the connected rings handled here; one ``np.bincount``

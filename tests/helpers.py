@@ -1,30 +1,67 @@
-"""Shared test oracles: brute-force axiom checking, dense forms of the
-permutation-law checks and of the center, the duplicate rule by a stable
-sort, phases through ``Fraction`` arithmetic, quantum dimensions from the
-dense tensor, classical group tables with their character degrees, closed-form
-expected invariants for the SU(2) series (identity, D-type
-blocks/permutations, exceptional blocks), the relabelling of a model, the
-Deligne product of two models and a raw depth-first search for modular
-invariants.
+"""Shared test oracles: the dense table of a ring or algebra, brute-force
+axiom checking, dense forms of the permutation-law checks and of the
+center, the duplicate rule by a stable sort, phases through ``Fraction``
+arithmetic, quantum dimensions from the dense table, the closed-form SU(2)
+S matrix, exact monodromy spectra and statistics characters, classical
+group tables with their character degrees, closed-form expected invariants
+for the SU(2) series (identity, D-type blocks/permutations, exceptional
+blocks), the relabelling of a model, the Deligne product of two models and
+a raw depth-first search for modular invariants.  ``refuse_int64_scatter``
+makes a test fail when fusionkit builds a dense int64 table.
 
 The oracles are deliberately independent of the package internals: the
 checkers iterate definitions directly and the expected matrices come from
 the classical classification data, not from the search code under test.
-``permute_model`` and ``product_model`` only build package objects from
-the models' tables.
+``dense`` fills its array from ``columns()`` itself, not through the
+package's scatter.  ``permute_model`` and ``product_model`` only build
+package objects from the models' tables.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
-from fusionkit import (FusionRing, ModularData, NondegeneracyRequired, TwistData,
-                       twist_sparsity)
-from fusionkit.numerics import max_abs, mod1, scaled_tol
+from fusionkit import (FusionRing, ModularData, NondegeneracyRequired, StructureError,
+                       TwistData, twist_sparsity, validate_twists)
+from fusionkit import rings
+from fusionkit.numerics import max_abs, mod1, scaled_tol, unit_phase
 from fusionkit.rings import DimensionVector
+
+
+# ------------------------------------------------------------ dense tables
+
+def dense(structure):
+    """The dense int64 table T[a, b, c] = N[a,b]^c of a ring or algebra,
+    written entry by entry from its ``columns()``."""
+    n = structure.size
+    T = np.zeros((n, n, n), dtype=np.int64)
+    a, b, c, mult = structure.columns()
+    T[a, b, c] = mult
+    return T
+
+
+def refuse_int64_scatter(monkeypatch):
+    """Make ``rings._scatter`` raise AssertionError for int64, in every
+    fusionkit module that binds it, for the rest of the test: the dense
+    int64 table is built only to list Frobenius violations and by
+    ``verlinde_fusion``.  Float scatters, the exact products of the
+    associativity check and the certificates, still run."""
+    scatter = rings._scatter
+
+    def refuse(structure, dtype):
+        if np.dtype(dtype) == np.int64:
+            raise AssertionError("a dense int64 table was built")
+        return scatter(structure, dtype)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fusionkit" and getattr(module, "_scatter", None) is scatter:
+            monkeypatch.setattr(module, "_scatter", refuse)
 
 
 # ------------------------------------------------------- axiom brute force
@@ -172,12 +209,12 @@ def fraction_phases(ts):
 
 
 def dense_quantum_dimensions(ring):
-    """Perron-Frobenius dimensions from the dense tensor T: the library's
+    """Perron-Frobenius dimensions from the dense table T: the library's
     power iteration (same tolerance and step limit) on T summed over its
     middle axis, then the residual with each
     sum_nu N[l,m]^nu d_nu added over the (n, n) slices T[:, :, nu] in
     increasing nu."""
-    T = ring.tensor()
+    T = dense(ring)
     n = ring.size
     A = T.sum(axis=1, dtype=float)
     v = np.full(n, 1.0 / np.sqrt(n))
@@ -195,6 +232,60 @@ def dense_quantum_dimensions(ring):
         products += T[:, :, nu] * d[nu]
     residual = float(np.max(np.abs(products - np.outer(d, d))))
     return DimensionVector(d=d, w=float(np.dot(d, d)), residual=residual)
+
+
+# -------------------------------------------- S, monodromy and characters
+
+def su2_s_closed_form(k):
+    """Independent S-matrix oracle: S[a,b] = sqrt(2/(k+2)) sin(pi (a+1)(b+1)/(k+2))."""
+    if k < 1:
+        raise StructureError(f"level must be >= 1, got {k}")
+    n = k + 2
+    S = np.zeros((k + 1, k + 1), dtype=complex)
+    for a in range(k + 1):
+        for b in range(k + 1):
+            S[a, b] = math.sqrt(2.0 / n) * math.sin(math.pi * (a + 1) * (b + 1) / n)
+    return S
+
+
+@dataclass(frozen=True)
+class MonodromySpectra:
+    """Exact monodromy eigenvalue exponents per label pair.
+
+    ``pairs[(m, n)]`` lists h_l - h_m - h_n (mod 1) once per fusion channel,
+    i.e. with multiplicity N[m,n]^l; the eigenvalue itself is
+    e^{2 pi i (h_l - h_m - h_n)}.  A label is degenerate when all its
+    exponents against every partner vanish.
+    """
+
+    pairs: Mapping[tuple[int, int], tuple[Fraction, ...]]
+    degenerate_labels: tuple[int, ...]
+
+    def eigenvalues(self, m, n):
+        return tuple(unit_phase(t) for t in self.pairs[(m, n)])
+
+
+def monodromy_spectra(ring, twists):
+    """Monodromy eigenvalue exponents h_l - h_m - h_n per channel, exactly."""
+    validate_twists(ring, twists)
+    n = ring.size
+    h = twists.h
+    pairs = {(m, nn): [] for m in range(n) for nn in range(n)}
+    for a, b, c, mult in zip(*(col.tolist() for col in ring.columns())):
+        t = mod1(h[c] - h[a] - h[b])
+        pairs[(a, b)].extend([t] * mult)
+    frozen = {k: tuple(sorted(v)) for k, v in pairs.items()}
+    degenerate = tuple(
+        m for m in range(n)
+        if all(t == 0 for nn in range(n) for t in frozen[(m, nn)]))
+    # the unit label always has trivial monodromy; report only true witnesses
+    degenerate = tuple(m for m in degenerate if m != ring.unit)
+    return MonodromySpectra(pairs=frozen, degenerate_labels=degenerate)
+
+
+def statistics_characters(md):
+    """chi[l, m] = Y[l,m] / d_l; the N_m-eigenvalue of the weight vector y^l."""
+    return md.Y / md.d[:, None]
 
 
 # ------------------------------------------------------------ group tables

@@ -1,7 +1,7 @@
 """Dense reference oracles for the checks that read the sparse columns:
 the associativity check, the generating set, the center and the
-certificate contractions as fusionkit computed them from the dense tensor
-(``reference_*``), and ``structure_of``, which turns a dense table into an
+certificate contractions as fusionkit computed them from the dense table
+(``reference_*``, reading ``helpers.dense``), and ``structure_of``, which turns a dense table into an
 algebra the sparse code can read.
 
 They live apart from ``helpers.py`` because the benchmark imports that
@@ -17,6 +17,8 @@ from fusionkit import BasedAlgebra, NondegeneracyRequired, modular_matrices
 from fusionkit.induction import GEN_TOL, GeneratingReport, HomomorphismReport
 from fusionkit.numerics import exact_float
 from fusionkit.rings import Violation
+
+from helpers import dense
 
 
 def structure_of(T):
@@ -148,10 +150,10 @@ def _reference_row_bound(X):
 
 
 def reference_verify_homomorphism(cert, sign):
-    """``verify_homomorphism`` from the cached int64 tensors: both sides
+    """``verify_homomorphism`` from the dense int64 tables: both sides
     for every (l, m, beta) at once, the first difference in that order."""
     A = cert.branching(sign)
-    N, N_mm = cert.ring.tensor(), cert.mm.tensor()
+    N, N_mm = dense(cert.ring), dense(cert.mm)
     bound = max(_reference_row_bound(A) ** 2 * int(N_mm.max()),
                 _reference_row_bound(N) * int(A.max()))
     dtype = exact_float(bound, f"homomorphism[{sign}] sums up to {bound}")
@@ -165,12 +167,12 @@ def reference_verify_homomorphism(cert, sign):
 
 
 def reference_verify_generating(cert, md=None):
-    """``verify_generating`` from the cached int64 tensor of the extended
+    """``verify_generating`` from the dense int64 table of the extended
     algebra: every mixed product at once, each sector scanned on its own."""
     md = md or modular_matrices(cert.ring, cert.twists)
     if not md.degeneracy:
         raise NondegeneracyRequired("generating identity requires a non-degenerate base")
-    d, dm, N_mm = md.d, np.array(cert.mm.dims), cert.mm.tensor()
+    d, dm, N_mm = md.d, np.array(cert.mm.dims), dense(cert.mm)
     bound = _reference_row_bound(cert.aplus) * _reference_row_bound(cert.aminus) * int(N_mm.max())
     dtype = exact_float(bound, f"generating sums up to {bound}")
     mixed = _reference_branched_product(cert.aplus, cert.aminus, N_mm, dtype)

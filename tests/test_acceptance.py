@@ -19,10 +19,11 @@ from fusionkit import (BasedAlgebra, BlockProfile, InductionCertificate,
                        modular_matrices, search_invariants,
                        trivial_certificate, verify_dimension_theorem,
                        verlinde_fusion)
-from fusionkit.catalog import cyclic_model, named_model, su2_level, su2_s_closed_form
+from fusionkit.catalog import cyclic_model, named_model, su2_level
 from fusionkit.cli import main as cli_main
 
-from helpers import GROUP_FIXTURES, brute_force_invariants, permute_table, table_dict
+from helpers import (GROUP_FIXTURES, brute_force_invariants, permute_table, su2_s_closed_form,
+                     table_dict)
 
 from test_induction import homomorphism_breaking_aplus
 

@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 from fusionkit import (BasedAlgebra, BlockProfile, NumericError, StructureError,
-                       decompose_semisimple, is_commutative,
-                       validate_based_algebra, verify_dimension_theorem)
+                       decompose_semisimple, validate_based_algebra,
+                       verify_dimension_theorem)
 from fusionkit.algebras import _center
 from fusionkit.catalog import su2_level
 from fusionkit.rings import _generating_labels
 
 from helpers import (GROUP_FIXTURES, brute_force_associativity, cyclic_table,
-                     dense_center_projector, permute_table, product_table, symmetric_table,
-                     table_dict, table_rows)
+                     dense, dense_center_projector, permute_table, product_table,
+                     symmetric_table, table_dict, table_rows)
+
+
+def is_commutative(alg):
+    """Exact symmetry N[b,b']^{b''} = N[b',b]^{b''} of the structure constants."""
+    T = dense(alg)
+    return bool(np.array_equal(T, T.transpose(1, 0, 2)))
 
 
 def matrix_unit_algebra():
@@ -60,7 +66,7 @@ class TestConstruction:
                     BasedAlgebra(["e"], 0, (0,), form)
             else:
                 alg = BasedAlgebra(["e"], 0, (0,), form)
-                assert alg.tensor()[0, 0, 0] == mult
+                assert dense(alg)[0, 0, 0] == mult
                 assert table_rows(alg) == ([[0, 0, 0, mult]] if mult else [])
 
     def test_input_forms_agree(self):
@@ -71,7 +77,7 @@ class TestConstruction:
             for form in (rows[::-1], table_dict(alg), np.array(rows, dtype=np.int64)):
                 other = BasedAlgebra(alg.labels, alg.unit, alg.dual, form)
                 assert other == alg, name
-                assert np.array_equal(other.tensor(), alg.tensor()), name
+                assert np.array_equal(dense(other), dense(alg)), name
         m2 = matrix_unit_algebra()
         assert BasedAlgebra(m2.labels, None, m2.dual, np.stack(m2.columns(), axis=1)) == m2
 
@@ -117,7 +123,7 @@ class TestValidation:
 
     def test_associativity_lists_every_violation(self):
         alg = z3_unit_redirected()
-        expected = brute_force_associativity(alg.tensor().tolist())
+        expected = brute_force_associativity(dense(alg).tolist())
         got = [(v.where, v.detail) for v in validate_based_algebra(alg).violations
                if v.axiom == "associativity"]
         assert len(expected) > 1
@@ -135,7 +141,7 @@ class TestValidation:
         table[(1, 2, 3)] = 1
         bad = BasedAlgebra(good.labels, None, good.dual, table)
         assert _generating_labels(bad) == [0, 1, 2]
-        expected = brute_force_associativity(bad.tensor().tolist())
+        expected = brute_force_associativity(dense(bad).tolist())
         got = [(v.where, v.detail) for v in validate_based_algebra(bad).violations
                if v.axiom == "associativity"]
         assert len(expected) > 1
@@ -180,6 +186,14 @@ class TestDecompose:
         with pytest.raises(NumericError):
             decompose_semisimple(alg)
 
+    def test_radical_everything_annihilates_detected(self):
+        # a a = a and every product with b is 0: the central spectrum sees two
+        # 1 x 1 blocks, but the trace form G[x,y] = Tr L(x y) has rank 1
+        alg = BasedAlgebra(["a", "b"], None, (0, 1), {(0, 0, 0): 1})
+        assert validate_based_algebra(alg).ok
+        with pytest.raises(NumericError, match=r"^trace form has rank 1 of 2 "):
+            decompose_semisimple(alg)
+
     def test_sum_of_squares(self):
         for name, (table, _) in GROUP_FIXTURES.items():
             alg = BasedAlgebra.from_group_table(table)
@@ -211,7 +225,7 @@ class TestCenter:
         # the rows of the generators alone cut out the center that all n^2
         # commutator rows cut out
         basis = _center(alg)
-        want = dense_center_projector(alg.tensor())
+        want = dense_center_projector(dense(alg))
         assert len(basis) == round(np.trace(want))
         assert np.max(np.abs(basis.T @ basis - want)) <= 1e-9
 

@@ -7,9 +7,9 @@ import pytest
 from fusionkit import (FusionRing, StructureError, is_nondegenerate, modular_matrices,
                        quantum_dimensions, validate_fusion_ring)
 from fusionkit.catalog import (CATALOG, ModelSpec, build_model, cyclic_model,
-                               named_model, su2_level, su2_s_closed_form)
+                               named_model, su2_level)
 
-from helpers import table_dict
+from helpers import su2_s_closed_form, table_dict
 
 
 class TestSu2:

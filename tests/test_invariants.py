@@ -7,11 +7,11 @@ from fusionkit import (NondegeneracyRequired, NumericError, TwistData,
                        classify_invariant, commutant_basis, invariant_counts,
                        modular_matrices, search_invariants, twist_sparsity)
 from fusionkit import invariants
-from fusionkit.catalog import cyclic_model, named_model, su2_level, su2_s_closed_form
+from fusionkit.catalog import cyclic_model, named_model, su2_level
 from fusionkit.invariants import NODE_BUDGET, _gram_factorization
 
 from helpers import (brute_force_invariants, expected_su2_invariants, product_model,
-                     reference_gram_factorization)
+                     reference_gram_factorization, su2_s_closed_form)
 
 
 def su2_md(k):
@@ -47,14 +47,14 @@ class TestTwistSparsity:
 class TestCommutantBasis:
     def test_trivial_ring(self):
         md = modular_matrices(*named_model("trivial"))
-        basis = commutant_basis(md.S, twist_sparsity(md.twists))
+        basis = commutant_basis(md.S, twist_sparsity(md.twists), md.tol)
         assert basis.shape == (1, 1, 1)
         assert abs(abs(basis[0, 0, 0]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("k,dim", [(3, 1), (4, 2)])
     def test_su2_dimensions(self, k, dim):
         md = su2_md(k)
-        basis = commutant_basis(md.S, twist_sparsity(md.twists))
+        basis = commutant_basis(md.S, twist_sparsity(md.twists), md.tol)
         assert basis.shape[0] == dim
 
     def test_against_dense_nullspace_oracle(self):
@@ -71,13 +71,13 @@ class TestCommutantBasis:
         A = np.array(cols).T
         rank = np.linalg.matrix_rank(A, tol=1e-9)
         oracle_dim = len(cells) - rank
-        basis = commutant_basis(md.S, mask)
+        basis = commutant_basis(md.S, mask, md.tol)
         assert basis.shape[0] == oracle_dim
 
     def test_basis_is_orthonormal_and_commutes(self):
         md = su2_md(6)
         mask = twist_sparsity(md.twists)
-        basis = commutant_basis(md.S, mask)
+        basis = commutant_basis(md.S, mask, md.tol)
         m = basis.shape[0]
         flat = basis.reshape(m, -1)
         assert np.allclose(flat @ flat.T, np.eye(m), atol=1e-10)
@@ -91,7 +91,7 @@ class TestCommutantBasis:
         md = su2_md(4)
         D = np.diag(np.arange(1.0, md.size + 1.0))
         with pytest.raises(NumericError, match="unitary"):
-            commutant_basis(D @ md.S @ np.linalg.inv(D), twist_sparsity(md.twists))
+            commutant_basis(D @ md.S @ np.linalg.inv(D), twist_sparsity(md.twists), md.tol)
 
 
 class TestRankAmbiguity:
@@ -101,7 +101,7 @@ class TestRankAmbiguity:
         rng = np.random.default_rng(3)
         S = md.S + 5e-9 * rng.standard_normal(md.S.shape)
         with pytest.raises(RankAmbiguityError):
-            commutant_basis(S, twist_sparsity(md.twists))
+            commutant_basis(S, twist_sparsity(md.twists), md.tol)
 
 
 class TestSearch:

@@ -546,6 +546,18 @@ class TestCLI:
         assert main(["decompose", str(path)]) == 0
         assert "blocks: 2 1 1" in capsys.readouterr().out
 
+    def test_decompose_refuses_a_radical_everything_annihilates(self, tmp_path, capsys):
+        # a a = a and every product with b is 0: the axioms hold and the
+        # central spectrum splits into two 1 x 1 blocks, but b spans a radical
+        path = tmp_path / "radical.json"
+        path.write_text(json.dumps({"labels": ["a", "b"], "unit": None, "dual": [0, 1],
+                                    "structure": [[0, 0, 0, 1]]}))
+        assert main(["decompose", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: trace form has rank 1 of 2 ")
+        assert err.count("\n") == 1
+
     def test_decompose_refuses_a_non_associative_algebra(self, tmp_path, capsys, monkeypatch):
         # the center from a generating set assumes associativity, so the
         # axioms fail first and decompose_semisimple is never called

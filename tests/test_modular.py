@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from fusionkit import (TwistData, TwistError, VanishingZError,
                        VerlindeError, check_partial_verlinde, is_nondegenerate,
-                       modular_matrices, monodromy_spectra, quantum_dimensions,
-                       search_invariants, sl2z_relations, statistics_characters,
-                       validate_twists, verlinde_fusion, y_matrix)
+                       modular_matrices, quantum_dimensions, search_invariants,
+                       sl2z_relations, validate_twists, verlinde_fusion, y_matrix)
 from fusionkit.catalog import cyclic_model, named_model, su2_level
 from fusionkit.numerics import mod1, root_of_unity, unit_phase
 from fusionkit.serialize import parse_ring, write_ring
 
-from helpers import fraction_phases, fraction_unit_phase, product_model, table_rows
+from helpers import (dense, fraction_phases, fraction_unit_phase, monodromy_spectra,
+                     product_model, refuse_int64_scatter, statistics_characters, table_rows)
 
 
 def bits(z):
@@ -151,7 +151,7 @@ class TestYMatrix:
         calls = []
         unique = np.unique
         monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
-        Y = y_matrix(ring, twists, dims=quantum_dimensions(ring))
+        Y = y_matrix(ring, twists)
         assert len(calls) == extra
         assert Y.tobytes() == self.per_entry_y(ring, twists).tobytes()
 
@@ -172,8 +172,8 @@ class TestYMatrix:
         for name in ("su2_3", "fibonacci", "ising", "semion", "rep_z4"):
             ring, twists = catalog[name]
             dims = quantum_dimensions(ring)
-            Y = y_matrix(ring, twists, dims=dims)
-            N = ring.tensor()
+            Y = y_matrix(ring, twists)
+            N = dense(ring)
             n = ring.size
             for nu in range(n):
                 for mu in range(n):
@@ -237,13 +237,13 @@ class TestModularMatrices:
             charges.add(md.c)
         assert {Fraction(1, 2), Fraction(14, 5), Fraction(33, 10)} <= charges
 
-    def test_read_ring_keeps_its_tensor_unbuilt(self, tmp_path):
+    def test_read_ring_keeps_its_tensor_unbuilt(self, tmp_path, monkeypatch):
         # the modular data and the invariant search read the sparse columns only
+        refuse_int64_scatter(monkeypatch)
         for model in (su2_level(10), cyclic_model(8, 1), named_model("ising")):
             write_ring(tmp_path / "ring.json", *model)
             ring, twists = parse_ring(tmp_path / "ring.json")
             search_invariants(modular_matrices(ring, twists))
-            assert ring._tensor is None
 
     def test_vanishing_z(self):
         ring, twists = cyclic_model(2, 2)  # the fermion: z = 1 - 1 = 0
@@ -396,7 +396,7 @@ class TestWeightVectors:
             Y = md.Y
             chi = statistics_characters(md)
             for mu in range(md.size):
-                N = md.ring.fusion_matrix(mu)
+                N = dense(md.ring)[:, mu]
                 for lam in range(md.size):
                     assert np.allclose(N @ Y[lam], chi[lam, mu] * Y[lam],
                                        atol=1e-8), name

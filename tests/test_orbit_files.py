@@ -25,14 +25,14 @@ from fusionkit.errors import StructureError
 from fusionkit.rings import FusionRing, _int_array, _table_columns
 from fusionkit import serialize
 
-from helpers import (GROUP_FIXTURES, full_form, permute_model, permute_table, product_model,
-                     reference_expand_orbits, stable_table_columns, table_rows)
+from helpers import (GROUP_FIXTURES, dense, full_form, permute_model, permute_table,
+                     product_model, reference_expand_orbits, stable_table_columns, table_rows)
 
 
 def orbit_form_expected(structure):
     """The oracle of the writer's choice: dual is an involution,
     T = T.transpose(1, 0, 2) and T[a,b,c] = T[a, dual c, dual b]."""
-    T, d = structure.tensor(), np.array(structure.dual)
+    T, d = dense(structure), np.array(structure.dual)
     return bool(np.array_equal(d[d], np.arange(len(d)))
                 and np.array_equal(T, T.transpose(1, 0, 2))
                 and np.array_equal(T, T[:, d][:, :, d].transpose(0, 2, 1)))
