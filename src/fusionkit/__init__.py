@@ -9,8 +9,7 @@ and verify induction certificates against the mass matrix they predict.
 
 from .algebras import (BasedAlgebra, BlockProfile, decompose_semisimple,
                        validate_based_algebra, verify_dimension_theorem)
-from .catalog import (CATALOG, ModelSpec, build_model, catalog_models,
-                      cyclic_model, named_model, su2_level)
+from .catalog import CATALOG, catalog_models, cyclic_model, named_model, su2_level
 from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
                      NumericError, RankAmbiguityError, SchemaError,
                      StructureError, TwistError, VanishingZError, VerlindeError)
@@ -32,10 +31,10 @@ __all__ = [
     "BasedAlgebra", "BlockProfile", "CATALOG", "CertificateError",
     "CertificateReport", "DegeneracyReport", "DimensionVector",
     "FusionKitError", "FusionRing", "InductionCertificate", "MassMatrix",
-    "ModelSpec", "ModularData", "NondegeneracyRequired", "NumericError",
+    "ModularData", "NondegeneracyRequired", "NumericError",
     "RankAmbiguityError", "ResidualReport", "SchemaError", "StructureError",
     "TwistData", "TwistError", "ValidationReport", "VanishingZError",
-    "VerlindeError", "Violation", "build_model", "catalog_models",
+    "VerlindeError", "Violation", "catalog_models",
     "check_partial_verlinde", "classify_invariant", "commutant_basis",
     "compute_Z_from_branching", "conjugation_certificate", "cyclic_model",
     "decompose_semisimple", "full_report", "invariant_counts",

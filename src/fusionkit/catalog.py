@@ -10,30 +10,20 @@ Families:
   callers probe degeneracy themselves (q = 0 gives the fully degenerate case).
 * ``named_model(name)`` -- trivial, fibonacci, ising.
 
-All constructors are pure; the registry drives both the CLI ``gen`` command
-and the test corpus.
+All constructors are pure.  The CLI ``gen`` subcommands call them directly;
+``CATALOG`` names a corpus of models, each a constructor with its arguments
+bound, for the tests and the documentation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .errors import StructureError
 from .modular import TwistData
 from .rings import FusionRing
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Address of a built-in model."""
-
-    family: str  # su2 | cyclic | named
-    level: int | None = None
-    order: int | None = None
-    q: int | None = None
-    name: str | None = None
 
 
 def su2_level(k: int) -> tuple[FusionRing, TwistData]:
@@ -53,7 +43,7 @@ def su2_level(k: int) -> tuple[FusionRing, TwistData]:
     return ring, twists
 
 
-def cyclic_model(n: int, q: int = 0) -> tuple[FusionRing, TwistData]:
+def cyclic_model(n: int, q: int) -> tuple[FusionRing, TwistData]:
     """Z_n fusion (addition mod n), dual j -> -j, h_j = q j^2 / (2n) mod 1."""
     if n < 1:
         raise StructureError(f"order must be >= 1, got {n}")
@@ -87,44 +77,27 @@ def named_model(name: str) -> tuple[FusionRing, TwistData]:
     raise StructureError(f"unknown named model {name!r}")
 
 
-def build_model(spec: ModelSpec) -> tuple[FusionRing, TwistData]:
-    if spec.family == "su2":
-        if spec.level is None:
-            raise StructureError("su2 model needs a level")
-        return su2_level(spec.level)
-    if spec.family == "cyclic":
-        if spec.order is None:
-            raise StructureError("cyclic model needs an order")
-        return cyclic_model(spec.order, spec.q or 0)
-    if spec.family == "named":
-        if spec.name is None:
-            raise StructureError("named model needs a name")
-        return named_model(spec.name)
-    raise StructureError(f"unknown model family {spec.family!r}")
-
-
 # model corpus used by tests and the documentation; every entry has valid
 # twist data (cyclic models with odd order appear only with even q)
-CATALOG: dict[str, ModelSpec] = {
-    **{f"su2_{k}": ModelSpec("su2", level=k) for k in range(1, 17)},
-    "trivial": ModelSpec("named", name="trivial"),
-    "fibonacci": ModelSpec("named", name="fibonacci"),
-    "ising": ModelSpec("named", name="ising"),
-    "semion": ModelSpec("cyclic", order=2, q=1),
-    "fermion": ModelSpec("cyclic", order=2, q=2),
-    "rep_z2": ModelSpec("cyclic", order=2, q=0),
-    "rep_z3": ModelSpec("cyclic", order=3, q=0),
-    "rep_z4": ModelSpec("cyclic", order=4, q=0),
-    "rep_z5": ModelSpec("cyclic", order=5, q=0),
-    "rep_z6": ModelSpec("cyclic", order=6, q=0),
-    "cyclic_3_2": ModelSpec("cyclic", order=3, q=2),
-    "cyclic_4_1": ModelSpec("cyclic", order=4, q=1),
-    "cyclic_4_2": ModelSpec("cyclic", order=4, q=2),
+CATALOG = {
+    **{f"su2_{k}": partial(su2_level, k) for k in range(1, 17)},
+    "trivial": partial(named_model, "trivial"),
+    "fibonacci": partial(named_model, "fibonacci"),
+    "ising": partial(named_model, "ising"),
+    "semion": partial(cyclic_model, 2, 1),
+    "fermion": partial(cyclic_model, 2, 2),
+    "rep_z2": partial(cyclic_model, 2, 0),
+    "rep_z3": partial(cyclic_model, 3, 0),
+    "rep_z4": partial(cyclic_model, 4, 0),
+    "rep_z5": partial(cyclic_model, 5, 0),
+    "rep_z6": partial(cyclic_model, 6, 0),
+    "cyclic_3_2": partial(cyclic_model, 3, 2),
+    "cyclic_4_1": partial(cyclic_model, 4, 1),
+    "cyclic_4_2": partial(cyclic_model, 4, 2),
 }
 
 
 def catalog_models():
     """Yield (name, ring, twists) for every catalog entry."""
-    for name, spec in CATALOG.items():
-        ring, twists = build_model(spec)
-        yield name, ring, twists
+    for name, build in CATALOG.items():
+        yield name, *build()

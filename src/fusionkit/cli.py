@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    gen su2 --level K [-o FILE]            write a built-in model as JSON
+    gen su2 --level K [-o FILE]             write a built-in model as JSON
     gen cyclic --order N [--q Q] [-o FILE]
     gen named --name ID [-o FILE]
     check FILE [--tol EPS]                  fusion axioms + modular relations
@@ -17,10 +17,11 @@ Subcommands:
     verify-induction CERTFILE [--tol EPS] [--format text|json]
                                             full certificate report
 
-Each subcommand takes only the flags it reads.  --tol defaults to 1e-9, or to
-the FUSIONKIT_TOL environment variable.  Exit codes: 0 all checks pass, 1
-checks failed, 2 usage or I/O error, 3 internal error (an unexpected
-exception).
+Each subcommand takes only the flags it reads; each gen family is a
+subcommand with its own required flag.  --tol defaults to 1e-9, or to the
+FUSIONKIT_TOL environment variable.  Exit codes: 0 all checks pass, 1 checks
+failed, 2 usage or I/O error, 3 internal error (an unexpected exception).
+Every command calls only public library functions.
 """
 from __future__ import annotations
 
@@ -33,11 +34,11 @@ import numpy as np
 
 from . import serialize
 from .algebras import decompose_semisimple, validate_based_algebra
-from .catalog import ModelSpec, build_model
+from .catalog import cyclic_model, named_model, su2_level
 from .errors import (FusionKitError, NondegeneracyRequired, SchemaError,
                      StructureError, TwistError, VanishingZError)
 from .induction import full_report
-from .invariants import _classified, check_invariance, search_invariants
+from .invariants import classify_invariant, search_invariants
 from .modular import (check_partial_verlinde, modular_matrices, sl2z_relations,
                       validate_twists)
 from .numerics import default_tolerance
@@ -57,8 +58,7 @@ def _emit(text: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    ring, twists = build_model(ModelSpec(args.family, level=args.level, order=args.order,
-                                         q=args.q, name=args.name))
+    ring, twists = args.model(args)
     text = serialize.dumps(serialize.ring_to_dict(ring, twists))
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
@@ -176,13 +176,11 @@ def cmd_classify(args) -> int:
     if twists is None:
         raise SchemaError(f"{args.ringfile}: twist data is required")
     Z = serialize.z_matrix_from_dict(raw, ring.size, where=str(args.zfile))
-    md = modular_matrices(ring, twists, tol=args.tol)
-    residual_s, residual_t, failed = check_invariance(md, Z)
-    mm = _classified(Z, residual_s, residual_t)
+    mm = classify_invariant(modular_matrices(ring, twists, tol=args.tol), Z)
     if args.format == "json":
         _emit(serialize.dumps(serialize.invariant_to_dict(mm, labels=list(ring.labels))))
     elif args.format == "csv":
-        sys.stdout.write(serialize.z_matrix_to_csv(Z, list(ring.labels)))
+        sys.stdout.write(serialize.z_matrix_to_csv(mm.Z, list(ring.labels)))
     else:
         tr_z, tr_zzt = mm.counts
         _emit("\n".join([
@@ -193,8 +191,8 @@ def cmd_classify(args) -> int:
             f"counts: trZ={tr_z} trZZt={tr_zzt}",
             f"residuals: |SZ-ZS|={mm.residual_s:.3e} |TZ-ZT|={mm.residual_t:.3e}",
         ]))
-    if failed:
-        print(f"check failed: {', '.join(failed)}", file=sys.stderr)
+    if mm.failed:
+        print(f"check failed: {', '.join(mm.failed)}", file=sys.stderr)
         return 1
     return 0
 
@@ -243,14 +241,20 @@ def _parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="write a built-in model")
-    g.add_argument("family", choices=("su2", "cyclic", "named"))
-    g.add_argument("--level", type=int, help="su2 level k >= 1")
-    g.add_argument("--order", type=int, help="cyclic group order n >= 1")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", help="output file (default stdout)")
+    families = sub.add_parser("gen", help="write a built-in model").add_subparsers(
+        dest="family", required=True)
+    g = families.add_parser("su2", parents=[output], help="SU(2)_k")
+    g.add_argument("--level", type=int, required=True, help="su2 level k >= 1")
+    g.set_defaults(func=cmd_gen, model=lambda args: su2_level(args.level))
+    g = families.add_parser("cyclic", parents=[output], help="Z_n with twist q j^2 / (2n)")
+    g.add_argument("--order", type=int, required=True, help="cyclic group order n >= 1")
     g.add_argument("--q", type=int, default=0, help="cyclic quadratic parameter")
-    g.add_argument("--name", help="named model id (trivial|fibonacci|ising)")
-    g.add_argument("-o", "--output", help="output file (default stdout)")
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func=cmd_gen, model=lambda args: cyclic_model(args.order, args.q))
+    g = families.add_parser("named", parents=[output], help="trivial, fibonacci or ising")
+    g.add_argument("--name", required=True, help="named model id (trivial|fibonacci|ising)")
+    g.set_defaults(func=cmd_gen, model=lambda args: named_model(args.name))
 
     c = sub.add_parser("check", parents=[tol], help="fusion axioms + modular relations")
     c.add_argument("file")

@@ -239,9 +239,9 @@ def compute_Z_from_branching(cert: InductionCertificate) -> np.ndarray:
     return Z
 
 
-def verify_generating(cert: InductionCertificate, *,
-                      md: ModularData | None = None) -> GeneratingReport:
-    """Check sum_{l,m} d_l d_m v+_l v-_m = w sum_beta d_beta [beta].
+def verify_generating(cert: InductionCertificate, md: ModularData) -> GeneratingReport:
+    """Check sum_{l,m} d_l d_m v+_l v-_m = w sum_beta d_beta [beta], with d
+    and w from ``md``, the modular data of the base.
 
     Raises NondegeneracyRequired on a degenerate base braiding, where the
     identity genuinely fails in general.
@@ -252,7 +252,6 @@ def verify_generating(cert: InductionCertificate, *,
     The weighted sum is one contraction over all of them, so its rounding,
     and the residual, do not depend on the blocks.
     """
-    md = md or modular_matrices(cert.ring, cert.twists)
     if not md.degeneracy:
         raise NondegeneracyRequired("generating identity requires a non-degenerate base")
     d = md.d
@@ -326,7 +325,7 @@ def full_report(cert: InductionCertificate, *,
                               "base braiding non-degenerate" if nd
                               else "base braiding degenerate"))
     if nd:
-        gen = verify_generating(cert, md=md)
+        gen = verify_generating(cert, md)
         checks.append(CheckResult(
             "generating", gen.passed,
             f"residual {gen.max_residual:.2e}"
@@ -361,24 +360,20 @@ def full_report(cert: InductionCertificate, *,
     return CertificateReport(tuple(checks))
 
 
-def trivial_certificate(ring: FusionRing, twists: TwistData,
-                        nm_count: int | None = None) -> InductionCertificate:
+def trivial_certificate(ring: FusionRing, twists: TwistData) -> InductionCertificate:
     """Both inductions are the identity on the base system (mm = base ring)."""
-    return _self_certificate(ring, twists, np.eye(ring.size, dtype=np.int64), nm_count)
+    return _self_certificate(ring, twists, np.eye(ring.size, dtype=np.int64))
 
 
-def conjugation_certificate(ring: FusionRing, twists: TwistData,
-                            nm_count: int | None = None) -> InductionCertificate:
+def conjugation_certificate(ring: FusionRing, twists: TwistData) -> InductionCertificate:
     """A+ = identity, A- = the conjugation permutation; a valid certificate
     for commutative base systems, with mass matrix Z = C."""
-    return _self_certificate(ring, twists, ring.conjugation_matrix(), nm_count)
+    return _self_certificate(ring, twists, ring.conjugation_matrix())
 
 
-def _self_certificate(ring: FusionRing, twists: TwistData, aminus,
-                      nm_count: int | None) -> InductionCertificate:
+def _self_certificate(ring: FusionRing, twists: TwistData, aminus) -> InductionCertificate:
     """Certificate whose extended algebra is the base ring itself, with its
     quantum dimensions, A+ = identity and the given A-."""
     mm = BasedAlgebra(ring.labels, ring.unit, ring.dual, np.stack(ring.columns(), axis=1),
                       dims=ring.dimensions().d)
-    return InductionCertificate(ring, twists, mm, np.eye(ring.size, dtype=np.int64), aminus,
-                                nm_count=nm_count)
+    return InductionCertificate(ring, twists, mm, np.eye(ring.size, dtype=np.int64), aminus)

@@ -1,10 +1,12 @@
 """Enumeration and classification of modular invariant mass matrices.
 
 A mass matrix is a non-negative integer matrix Z with Z[u,u] = 1 at the
-unit label u that commutes with S and T; `check_invariance` decides this rule
-for every caller.  T-commutation is an exact sparsity statement: Z can only
-be supported where twist exponents coincide.  S-commutation is a linear
-condition, so the search runs in two stages:
+unit label u that commutes with S and T; `check_invariance` decides this rule.
+`classify_invariant(md, Z)`, the one classifier (the search and the CLI call
+it), keeps the rules Z breaks as ``MassMatrix.failed`` beside its flags.
+T-commutation is an exact sparsity statement: Z can only be supported where
+twist exponents coincide.  S-commutation is a linear condition, so the search
+runs in two stages:
 
 1. an orthonormal real basis of { X supported on the twist mask : SX = XS }
    (the commutant restricted to the mask), read off one symmetric
@@ -40,7 +42,8 @@ NODE_BUDGET = 1_000_000  # Gram-search nodes per invariant before "unknown"
 
 @dataclass(frozen=True)
 class MassMatrix:
-    """One modular invariant with its residuals and classification flags.
+    """One mass matrix with its residuals, the invariance rules it breaks
+    (``failed``, empty for a modular invariant) and classification flags.
 
     ``type_one`` is tri-state ("yes" / "no" / "unknown"); when "yes",
     ``gram_rows`` holds a non-negative integer matrix B with Z = B^t B whose
@@ -50,11 +53,12 @@ class MassMatrix:
     Z: np.ndarray
     residual_s: float
     residual_t: float
+    failed: tuple[str, ...]
     is_identity: bool
     is_permutation: bool
     is_symmetric: bool
     type_one: str
-    gram_rows: tuple[tuple[int, ...], ...] | None = None
+    gram_rows: tuple[tuple[int, ...], ...] | None
 
     def __post_init__(self):
         object.__setattr__(self, "Z", readonly(np.asarray(self.Z, dtype=np.int64)))
@@ -148,21 +152,17 @@ def invariant_counts(Z: np.ndarray) -> tuple[int, int]:
     return sum(np.diagonal(Z).tolist()), sum(v * v for v in Z[Z != 0].tolist())
 
 
-def classify_invariant(Z: np.ndarray, md: ModularData | None = None) -> MassMatrix:
-    """Attach flags to a mass matrix: identity / permutation / symmetry, and
-    the type-I decision.  The identity is type I with B = I.  Z = B^t B is
-    symmetric, and Z[l,l] = 0 forces column l of B, and so row l of Z, to
-    vanish; a Z that breaks either rule (every other permutation among them)
-    is not type I.  Any other Z is decided by a bounded search for a Gram
-    factorization Z = B^t B over non-negative integer rows (NODE_BUDGET nodes).
-    The residuals are those of :func:`check_invariance`, or NaN without ``md``."""
+def classify_invariant(md: ModularData, Z: np.ndarray) -> MassMatrix:
+    """Z against ``md``: the residuals and failed rules of one
+    :func:`check_invariance` call, and the flags identity / permutation /
+    symmetry and the type-I decision.  The identity is type I with B = I.
+    Z = B^t B is symmetric, and Z[l,l] = 0 forces column l of B, and so row l
+    of Z, to vanish; a Z that breaks either rule (every other permutation
+    among them) is not type I.  Any other Z is decided by a bounded search for
+    a Gram factorization Z = B^t B over non-negative integer rows
+    (NODE_BUDGET nodes).  The flags do not depend on ``md``."""
     Z = np.asarray(Z, dtype=np.int64)
-    residuals = (float("nan"),) * 2 if md is None else check_invariance(md, Z)[:2]
-    return _classified(Z, *residuals)
-
-
-def _classified(Z: np.ndarray, residual_s: float, residual_t: float) -> MassMatrix:
-    """The flags of :func:`classify_invariant` for residuals already known."""
+    residual_s, residual_t, failed = check_invariance(md, Z)
     n = Z.shape[0]
     is_identity = bool(np.array_equal(Z, np.eye(n, dtype=np.int64)))
     is_permutation = bool(
@@ -175,7 +175,7 @@ def _classified(Z: np.ndarray, residual_s: float, residual_t: float) -> MassMatr
         type_one, rows = "no", None
     else:
         type_one, rows = _gram_factorization(Z, NODE_BUDGET)
-    return MassMatrix(Z=Z, residual_s=residual_s, residual_t=residual_t,
+    return MassMatrix(Z=Z, residual_s=residual_s, residual_t=residual_t, failed=failed,
                       is_identity=is_identity, is_permutation=is_permutation,
                       is_symmetric=is_symmetric, type_one=type_one, gram_rows=rows)
 
@@ -372,9 +372,9 @@ def search_invariants(md: ModularData) -> list[MassMatrix]:
     for cells in sorted(found, key=lambda cells: (cells != identity, cells)):
         Z = np.zeros((n, n), dtype=np.int64)
         Z[mask] = cells
-        residual_s, residual_t, failed = check_invariance(md, Z)  # the numeric S re-check
-        if not failed:
-            accepted.append(_classified(Z, residual_s, residual_t))
+        mm = classify_invariant(md, Z)  # the numeric S re-check
+        if not mm.failed:
+            accepted.append(mm)
     if not accepted or not accepted[0].is_identity:
         raise NumericError("identity invariant missing from search output")
     return accepted

@@ -31,6 +31,8 @@ from .numerics import (default_tolerance, max_abs, mod1, readonly, root_of_unity
                        scaled_tol, unit_phase)
 from .rings import DimensionVector, FusionRing, _scatter
 
+VERLINDE_TOL = 1e-6  # verlinde_fusion: imaginary part and distance from integers
+
 
 @dataclass(frozen=True)
 class TwistData:
@@ -265,25 +267,26 @@ def is_nondegenerate(ring: FusionRing, twists: TwistData, *,
     Equivalent characterizations (S unitary; |z|^2 = w; a trivial braiding
     phase of the witness against everything) are exercised by the test suite.
     """
+    tol = default_tolerance() if tol is None else tol
     return _degeneracy(y_matrix(ring, twists), ring.dimensions(), ring.unit,
                        scaled_tol(tol, ring.size))
 
 
-def verlinde_fusion(md: ModularData, *, tol: float = 1e-6) -> tuple[np.ndarray, float]:
+def verlinde_fusion(md: ModularData) -> tuple[np.ndarray, float]:
     """Recover the fusion tensor from S via the Verlinde formula.
 
     Returns the rounded integer tensor and the worst pre-rounding deviation.
-    Raises VerlindeError when the deviation exceeds ``tol``, an entry rounds
+    Raises VerlindeError when the deviation exceeds VERLINDE_TOL, an entry rounds
     negative, or the result disagrees with the ring's own table.
     """
     S = md.S
     weights = 1.0 / S[md.ring.unit, :]
     raw = np.einsum("lr,mr,nr,r->lmn", S, S, S.conj(), weights)
-    if max_abs(raw.imag) > tol:
+    if max_abs(raw.imag) > VERLINDE_TOL:
         raise VerlindeError(f"Verlinde sum has imaginary part {max_abs(raw.imag):.3e}")
     rounded = np.rint(raw.real).astype(np.int64)
     deviation = float(np.max(np.abs(raw.real - rounded)))
-    if deviation > tol:
+    if deviation > VERLINDE_TOL:
         raise VerlindeError(f"Verlinde sum is {deviation:.3e} from integers")
     if np.any(rounded < 0):
         raise VerlindeError("Verlinde sum produced a negative multiplicity")

@@ -43,10 +43,9 @@ def default_tolerance() -> float:
     return value
 
 
-def scaled_tol(tol: float | None, n: int) -> float:
+def scaled_tol(tol: float, n: int) -> float:
     """Residual threshold for an identity between n x n matrices."""
-    base = default_tolerance() if tol is None else tol
-    return base * max(n, 1)
+    return tol * max(n, 1)
 
 
 def mod1(x: Fraction) -> Fraction:

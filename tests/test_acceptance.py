@@ -77,7 +77,7 @@ def test_criterion_03_full_verlinde():
     for name, (ring, twists) in models:
         md = modular_matrices(ring, twists)
         try:
-            _, dev = verlinde_fusion(md, tol=1e-6)
+            _, dev = verlinde_fusion(md)
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             continue

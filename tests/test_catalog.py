@@ -6,8 +6,7 @@ import pytest
 
 from fusionkit import (FusionRing, StructureError, is_nondegenerate, modular_matrices,
                        quantum_dimensions, validate_fusion_ring)
-from fusionkit.catalog import (CATALOG, ModelSpec, build_model, cyclic_model,
-                               named_model, su2_level)
+from fusionkit.catalog import CATALOG, cyclic_model, named_model, su2_level
 
 from helpers import su2_s_closed_form, table_dict
 
@@ -124,15 +123,11 @@ class TestRegistry:
         for name, (ring, twists) in catalog.items():
             assert validate_fusion_ring(ring).ok, name
 
-    def test_build_model_roundtrip(self):
-        ring, twists = build_model(ModelSpec("su2", level=3))
+    def test_entry_builds_its_model(self):
+        ring, twists = CATALOG["su2_3"]()
         ring2, twists2 = su2_level(3)
         assert ring == ring2 and twists == twists2
 
     def test_registry_covers_families(self):
-        fams = {spec.family for spec in CATALOG.values()}
-        assert fams == {"su2", "cyclic", "named"}
-
-    def test_unknown_family(self):
-        with pytest.raises(StructureError):
-            build_model(ModelSpec("su3", level=1))
+        fams = {build.func for build in CATALOG.values()}
+        assert fams == {su2_level, cyclic_model, named_model}

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import (BasedAlgebra, FusionKitError, catalog_models, cli,
-                       conjugation_certificate, decompose_semisimple, full_report, serialize,
-                       trivial_certificate, validate_based_algebra, validate_fusion_ring,
+                       conjugation_certificate, decompose_semisimple, full_report,
+                       modular_matrices, serialize, trivial_certificate, validate_based_algebra, validate_fusion_ring,
                        verify_generating, verify_homomorphism)
 from fusionkit import rings
 from fusionkit.algebras import _center
@@ -171,8 +171,9 @@ def test_certificate_checks_match_dense_references(data):
         for sign in "+-":
             assert (outcome(verify_homomorphism, cert, sign)
                     == outcome(reference_verify_homomorphism, cert, sign))
-        gen = outcome(verify_generating, cert)
-        assert gen == outcome(reference_verify_generating, cert)
+        md = modular_matrices(cert.ring, cert.twists)
+        gen = outcome(verify_generating, cert, md)
+        assert gen == outcome(reference_verify_generating, cert, md)
         report = full_report(cert)
     for sign, name in (("+", "homomorphism_plus"), ("-", "homomorphism_minus")):
         assert report[name].detail == str(reference_verify_homomorphism(cert, sign))

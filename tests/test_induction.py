@@ -6,8 +6,8 @@ import pytest
 from fusionkit import (BasedAlgebra, CertificateError, InductionCertificate,
                        NondegeneracyRequired, NumericError, StructureError, TwistData,
                        compute_Z_from_branching, conjugation_certificate,
-                       full_report, quantum_dimensions, trivial_certificate,
-                       verify_generating, verify_homomorphism)
+                       full_report, modular_matrices, quantum_dimensions,
+                       trivial_certificate, verify_generating, verify_homomorphism)
 from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.invariants import invariant_counts
 
@@ -73,7 +73,7 @@ class TestConstruction:
 
     def test_negative_nm_count(self):
         with pytest.raises(StructureError, match="non-negative"):
-            trivial_certificate(*su2_level(4), nm_count=-3)
+            corrupted(trivial_certificate(*su2_level(4)), nm_count=-3)
 
 
 class TestHomomorphism:
@@ -155,31 +155,34 @@ class TestGenerating:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_trivial_collapses_to_w(self, k):
         cert = trivial_certificate(*su2_level(k))
-        report = verify_generating(cert)
+        report = verify_generating(cert, modular_matrices(cert.ring, cert.twists))
         assert report.passed
         assert report.max_residual < 1e-9
         assert report.uncovered == ()
 
     def test_conjugation_certificate(self):
-        report = verify_generating(conjugation_certificate(*cyclic_model(3, 2)))
+        cert = conjugation_certificate(*cyclic_model(3, 2))
+        report = verify_generating(cert, modular_matrices(cert.ring, cert.twists))
         assert report.passed
 
     def test_degenerate_base_raises(self):
         cert = trivial_certificate(*cyclic_model(2, 0))
         with pytest.raises(NondegeneracyRequired):
-            verify_generating(cert)
+            verify_generating(cert, modular_matrices(cert.ring, cert.twists))
 
     def test_mixed_products_are_exact_in_float64(self):
         # with A+ = A- = [[1, 0], [m, 0]] the mixed products sum to
         # (m + 1)^2 [0], against w d = 2 [0] + 2 [1]; m^2 would round in float32
+        md = modular_matrices(*cyclic_model(2, 1))
         m = 4097
         A = np.array([[1, 0], [m, 0]])
-        report = verify_generating(semion_branched(m, aminus=A))
+        report = verify_generating(semion_branched(m, aminus=A), md)
         assert report.max_residual == pytest.approx(((m + 1) ** 2 - 2) / 2, rel=1e-12)
         assert report.uncovered == (1,)
         # rowsum(A+) rowsum(A-) max(N_mm) = 2^54
         with pytest.raises(NumericError, match="not exact in float64"):
-            verify_generating(semion_branched(2 ** 27, aminus=np.array([[1, 0], [2 ** 27, 0]])))
+            verify_generating(semion_branched(2 ** 27, aminus=np.array([[1, 0], [2 ** 27, 0]])),
+                              md)
 
 
 class TestFullReport:
@@ -191,7 +194,7 @@ class TestFullReport:
             assert report.passed, (k, build.__name__, report.failures)
 
     def test_trivial_su2_4_counts(self):
-        report = full_report(trivial_certificate(*su2_level(4), nm_count=5))
+        report = full_report(corrupted(trivial_certificate(*su2_level(4)), nm_count=5))
         assert report.passed
         assert "tr Z = 5, tr Z Z^t = 5" in report["counts"].detail
 
@@ -238,7 +241,7 @@ class TestFullReport:
         assert report.passed, report.failures
 
     def test_wrong_declared_count_fails(self):
-        report = full_report(trivial_certificate(*su2_level(4), nm_count=7))
+        report = full_report(corrupted(trivial_certificate(*su2_level(4)), nm_count=7))
         assert "counts" in report.failures
 
     def test_certificate_z_satisfies_search_invariants(self):

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from fusionkit import (NondegeneracyRequired, NumericError, TwistData,
                        modular_matrices, search_invariants, twist_sparsity)
 from fusionkit import invariants
 from fusionkit.catalog import cyclic_model, named_model, su2_level
-from fusionkit.invariants import NODE_BUDGET, _gram_factorization
+from fusionkit.invariants import NODE_BUDGET, _gram_factorization, check_invariance
 
 from helpers import (brute_force_invariants, expected_su2_invariants, product_model,
                      reference_gram_factorization, su2_s_closed_form)
@@ -17,6 +18,13 @@ from helpers import (brute_force_invariants, expected_su2_invariants, product_mo
 def su2_md(k):
     ring, twists = su2_level(k)
     return modular_matrices(ring, twists)
+
+
+@functools.cache
+def any_md(n):
+    """Modular data with n labels for a Z that comes with no model: SU(2)_{n-1},
+    or the trivial model when n = 1.  The flags do not depend on it."""
+    return modular_matrices(*(su2_level(n - 1) if n > 1 else named_model("trivial")))
 
 
 class TestTwistSparsity:
@@ -245,7 +253,7 @@ class TestSearch:
 class TestClassify:
     def test_identity_flags(self):
         md = su2_md(3)
-        mm = classify_invariant(np.eye(4, dtype=np.int64), md)
+        mm = classify_invariant(md, np.eye(4, dtype=np.int64))
         assert mm.is_identity and mm.is_permutation and mm.is_symmetric
         assert mm.type_one == "yes"
         assert mm.gram_rows == tuple(tuple(int(v) for v in row) for row in np.eye(4, dtype=int))
@@ -255,7 +263,7 @@ class TestClassify:
         Z = np.zeros((5, 5), dtype=np.int64)
         Z[0, 0] = Z[0, 4] = Z[4, 0] = Z[4, 4] = 1
         Z[2, 2] = 2
-        mm = classify_invariant(Z, md)
+        mm = classify_invariant(md, Z)
         assert not mm.is_permutation
         assert mm.type_one == "yes"
         assert mm.gram_rows == ((1, 0, 0, 0, 1), (0, 0, 1, 0, 0), (0, 0, 1, 0, 0))
@@ -302,7 +310,7 @@ class TestClassify:
             modular_matrices(*product_model(su2_level(4), su2_level(4))))]
         kinds = set()
         for Z in mats:
-            mm = classify_invariant(Z)
+            mm = classify_invariant(any_md(len(Z)), Z)
             zero_diagonal = np.any((np.diagonal(Z) == 0) & Z.any(axis=1))
             if mm.is_identity or (mm.is_symmetric and zero_diagonal):
                 kinds.add("identity" if mm.is_identity else
@@ -337,7 +345,7 @@ class TestClassify:
     def test_asymmetric_is_not_type_one(self):
         Z = np.eye(3, dtype=np.int64)
         Z[1, 2] = 1
-        mm = classify_invariant(Z)
+        mm = classify_invariant(any_md(3), Z)
         assert not mm.is_symmetric
         assert mm.type_one == "no"
 
@@ -347,9 +355,37 @@ class TestClassify:
         Z = np.zeros((5, 5), dtype=np.int64)
         Z[0, 0] = Z[0, 4] = Z[4, 0] = Z[4, 4] = 1
         Z[2, 2] = 2
-        mm = classify_invariant(Z, md)
+        mm = classify_invariant(md, Z)
         assert mm.type_one == "unknown"
         assert mm.gram_rows is None
+
+    def test_search_classifies_each_candidate_through_the_public_function(self, monkeypatch):
+        # SU(2)_10 has three candidates, A11, D7 and E6, each classified once
+        calls = []
+        original = invariants.classify_invariant
+
+        def counted(md, Z):
+            calls.append(Z)
+            return original(md, Z)
+
+        monkeypatch.setattr(invariants, "classify_invariant", counted)
+        found = search_invariants(su2_md(10))
+        assert len(calls) == len(found) == 3
+
+    @pytest.mark.parametrize("rule", ["unit", "S", "mask"])
+    def test_failed_rules_are_those_of_check_invariance(self, rule):
+        md = su2_md(4)
+        Z = np.eye(5, dtype=np.int64)
+        if rule == "unit":
+            Z *= 2  # commutes with S and T
+        elif rule == "S":
+            Z[2, 2] = 2  # on the twist mask
+        else:
+            Z[0, 1] = 1  # h_0 != h_1
+        failed = check_invariance(md, Z)[2]
+        assert any(f.startswith({"unit": "Z[0,0] = 2", "S": "|SZ-ZS|",
+                                 "mask": "Z[0,1] = 1 off"}[rule]) for f in failed)
+        assert classify_invariant(md, Z).failed == failed
 
 
 class TestCounts:

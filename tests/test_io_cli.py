@@ -12,10 +12,18 @@ from fusionkit import (BasedAlgebra, SchemaError, modular_matrices,
                        search_invariants)
 from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.cli import _parser, main
-from fusionkit.induction import conjugation_certificate, trivial_certificate
+from fusionkit.induction import (InductionCertificate, conjugation_certificate,
+                                 trivial_certificate)
 from fusionkit import serialize
 
 from helpers import GROUP_FIXTURES, cyclic_table, full_form, permute_model
+
+
+def counted_certificate(k, nm_count):
+    """The trivial SU(2)_k certificate, declaring ``nm_count`` intermediate sectors."""
+    cert = trivial_certificate(*su2_level(k))
+    return InductionCertificate(cert.ring, cert.twists, cert.mm, cert.aplus, cert.aminus,
+                                nm_count=nm_count)
 
 
 class TestRingRoundtrip:
@@ -242,7 +250,7 @@ class TestCanonicalLayout:
                           ("alg", serialize.algebra_to_dict(
                               BasedAlgebra.from_group_table(GROUP_FIXTURES["s3"][0]))),
                           ("cert", serialize.certificate_to_dict(
-                              trivial_certificate(*su2_level(4), nm_count=5)))):
+                              counted_certificate(4, nm_count=5)))):
             Path(files[name]).write_text(serialize.dumps(obj))
         assert main([arg.format(**files) for arg in argv]) == 0
         out = capsys.readouterr().out
@@ -312,7 +320,7 @@ class TestInvariantFiles:
 
 class TestCertificateFiles:
     def test_roundtrip(self, tmp_path):
-        cert = trivial_certificate(*su2_level(3), nm_count=4)
+        cert = counted_certificate(3, nm_count=4)
         obj = serialize.certificate_to_dict(cert)
         path = tmp_path / "cert.json"
         path.write_text(serialize.dumps(obj))
@@ -516,9 +524,7 @@ class TestCLI:
         assert capsys.readouterr().err == "check failed: Z[1,1] = 2, expected 1\n"
 
     def test_classify_checks_invariance_once(self, tmp_path, capsys, monkeypatch):
-        # the flags and the verdict come from one check_invariance call,
-        # wherever the command reaches it from
-        import fusionkit.cli
+        # the flags and the verdict come from one check_invariance call
         import fusionkit.invariants
         calls = []
         original = fusionkit.invariants.check_invariance
@@ -527,8 +533,7 @@ class TestCLI:
             calls.append(Z)
             return original(md, Z)
 
-        for module in (fusionkit.cli, fusionkit.invariants):
-            monkeypatch.setattr(module, "check_invariance", counted)
+        monkeypatch.setattr(fusionkit.invariants, "check_invariance", counted)
         ring_file = tmp_path / "semion.json"
         serialize.write_ring(ring_file, *cyclic_model(2, 1))
         zfile = tmp_path / "z.json"
@@ -643,6 +648,11 @@ class TestCLI:
         ["decompose", "{ring}", "--tol", "1e-6"],
         ["verify-induction", "{ring}", "--format", "csv"],
         ["verify-induction", "{ring}", "--seed", "1"],
+        ["gen", "su2", "--level", "1", "--name", "ising"],
+        ["gen", "su2", "--level", "1", "--q", "1"],
+        ["gen", "named", "--name", "ising", "--level", "2"],
+        ["gen", "cyclic", "--order", "4", "--level", "2"],
+        ["gen", "su3", "--level", "1"],
     ])
     def test_flag_a_subcommand_ignores_exits_2(self, argv, tmp_path, capsys):
         # every flag sits only on the subcommands that read it
