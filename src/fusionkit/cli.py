@@ -18,9 +18,9 @@ Subcommands:
                                             full certificate report
 
 Each subcommand takes only the flags it reads; each gen family is a
-subcommand with its own required flag.  --tol defaults to 1e-9, or to the
-FUSIONKIT_TOL environment variable.  Exit codes: 0 all checks pass, 1 checks
-failed, 2 usage or I/O error, 3 internal error (an unexpected exception).
+subcommand with its own required flag.  --tol, finite and > 0, defaults to
+FUSIONKIT_TOL, held to the same rule, or else to 1e-9.  Exit codes: 0 all
+checks pass, 1 checks failed, 2 usage or I/O error, 3 internal error.
 Every command calls only public library functions.
 """
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .induction import full_report
 from .invariants import classify_invariant, search_invariants
 from .modular import (check_partial_verlinde, modular_matrices, sl2z_relations,
                       validate_twists)
-from .numerics import default_tolerance
+from .numerics import tolerance
 from .rings import validate_fusion_ring
 
 
@@ -85,8 +85,7 @@ def cmd_check(args) -> int:
                 md = modular_matrices(ring, twists, tol=args.tol)
             except VanishingZError:
                 lines.append("modular: z = 0, relations skipped")
-                md = None
-            if md is not None:
+            else:
                 pv = check_partial_verlinde(md)
                 lines.append(f"partial modular algebra: {pv}")
                 failed = failed or not pv.passed
@@ -100,10 +99,16 @@ def cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_modular(args) -> int:
-    ring, twists = serialize.parse_ring(args.file)
+def _twisted_ring(path):
+    """The (ring, twists) of a ring file that must carry twists (``SchemaError``)."""
+    ring, twists = serialize.parse_ring(path)
     if twists is None:
-        raise SchemaError(f"{args.file}: twist data is required for modular data")
+        raise SchemaError(f"{path}: twist data is required")
+    return ring, twists
+
+
+def cmd_modular(args) -> int:
+    ring, twists = _twisted_ring(args.file)
     md = modular_matrices(ring, twists, tol=args.tol)
     nd = md.degeneracy
     wanted = [p.strip() for p in (args.print or "").split(",") if p.strip()]
@@ -138,9 +143,7 @@ def cmd_modular(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    ring, twists = serialize.parse_ring(args.file)
-    if twists is None:
-        raise SchemaError(f"{args.file}: twist data is required for the invariant search")
+    ring, twists = _twisted_ring(args.file)
     md = modular_matrices(ring, twists, tol=args.tol)
     found = search_invariants(md)
     dicts = [serialize.invariant_to_dict(mm, labels=list(ring.labels)) for mm in found]
@@ -172,9 +175,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_classify(args) -> int:
     raw = serialize.load_json(args.zfile)
-    ring, twists = serialize.parse_ring(args.ringfile)
-    if twists is None:
-        raise SchemaError(f"{args.ringfile}: twist data is required")
+    ring, twists = _twisted_ring(args.ringfile)
     Z = serialize.z_matrix_from_dict(raw, ring.size, where=str(args.zfile))
     mm = classify_invariant(modular_matrices(ring, twists, tol=args.tol), Z)
     if args.format == "json":
@@ -225,13 +226,23 @@ def cmd_verify_induction(args) -> int:
     return 0 if report.passed else 1
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses what it does not read under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
     was, and ``main`` reads FUSIONKIT_TOL after parsing, on every call."""
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=None,
-                     help="global tolerance (default 1e-9 or FUSIONKIT_TOL)")
+    tol.add_argument("--tol", type=tolerance, default=None,
+                     help="global tolerance, finite and > 0 (default 1e-9 or FUSIONKIT_TOL)")
     json_format = argparse.ArgumentParser(add_help=False)
     json_format.add_argument("--format", choices=("text", "json"), default="text")
     csv_format = argparse.ArgumentParser(add_help=False)
@@ -239,7 +250,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = argparse.ArgumentParser(prog="fusionkit", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("-o", "--output", help="output file (default stdout)")
@@ -296,15 +307,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if hasattr(args, "tol"):  # None reads FUSIONKIT_TOL
+            args.tol = tolerance(args.tol)
     except SystemExit as exc:
-        code = exc.code
-        return int(code) if isinstance(code, int) else 2
-    if hasattr(args, "tol") and args.tol is None:
-        try:
-            args.tol = default_tolerance()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return exc.code if isinstance(exc.code, int) else 2
+    except ValueError as exc:  # a FUSIONKIT_TOL that breaks the tolerance rule
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (SchemaError, StructureError, TwistError) as exc:

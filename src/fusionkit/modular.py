@@ -27,8 +27,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericError, TwistError, VanishingZError, VerlindeError
-from .numerics import (default_tolerance, max_abs, mod1, readonly, root_of_unity,
-                       scaled_tol, unit_phase)
+from .numerics import (max_abs, mod1, readonly, root_of_unity, scaled_tol, tolerance,
+                       unit_phase)
 from .rings import DimensionVector, FusionRing, _scatter
 
 VERLINDE_TOL = 1e-6  # verlinde_fusion: imaginary part and distance from integers
@@ -215,7 +215,7 @@ def _central_charge(z: complex, H: int, tol: float) -> Fraction:
 def modular_matrices(ring: FusionRing, twists: TwistData, *,
                      tol: float | None = None) -> ModularData:
     """Assemble the full modular data; raises VanishingZError when z = 0."""
-    tol = default_tolerance() if tol is None else tol
+    tol = tolerance(tol)
     dims = ring.dimensions()
     Y = y_matrix(ring, twists)
     z = complex(np.sum(dims.d * dims.d * twists.phases()))
@@ -267,7 +267,7 @@ def is_nondegenerate(ring: FusionRing, twists: TwistData, *,
     Equivalent characterizations (S unitary; |z|^2 = w; a trivial braiding
     phase of the witness against everything) are exercised by the test suite.
     """
-    tol = default_tolerance() if tol is None else tol
+    tol = tolerance(tol)
     return _degeneracy(y_matrix(ring, twists), ring.dimensions(), ring.unit,
                        scaled_tol(tol, ring.size))
 

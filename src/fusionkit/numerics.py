@@ -30,17 +30,22 @@ _QUARTER = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def default_tolerance() -> float:
-    """Global tolerance: FUSIONKIT_TOL if set, else 1e-9."""
-    raw = os.environ.get(TOL_ENV)
-    if raw is None:
-        return DEFAULT_TOL
+    """Global tolerance: FUSIONKIT_TOL if set, else 1e-9, by the rule of ``tolerance``."""
+    raw = os.environ.get(TOL_ENV, DEFAULT_TOL)
     try:
-        value = float(raw)
+        return tolerance(raw)
     except ValueError:
-        raise ValueError(f"{TOL_ENV} must parse as a float, got {raw!r}") from None
-    if not value > 0:
-        raise ValueError(f"{TOL_ENV} must be positive, got {value!r}")
-    return value
+        raise ValueError(f"{TOL_ENV} must be a finite float > 0, got {raw!r}") from None
+
+
+def tolerance(value: float | str | None = None) -> float:
+    """``value``, or ``default_tolerance()`` when None, as a float: the one rule
+    for every tolerance is finite and > 0, and any other value is a ValueError."""
+    if value is None:
+        return default_tolerance()
+    if not 0 < float(value) < math.inf:
+        raise ValueError(f"a tolerance must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 def scaled_tol(tol: float, n: int) -> float:

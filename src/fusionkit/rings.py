@@ -33,7 +33,7 @@ permutation.
 Associativity is decided on a generating set of labels: the left labels a
 with (a x) y = a (x y) for all x, y (the left nucleus) form a subalgebra, so
 it is enough to check a set G whose products prove every label to lie in
-the algebra G generates (``generating_labels()``, an exact closure on the
+the algebra G generates (``generating_labels()``, a least fixed point on the
 pattern N > 0, found once per table; G = {0, 1} for SU(2)_k).  When the
 unit law holds, the unit is in the left nucleus and leaves G, so SU(2)_k
 checks label 1 alone.  Only when a label of G fails are all left labels
@@ -163,11 +163,11 @@ def _table_columns(table, n: int, width: int) -> tuple[np.ndarray, ...]:
     orbit rows, there is no duplicate and no zero to drop, and the columns
     of the cast are returned as they are: views, contiguous when the rows
     are column-major.  Only an int64 ndarray that the caller can still
-    write is copied first, so the columns never alias it.  Otherwise
-    duplicates are found by a stable sort on the flat key, skipped when the
-    keys are already non-decreasing, and zero entries are dropped.  An
-    entry is a duplicate when an earlier entry with the same key has a
-    positive value.
+    write is copied first, so the columns never alias it.  Otherwise the
+    rows take a stable sort on the flat key and zero entries are dropped.
+    An entry is a duplicate when an earlier entry with the same key is
+    positive, so the sorted table holds one exactly when a positive entry
+    is followed by the same key.
     When a bulk check fails, ``_first_bad_entry`` names the first bad entry
     in input order.
     """
@@ -191,15 +191,10 @@ def _table_columns(table, n: int, width: int) -> tuple[np.ndarray, ...]:
             if rows is table and (table.flags.writeable or not table.flags.owndata):
                 rows = rows.copy(order="F")
             return tuple(rows.T)
-        if np.any(key[1:] < key[:-1]):
-            order = np.argsort(key, kind="stable")
-            key, rows = key[order], rows[order]
+        order = np.argsort(key, kind="stable")
+        key, rows = key[order], rows[order]
         positive = rows[:, -1] > 0
-        # positive entries before each entry, and before the first entry of
-        # its run of equal keys
-        before = np.cumsum(positive) - positive
-        run_start = np.concatenate(([True], key[1:] != key[:-1]))
-        if not np.any(before > np.maximum.accumulate(np.where(run_start, before, 0))):
+        if not np.any(positive[:-1] & (key[1:] == key[:-1])):
             return tuple(col[positive] for col in rows.T)
     _first_bad_entry(table, n, width)
 
@@ -267,12 +262,10 @@ class _SparseStructure:
     def __init__(self, labels, unit, dual, table):
         labels, dual = _checked_header(labels, unit, dual)
         columns = _table_columns(table, len(labels), 4)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "unit", None if unit is None else int(unit))
-        object.__setattr__(self, "dual", tuple(dual.tolist()))
-        object.__setattr__(self, "_columns", tuple(readonly(col) for col in columns))
-        object.__setattr__(self, "_dimensions", None)
-        object.__setattr__(self, "_generators", None)
+        values = (labels, None if unit is None else int(unit), tuple(dual.tolist()),
+                  tuple(readonly(col) for col in columns), None, None)
+        for name, value in zip(_SparseStructure.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -524,65 +517,39 @@ def _associativity_violations(structure: _SparseStructure,
 
 
 def _generating_labels(structure: _SparseStructure) -> list[int]:
-    """Labels G, ascending, whose products generate every label, from an
-    exact closure on the pattern of the columns.
+    """Labels G, ascending, whose products generate every label: the least
+    fixed point of an exact rule on the pattern of the columns.
 
     A label is known once it is proved to lie in the algebra G generates.
-    When nothing more can be proved, the smallest unknown label joins G.  A
-    product g s or s g, with g in G and s known, that has exactly one
-    unknown constituent c proves c: the product minus its known constituents
-    is N^c c, with N^c > 0.  Each such product keeps the number and the
-    index sum of its constituents not yet processed, so the closure reads
-    each entry of the rows and columns of G once.
+    A product g s or s g, with g in G and s known, whose one unknown
+    constituent is c proves c: the product minus its known constituents is
+    N^c c, with N^c > 0.  A sweep counts the unknown constituents of every
+    product (one ``np.bincount`` of the flat columns: factor s, product id,
+    constituent c) and proves every c it can.  Sweeps repeat until one
+    proves nothing; then the smallest unknown label joins G.  The rule is
+    monotone, so no order of proofs could prove other labels.
     """
     n = structure.size
     a, b, c, _ = structure.columns()
-    known = [False] * n
+    known = np.zeros(n, dtype=bool)
     gens: list[int] = []
-    products: list[list[int]] = []  # [s, constituents left, their index sum]
-    by_factor: list[list[int]] = [[] for _ in range(n)]  # products g s, s g by s
-    by_constituent: list[list[int]] = [[] for _ in range(n)]
-    stack: list[int] = []
-
-    def prove(p):  # a product with one constituent left and a known factor
-        s, left, c = products[p]
-        if left == 1 and known[s] and not known[c]:
-            known[c] = True
-            stack.append(c)
-
-    while True:
-        while stack:
-            x = stack.pop()
-            for p in by_constituent[x]:
-                products[p][1] -= 1
-                products[p][2] -= x
-                if products[p][1] == 1:
-                    prove(p)
-            for p in by_factor[x]:
-                prove(p)
-        if all(known):
-            return gens
-        g = known.index(False)
-        gens.append(g)
-        known[g] = True
-        stack.append(g)
-        # rows s of the products g s, then s g, by constituent
-        unknown = np.zeros((2 * n, n), dtype=bool)
+    factor = product = constituent = np.zeros(0, dtype=np.int64)
+    while not known.all():
+        g = int(np.argmin(known))
         row, col = _row(a, g), b == g
-        unknown[b[row], c[row]] = True
-        unknown[n + a[col], c[col]] = True
-        unknown &= ~np.array(known)
-        counts = unknown.sum(axis=1)
-        rows = np.flatnonzero(counts)
-        first = len(products)
-        products += np.stack([rows % n, counts[rows], (unknown @ np.arange(n))[rows]],
-                             axis=1).tolist()
-        entry_rows, entry_cs = np.nonzero(unknown)
-        for con, p in zip(entry_cs.tolist(), (first + np.searchsorted(rows, entry_rows)).tolist()):
-            by_constituent[con].append(p)
-        for p in range(first, len(products)):
-            by_factor[products[p][0]].append(p)
-            prove(p)
+        first = 2 * n * len(gens)  # ids first + s of g s, first + n + s of s g
+        gens.append(g)
+        factor = np.concatenate((factor, b[row], a[col]))
+        product = np.concatenate((product, first + b[row], first + n + a[col]))
+        constituent = np.concatenate((constituent, c[row], c[col]))
+        proved = [g]
+        while len(proved):  # one sweep
+            known[proved] = True
+            unknown = ~known[constituent]
+            factor, product, constituent = factor[unknown], product[unknown], constituent[unknown]
+            alone = np.bincount(product)[product] == 1
+            proved = constituent[alone & known[factor]]
+    return gens
 
 
 def _blocks(n: int, row_bytes: int) -> list[slice]:
@@ -657,11 +624,9 @@ def quantum_dimensions(ring: FusionRing) -> DimensionVector:
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             raise NumericError("fusion matrices have a zero total column; ring disconnected?")
-        w /= nrm
-        if np.max(np.abs(w - v)) < _PF_TOL:
-            v = w
+        v, previous = w / nrm, v
+        if np.max(np.abs(v - previous)) < _PF_TOL:
             break
-        v = w
     else:
         raise NumericError(f"power iteration did not converge in {_PF_STEPS} steps")
     # one Rayleigh-refined sweep to polish the eigenvector

@@ -23,8 +23,8 @@ from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.induction import InductionCertificate, _theta_bound
 from fusionkit.rings import _associativity_violations, _generating_labels
 
-from helpers import (GROUP_FIXTURES, dense, permute_model, permute_table, product_table,
-                     refuse_int64_scatter, table_dict)
+from helpers import (GROUP_FIXTURES, dense, permute_model, permute_table, product_model,
+                     product_table, refuse_int64_scatter, table_dict)
 from references import (reference_associativity_violations, reference_center,
                         reference_generating_labels, reference_verify_generating,
                         reference_verify_homomorphism)
@@ -88,6 +88,26 @@ def assert_matches_references(structure, precheck):
 def test_checks_match_dense_references(name, structure, size):
     with blocks(size):
         assert_matches_references(structure, structure.generating_labels())
+
+
+def deep_closures():
+    """Tables whose generating sets (|G| from 3 to 23) are larger than those
+    of the Hypothesis tables: seeded relabellings of SU(2)_64, a product of
+    two groups and a Deligne product."""
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(65)
+        yield f"su2_64 relabelled {seed}", permute_model(su2_level(64), perm)[0]
+    yield "d6xs3", BasedAlgebra.from_group_table(
+        product_table(GROUP_FIXTURES["d6"][0], GROUP_FIXTURES["s3"][0]))
+    yield "su2_10xsu2_10", product_model(su2_level(10), su2_level(10))[0]
+
+
+DEEP_CLOSURES = list(deep_closures())
+
+
+@pytest.mark.parametrize("name, structure", DEEP_CLOSURES, ids=[name for name, _ in DEEP_CLOSURES])
+def test_deep_closures_match_the_reference(name, structure):
+    assert _generating_labels(structure) == reference_generating_labels(dense(structure))
 
 
 def perturbed(draw, structure):

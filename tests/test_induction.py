@@ -53,6 +53,16 @@ class TestConstruction:
             InductionCertificate(ring, twists, mm,
                                  np.eye(3, dtype=int), np.eye(3, dtype=int))
 
+    def test_requires_a_unit(self):
+        cert = trivial_certificate(*su2_level(2))
+        mm = BasedAlgebra(cert.mm.labels, None, cert.mm.dual, table_dict(cert.mm), cert.mm.dims)
+        with pytest.raises(StructureError, match="needs a unit basis element"):
+            corrupted(cert, mm=mm)
+
+    def test_theta_needs_one_entry_per_label(self):
+        with pytest.raises(StructureError, match="theta branching must be per-base-label"):
+            corrupted(trivial_certificate(*su2_level(2)), theta=[1, 0])
+
     def test_negative_entries(self):
         ring, twists = su2_level(2)
         cert = trivial_certificate(ring, twists)

@@ -19,11 +19,12 @@ from fusionkit import serialize
 from helpers import GROUP_FIXTURES, cyclic_table, full_form, permute_model
 
 
-def counted_certificate(k, nm_count):
-    """The trivial SU(2)_k certificate, declaring ``nm_count`` intermediate sectors."""
+def counted_certificate(k, nm_count, theta=None):
+    """The trivial SU(2)_k certificate, declaring ``nm_count`` intermediate
+    sectors and the ``theta`` branching."""
     cert = trivial_certificate(*su2_level(k))
     return InductionCertificate(cert.ring, cert.twists, cert.mm, cert.aplus, cert.aminus,
-                                nm_count=nm_count)
+                                theta=theta, nm_count=nm_count)
 
 
 class TestRingRoundtrip:
@@ -320,7 +321,7 @@ class TestInvariantFiles:
 
 class TestCertificateFiles:
     def test_roundtrip(self, tmp_path):
-        cert = counted_certificate(3, nm_count=4)
+        cert = counted_certificate(3, nm_count=4, theta=[1, 0, 2, 0])
         obj = serialize.certificate_to_dict(cert)
         path = tmp_path / "cert.json"
         path.write_text(serialize.dumps(obj))
@@ -328,7 +329,7 @@ class TestCertificateFiles:
         assert back.ring == cert.ring
         assert back.mm == cert.mm
         assert np.array_equal(back.aplus, cert.aplus)
-        assert back.nm_count == 4
+        assert (back.theta, back.nm_count) == ((1, 0, 2, 0), 4)
 
     def test_twists_required(self):
         cert = trivial_certificate(*su2_level(2))
@@ -663,6 +664,9 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == ""
         assert "unrecognized arguments" in err or "invalid choice" in err
+        # the usage line names the subcommand, and the gen family that was chosen
+        command = argv[:2] if argv[0] == "gen" and argv[1] != "su3" else argv[:1]
+        assert err.startswith(f"usage: fusionkit {' '.join(command)} [-h]")
 
     def test_parser_built_once_gives_fresh_results(self, tmp_path, capsys, monkeypatch):
         ring, cert = str(tmp_path / "ring.json"), str(tmp_path / "cert.json")
@@ -697,6 +701,51 @@ class TestCLI:
         assert _parser() is parser
         assert reused == fresh
         assert [code for code, _, _ in fresh] == [0, 0, 0, 1, 0, 2, 0, 0, 2, 2]
+
+    @pytest.mark.parametrize("command", ["check", "modular", "invariants", "classify",
+                                         "verify-induction"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_must_be_finite_and_positive(self, command, tol, tmp_path, capsys):
+        ring, zfile, cert = (str(tmp_path / name) for name in ("r.json", "z.json", "c.json"))
+        main(["gen", "su2", "--level", "4", "-o", ring])
+        Path(zfile).write_text(json.dumps({"size": 5, "entries": [[i, i, 1] for i in range(5)]}))
+        Path(cert).write_text(serialize.dumps(serialize.certificate_to_dict(
+            trivial_certificate(*su2_level(4)))))
+        files = {"classify": [zfile, ring], "verify-induction": [cert]}.get(command, [ring])
+        assert main([command, *files, "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: fusionkit {command} ")
+        assert err.endswith(f"error: argument --tol: invalid tolerance value: '{tol}'\n")
+
+    def test_tol_env_must_be_finite(self, tmp_path, capsys, monkeypatch):
+        ring = str(tmp_path / "r.json")
+        main(["gen", "su2", "--level", "4", "-o", ring])
+        capsys.readouterr()
+        monkeypatch.setenv("FUSIONKIT_TOL", "inf")
+        assert main(["check", ring]) == 2
+        assert capsys.readouterr() == ("", "error: FUSIONKIT_TOL must be a finite float > 0, "
+                                           "got 'inf'\n")
+
+    @pytest.mark.parametrize("command", ["modular", "invariants", "classify"])
+    def test_twists_required(self, command, tmp_path, capsys):
+        ring, zfile = tmp_path / "bare.json", tmp_path / "z.json"
+        ring.write_text(serialize.dumps(serialize.ring_to_dict(su2_level(2)[0])))
+        zfile.write_text(json.dumps({"size": 3, "entries": [[i, i, 1] for i in range(3)]}))
+        files = [zfile, ring] if command == "classify" else [ring]
+        assert main([command, *map(str, files)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {ring}: twist data is required") and err.count("\n") == 1
+
+    def test_zero_multiplicity_in_a_full_form_file_exits_2(self, tmp_path, capsys):
+        obj = full_form(*cyclic_model(2, 1))
+        obj["fusion"].append([1, 1, 1, 0])
+        path = tmp_path / "zero.json"
+        path.write_text(serialize.dumps(obj))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}.fusion: multiplicities must be "
+                                           "positive\n")
 
     def test_tol_env_override(self, monkeypatch):
         from fusionkit.numerics import default_tolerance

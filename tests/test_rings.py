@@ -141,6 +141,11 @@ class TestValidation:
                            (1, 1, 2): 1, (2, 2, 1): 1})
         assert "involution" in validate_fusion_ring(ring).axioms()
 
+    def test_dual_that_moves_the_unit(self):
+        ring = FusionRing(["0", "1"], 0, [1, 0], table_dict(z2_ring()))
+        violations = map(str, validate_fusion_ring(ring).violations)
+        assert "involution at (0,): dual(unit) != unit" in violations
+
     @pytest.mark.parametrize("name", ["su2_1", "su2_2", "rep_z2", "semion",
                                       "fibonacci", "ising", "cyclic_3_2",
                                       "rep_z5", "cyclic_4_1"])
@@ -170,6 +175,10 @@ class TestStructuralErrors:
     def test_bad_unit_index(self):
         with pytest.raises(StructureError):
             FusionRing(["0", "1"], 7, [0, 1], {(0, 0, 0): 1})
+
+    def test_unit_required(self):
+        with pytest.raises(StructureError, match="a fusion ring needs a unit index"):
+            FusionRing(["0"], None, [0], {(0, 0, 0): 1})
 
     def test_empty_labels(self):
         with pytest.raises(StructureError):
