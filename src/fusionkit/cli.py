@@ -26,6 +26,7 @@ Every command calls only public library functions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -57,13 +58,24 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError while writing ``path`` into SchemaError("cannot
+    write ..."), as ``serialize.load_json`` does for a failed read."""
+    try:
+        yield
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_gen(args) -> int:
     ring, twists = args.model(args)
     text = serialize.dumps(serialize.ring_to_dict(ring, twists))
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with _writing(args.output):
+            Path(args.output).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -149,10 +161,12 @@ def cmd_invariants(args) -> int:
     dicts = [serialize.invariant_to_dict(mm, labels=list(ring.labels)) for mm in found]
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        with _writing(outdir):
+            outdir.mkdir(parents=True, exist_ok=True)
         for i, obj in enumerate(dicts):
-            (outdir / f"invariant_{i:03d}.json").write_text(serialize.dumps(obj),
-                                                            encoding="utf-8")
+            path = outdir / f"invariant_{i:03d}.json"
+            with _writing(path):
+                path.write_text(serialize.dumps(obj), encoding="utf-8")
     if args.format == "json":
         _emit(serialize.dumps({"count": len(found), "invariants": dicts}))
     elif args.format == "csv":

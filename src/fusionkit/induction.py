@@ -25,19 +25,19 @@ this package does not model.  The verifiable consequences are:
 Z, the theta bound and the Gram sums are integer products, computed in
 Python ints wherever int64 could wrap.
 
-The homomorphism and generating sums are float contractions (BLAS), exact
-because the inputs are non-negative integers: an integer bound on every
-partial sum goes through ``numerics.exact_float``, the rule the
-associativity check of the extended algebra uses, which picks float32 below
-2^24 and float64 below 2^53 and raises ``NumericError`` above.  The bounds
-read the columns, and each check scatters the dense N and N_mm it needs
-from the columns in its own dtype, kept only while it runs; the
-contractions run in blocks of the base label l, so the (l, beta, gamma)
-intermediate is never formed whole.  The theta bound sums the columns
-exactly.  The associativity check (``validate_based_algebra``) runs over
-the left labels of a generating set of the extended algebra, and over every
-label only when one of them fails: the labels that associate on the left
-with everything form a subalgebra.
+The homomorphism sums are float contractions (BLAS), exact because the
+inputs are non-negative integers: an integer bound on every partial sum,
+read from the columns, goes through ``numerics.exact_float`` (float32 below
+2^24, float64 below 2^53, ``NumericError`` above), the rule of the
+associativity check of the extended algebra.  The check scatters the dense
+N and N_mm from the columns in that dtype and compares the sides in blocks
+of l, so the (l, beta, gamma) intermediate is never formed whole.  The
+generating identity, a float comparison at ``GEN_TOL``, needs no bound: it
+is bilinear, one product of two vectors (``verify_generating``).  The theta
+bound sums the columns exactly.  The associativity check
+(``validate_based_algebra``) runs over the left labels of a generating set
+of the extended algebra, and over every label only when one of them fails:
+the labels that associate on the left with everything form a subalgebra.
 """
 from __future__ import annotations
 
@@ -166,17 +166,21 @@ def verify_homomorphism(cert: InductionCertificate, sign: str) -> HomomorphismRe
     """Exact check of v_l v_m = sum_nu N[l,m]^nu v_nu for one chirality.
 
     The two sides are float contractions, exact under ``exact_float`` for
-    the bounds rowsum(A)^2 max(N_mm) and max_{l,m} sum_nu N[l,m]^nu max(A).
-    N and N_mm are scattered from the columns in that dtype; both sides are
-    formed and compared in blocks of l (``rings._blocks``), and the first
-    differing (l, m, beta) in that order is the violation.
+    the bounds rowsum(A)^2 max(N_mm) and max_{l,m} sum_nu N[l,m]^nu max(A),
+    whose sums run in float64 (exact below 2^53 and at least 2^53 above,
+    which is all ``exact_float`` tells apart).  N and N_mm are scattered
+    from the columns in that dtype; both sides are formed and compared in
+    blocks of l (``rings._blocks``), and the first differing (l, m, beta)
+    in that order is the violation.
     """
     A = cert.branching(sign)
-    bound = max(_row_bound(A) ** 2 * _top(cert.mm), _pair_bound(cert.ring) * int(A.max()))
+    size, size_mm = A.shape
+    left, right, _, mult = cert.ring.columns()
+    rows, pairs = A.sum(axis=1, dtype=float).max(), np.bincount(left * size + right, mult).max()
+    bound = max(int(rows) ** 2 * _top(cert.mm), int(pairs) * int(A.max()))
     dtype = exact_float(bound, f"homomorphism[{sign}] sums up to {bound}")
     N, N_mm = _scatter(cert.ring, dtype), _scatter(cert.mm, dtype)
     A = A.astype(dtype)
-    size, size_mm = A.shape
     for ls in _blocks(size, (2 * size + size_mm) * size_mm * A.itemsize):
         got = A @ np.tensordot(A[ls], N_mm, axes=(1, 0))  # [l, m, d]
         want = np.tensordot(N[ls], A, axes=(2, 0))
@@ -185,21 +189,6 @@ def verify_homomorphism(cert: InductionCertificate, sign: str) -> HomomorphismRe
             return HomomorphismReport(sign=sign, passed=False, violation=(
                 ls.start + l, m, b, int(got[l, m, b]), int(want[l, m, b])))
     return HomomorphismReport(sign=sign, passed=True, violation=None)
-
-
-def _row_bound(X: np.ndarray) -> int:
-    """The largest sum over the last axis of a non-negative integer array,
-    and at least 1.  The float64 sums are exact below 2^53 and at least 2^53
-    above, which is all ``exact_float`` tells apart."""
-    return max(1, int(X.sum(axis=-1, dtype=float).max()))
-
-
-def _pair_bound(structure) -> int:
-    """``_row_bound`` of the dense table, max_{a,b} sum_c N[a,b]^c and at
-    least 1, summed from the columns in float64."""
-    n = structure.size
-    a, b, _, mult = structure.columns()
-    return max(1, int(np.bincount(a * n + b, mult, n * n).max()))
 
 
 def _top(structure) -> int:
@@ -246,29 +235,23 @@ def verify_generating(cert: InductionCertificate, md: ModularData) -> Generating
     Raises NondegeneracyRequired on a degenerate base braiding, where the
     identity genuinely fails in general.
 
-    The mixed products [l, m, beta] are exact integers in the
-    ``exact_float`` dtype, formed in blocks of l from N_mm scattered from
-    the columns, each block also scanned once for the sectors it covers.
-    The weighted sum is one contraction over all of them, so its rounding,
-    and the residual, do not depend on the blocks.
+    The sum is bilinear, so it is V+ V- with V± = sum_l d_l v±_l, whose
+    coefficients d A± are float64 vectors over the extended sectors; the
+    coefficient of [delta] in V+ V- sums mult V+[beta] V-[gamma] over the
+    entries (beta, gamma, delta) of the columns.  Every mixed product has
+    non-negative integer coefficients, so [delta] occurs in one exactly
+    when some entry (beta, gamma, delta) has beta in the image of A+ and
+    gamma in that of A-.
     """
     if not md.degeneracy:
         raise NondegeneracyRequired("generating identity requires a non-degenerate base")
-    d = md.d
-    dm = np.array(cert.mm.dims)
-    bound = _row_bound(cert.aplus) * _row_bound(cert.aminus) * _top(cert.mm)
-    dtype = exact_float(bound, f"generating sums up to {bound}")
-    N_mm = _scatter(cert.mm, dtype)
-    Ap, Am = cert.aplus.astype(dtype), cert.aminus.astype(dtype)
-    n, m = Ap.shape
-    mixed = np.empty((n, n, m), dtype)
-    covered = np.zeros(m, dtype=bool)
-    for ls in _blocks(n, m * m * mixed.itemsize):
-        mixed[ls] = Am @ np.tensordot(Ap[ls], N_mm, axes=(1, 0))
-        covered |= np.any(mixed[ls] > 0, axis=(0, 1))
-    lhs = np.einsum("l,m,lmd->d", d, d, mixed, optimize=True)
-    residual = float(np.max(np.abs(lhs - md.w * dm))) / md.w
-    uncovered = tuple(np.flatnonzero(~covered).tolist())
+    beta, gamma, delta, mult = cert.mm.columns()
+    m = cert.mm.size
+    Vp, Vm = md.d @ cert.aplus, md.d @ cert.aminus
+    lhs = np.bincount(delta, mult * Vp[beta] * Vm[gamma], m)
+    residual = float(np.max(np.abs(lhs - md.w * np.array(cert.mm.dims)))) / md.w
+    hit = delta[cert.aplus.any(axis=0)[beta] & cert.aminus.any(axis=0)[gamma]]
+    uncovered = tuple(np.flatnonzero(np.bincount(hit, minlength=m) == 0).tolist())
     return GeneratingReport(passed=(residual <= GEN_TOL and not uncovered),
                             max_residual=residual, uncovered=uncovered)
 

@@ -67,10 +67,6 @@ class MassMatrix:
     def counts(self) -> tuple[int, int]:
         return invariant_counts(self.Z)
 
-    @property
-    def size(self) -> int:
-        return self.Z.shape[0]
-
 
 def twist_sparsity(twists: TwistData) -> np.ndarray:
     """mask[l,m] = True iff h_l = h_m as exact rationals, decided on the
@@ -99,7 +95,8 @@ def check_invariance(md: ModularData, Z: np.ndarray) -> tuple[float, float, tupl
         l, m = off[0]
         more = f" and {len(off) - 1} more" if len(off) > 1 else ""
         failed.append(f"Z[{l},{m}] = {Z[l, m]}{more} off the twist mask")
-    return residual_s, max_abs(md.T @ Z - Z @ md.T), tuple(failed)
+    t = np.diagonal(md.T)  # T is diagonal: (TZ - ZT)[l,m] = t_l Z[l,m] - Z[l,m] t_m
+    return residual_s, max_abs(t[:, None] * Z - Z * t[None, :]), tuple(failed)
 
 
 def commutant_basis(S: np.ndarray, mask: np.ndarray, tol: float) -> np.ndarray:

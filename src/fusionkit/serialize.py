@@ -61,8 +61,10 @@ def parse_rational(text: str, where: str) -> Fraction:
         raise SchemaError(f"{where}: {text!r} is not a rational p/q") from None
     if not 0 <= value.numerator < value.denominator:  # 0 <= value < 1, on ints
         raise SchemaError(f"{where}: twist {text!r} must lie in [0, 1)")
-    if format_rational(value) != text.strip():
-        raise SchemaError(f"{where}: twist {text!r} is not in lowest terms")
+    canonical = format_rational(value)
+    if canonical != text.strip():
+        raise SchemaError(f"{where}: twist {text!r} is not written as p/q in lowest terms; "
+                          f"write {canonical!r}")
     return value
 
 

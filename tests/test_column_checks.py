@@ -5,6 +5,7 @@ default size and of one row each; tracemalloc bounds on the largest of
 them, as multiples of the bytes of the table's columns; and the certify
 commands on passing inputs with the dense tensor out of reach."""
 import contextlib
+import math
 import tracemalloc
 from unittest import mock
 
@@ -193,7 +194,13 @@ def test_certificate_checks_match_dense_references(data):
                     == outcome(reference_verify_homomorphism, cert, sign))
         md = modular_matrices(cert.ring, cert.twists)
         gen = outcome(verify_generating, cert, md)
-        assert gen == outcome(reference_verify_generating, cert, md)
+        want = outcome(reference_verify_generating, cert, md)
+        if isinstance(want, tuple):
+            assert gen == want
+        else:
+            # the identity is summed in another order, so only the residual's rounding differs
+            assert (gen.passed, gen.uncovered) == (want.passed, want.uncovered)
+            assert math.isclose(gen.max_residual, want.max_residual, rel_tol=1e-9, abs_tol=1e-11)
         report = full_report(cert)
     for sign, name in (("+", "homomorphism_plus"), ("-", "homomorphism_minus")):
         assert report[name].detail == str(reference_verify_homomorphism(cert, sign))

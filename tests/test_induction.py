@@ -182,17 +182,19 @@ class TestGenerating:
 
     def test_mixed_products_are_exact_in_float64(self):
         # with A+ = A- = [[1, 0], [m, 0]] the mixed products sum to
-        # (m + 1)^2 [0], against w d = 2 [0] + 2 [1]; m^2 would round in float32
+        # (m + 1)^2 [0], against w d = 2 [0] + 2 [1]
         md = modular_matrices(*cyclic_model(2, 1))
         m = 4097
         A = np.array([[1, 0], [m, 0]])
         report = verify_generating(semion_branched(m, aminus=A), md)
         assert report.max_residual == pytest.approx(((m + 1) ** 2 - 2) / 2, rel=1e-12)
         assert report.uncovered == (1,)
-        # rowsum(A+) rowsum(A-) max(N_mm) = 2^54
-        with pytest.raises(NumericError, match="not exact in float64"):
-            verify_generating(semion_branched(2 ** 27, aminus=np.array([[1, 0], [2 ** 27, 0]])),
-                              md)
+        # sums past 2^53 are compared in floats too, and fail the same way
+        m = 2 ** 27
+        report = verify_generating(semion_branched(m, aminus=np.array([[1, 0], [m, 0]])), md)
+        assert not report.passed
+        assert report.max_residual == pytest.approx(((m + 1) ** 2 - 2) / 2, rel=1e-12)
+        assert report.uncovered == (1,)
 
 
 class TestFullReport:

@@ -8,8 +8,10 @@ from fusionkit import (NondegeneracyRequired, NumericError, TwistData,
                        classify_invariant, commutant_basis, invariant_counts,
                        modular_matrices, search_invariants, twist_sparsity)
 from fusionkit import invariants
+from fusionkit.catalog import CATALOG
 from fusionkit.catalog import cyclic_model, named_model, su2_level
 from fusionkit.invariants import NODE_BUDGET, _gram_factorization, check_invariance
+from fusionkit.numerics import max_abs
 
 from helpers import (brute_force_invariants, expected_su2_invariants, product_model,
                      reference_gram_factorization, su2_s_closed_form)
@@ -386,6 +388,26 @@ class TestClassify:
         assert any(f.startswith({"unit": "Z[0,0] = 2", "S": "|SZ-ZS|",
                                  "mask": "Z[0,1] = 1 off"}[rule]) for f in failed)
         assert classify_invariant(md, Z).failed == failed
+
+
+T_RESIDUAL_MODELS = {
+    **{name: build for name, build in CATALOG.items() if name != "fermion"},  # fermion: z = 0
+    **{f"su2_{k}": functools.partial(su2_level, k) for k in (24, 32, 48, 64)},
+    **{f"z_{n}": functools.partial(cyclic_model, n, 1) for n in (16, 20, 24, 32)},
+    "su2_4xsu2_4": lambda: product_model(su2_level(4), su2_level(4)),
+}
+
+
+@pytest.mark.parametrize("name", list(T_RESIDUAL_MODELS))
+def test_t_residual_has_the_bits_of_the_dense_products(name):
+    # Z is real and T diagonal, so each cell of TZ - ZT has one term per product
+    md = modular_matrices(*T_RESIDUAL_MODELS[name]())
+    rng = np.random.default_rng(0)
+    Zs = [mm.Z for mm in search_invariants(md)] if md.degeneracy else []
+    Zs += [rng.integers(-2, 5, (md.size, md.size)) for _ in range(5)]
+    for Z in Zs:
+        dense = max_abs(md.T @ Z - Z @ md.T)
+        assert np.float64(check_invariance(md, Z)[1]).tobytes() == np.float64(dense).tobytes()
 
 
 class TestCounts:

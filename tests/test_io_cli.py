@@ -46,6 +46,15 @@ class TestRingRoundtrip:
         with pytest.raises(SchemaError):
             serialize.parse_rational("2/4", "t")
 
+    @pytest.mark.parametrize("text, canonical", [
+        ("0.5", "1/2"), ("+1/2", "1/2"), ("0/1", "0"), ("1e-1", "1/10"), ("2/4", "1/2")])
+    def test_non_canonical_twist_names_its_spelling(self, text, canonical):
+        want = f"t: twist '{text}' is not written as p/q in lowest terms; write '{canonical}'"
+        with pytest.raises(SchemaError) as info:
+            serialize.parse_rational(text, "t")
+        assert str(info.value) == want
+        assert serialize.parse_rational(f" {canonical} ", "t") == Fraction(canonical)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(SchemaError):
             serialize.parse_rational("5/4", "t")
@@ -634,6 +643,37 @@ class TestCLI:
         main(["gen", "cyclic", "--order", "2", "--q", "2", "-o", ring_file])
         assert main(["check", ring_file]) == 0
         assert "z = 0" in capsys.readouterr().out
+
+    def test_degenerate_check_names_the_witnesses(self, tmp_path, capsys):
+        # Rep(Z_2): z = 2 but the braiding is degenerate, so SL(2,Z) is not checked
+        ring_file = str(tmp_path / "rep_z2.json")
+        main(["gen", "cyclic", "--order", "2", "--q", "0", "-o", ring_file])
+        assert main(["check", ring_file]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "degenerate braiding; witness labels (1,)"
+        assert "full modular algebra" not in out and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "{ring}", "--out", "{file}"],
+        ["invariants", "{ring}", "--out", "{taken}"],
+        ["gen", "su2", "--level", "4", "-o", "{missing}"],
+        ["gen", "su2", "--level", "4", "-o", "{dir}"],
+    ])
+    def test_failed_write_exits_2(self, argv, tmp_path, capsys):
+        # a file where a directory goes, an output file that is a directory
+        # (invariant_000.json under --out, or the -o target), a missing parent
+        ring_file = tmp_path / "r.json"
+        main(["gen", "su2", "--level", "4", "-o", str(ring_file)])
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "taken" / "invariant_000.json").mkdir(parents=True)
+        paths = {"ring": ring_file, "file": tmp_path / "afile", "taken": tmp_path / "taken",
+                 "missing": tmp_path / "missing" / "x.json", "dir": tmp_path}
+        capsys.readouterr()
+        assert main([a.format(**paths) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("argv", [
         ["check", "{ring}", "--format", "json"],

@@ -6,7 +6,8 @@ generate the whole algebra; the Frobenius and involution checks, which
 decide valid tables entry by entry, list what dense gathers list, on random
 and corrupted tables; the duplicate rule gives the columns and error text of a stable
 sort; Deligne products of valid rings are valid; conjugating the twists
-keeps the invariant list."""
+keeps the invariant list; every permutation invariant the search returns is
+the mass matrix of an automorphism certificate that passes every check."""
 import functools
 import itertools
 
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import (BasedAlgebra, FusionKitError, StructureError, TwistData, catalog_models,
-                       conjugation_certificate, full_report, modular_matrices, named_model,
-                       search_invariants, trivial_certificate, validate_based_algebra,
-                       validate_fusion_ring)
+from fusionkit import (BasedAlgebra, FusionKitError, StructureError, TwistData, VanishingZError,
+                       catalog_models, conjugation_certificate, full_report, modular_matrices,
+                       named_model, search_invariants, trivial_certificate,
+                       validate_based_algebra, validate_fusion_ring)
 from fusionkit.catalog import cyclic_model, su2_level
+from fusionkit.induction import _self_certificate, compute_Z_from_branching
 from fusionkit.invariants import check_invariance
 from fusionkit.rings import (_antiautomorphism_violations, _associativity_violations,
                             _frobenius_violations, _generating_labels, _table_columns)
@@ -342,3 +344,32 @@ def test_conjugate_twists_keep_the_invariant_list(name):
     ring, twists = CONJUGATION_MODELS[name]
     conjugate = TwistData(-h for h in twists.h)
     assert invariant_list((ring, conjugate)) == invariant_list((ring, twists))
+
+
+def test_permutation_invariants_give_passing_automorphism_certificates():
+    # a permutation invariant Z_pi commutes with S, so pi is a fusion
+    # automorphism keeping the twists: (A+, A-) = (I, Z^t), with the base
+    # ring as the extended algebra, is a certificate whose mass matrix is Z
+    models = [(ring, twists) for _, ring, twists in catalog_models()]
+    models += [su2_level(k) for k in range(17, 31)] + [cyclic_model(n, 1) for n in range(2, 41, 2)]
+    z4 = cyclic_model(4, 1)
+    models += [product_model(su2_level(4), z4), product_model(z4, z4)]
+    counts = [0, 0, 0]  # non-degenerate models, certificates, non-identity ones
+    for ring, twists in models:
+        try:
+            md = modular_matrices(ring, twists)
+        except VanishingZError:
+            continue
+        if not md.degeneracy:
+            continue
+        counts[0] += 1
+        for mm in search_invariants(md):
+            if not mm.is_permutation:
+                continue
+            cert = _self_certificate(ring, twists, mm.Z.T)
+            report = full_report(cert)
+            assert report.passed, (ring.labels, mm.Z.tolist(), report.failures)
+            assert np.array_equal(compute_Z_from_branching(cert), mm.Z)
+            counts[1] += 1
+            counts[2] += not mm.is_identity
+    assert counts == [58, 110, 52]
