@@ -1,18 +1,23 @@
 """Semisimple based algebras given by non-negative integer structure constants.
 
 The main operation splits such an algebra into simple matrix blocks, once
-its trace form has full rank: its kernel is the radical, which the central
-spectrum misses when everything annihilates it.  The center is the
-nullspace of the commutator constraints with a generating set G of labels
-only (``generating_labels()``, the same G the associativity check uses),
-|G| n rows instead of n^2: in an associative algebra an element that
-commutes with G commutes with everything G generates, which is every label.
-A random self-adjoint central element is drawn, its left multiplication
-matrix is summed from the sparse columns, and its spectrum is clustered;
-each eigenvalue cluster of size s belongs to one simple block of size
-sqrt(s).  Conjugate pairs of blocks carry complex-conjugate scalars, so the
-random draw must use complex coefficients: real ones provably cannot
-separate a block from its conjugate.
+its trace form Tr L(x y) has full rank: its kernel is the radical.  The
+center is the nullspace of the commutator constraints with a generating set
+G of labels only (``generating_labels()``, the same G the associativity
+check uses), |G| n rows instead of n^2: in an associative algebra an element
+that commutes with G commutes with everything G generates, which is every
+label.  A random complex central element z is drawn and its left
+multiplication matrix is summed from the sparse columns.  On the center,
+L(z) has one eigenvector f per simple block, a multiple of the block's
+central idempotent e, and the block's size s is read off the trace form by
+a ratio in which the multiple cancels: s^2 = Tr L(e) = Tr L(f)^2 / Tr L(f f)
+(Dixon, Numer. Math. 10, 1967, reads characters off class-sum eigenvectors).
+The coefficients are complex and z is not made self-adjoint.  A real
+self-adjoint z gives a block and its conjugate one eigenvalue, which mixes
+their eigenvectors on every draw.  A real or a self-adjoint z puts the
+eigenvalues of the self-conjugate blocks (all of them, for SU(2)_k) on a
+line, about scale/n^2 apart, where the eigenvectors lose digits: on
+SU(2)_240 the integrality distance grows from about 2e-13 to 2e-11.
 
 The block profile is what pairs with a mass matrix: the multiset of nonzero
 Z entries must equal the multiset of block sizes, and the algebra is
@@ -24,8 +29,9 @@ constants live only in four read-only int64 arrays (a, b, c, mult) sorted by
 The involution law gathers each entry's mirror from a scratch array of the
 flat cells (``rings._flat_table``), the dimension vector and the trace form
 are sums from one ``np.bincount``, and the commutator rows of the center
-are scattered from each generator's column (a mask) and row (a slice).  Associativity is ``rings._associativity_violations``.  It checks
-the left labels of the generating set first, which needs no unit (the
+are scattered from each generator's column (a mask) and row (a slice).
+Associativity is ``rings._associativity_violations``.  It checks the left
+labels of the generating set first, which needs no unit (the
 matrix units e11, e12, e21 generate M2) and leaves out a unit label that
 obeys the unit law, and every label only when one of them fails: the left
 labels that associate with everything form a subalgebra.  It composes index
@@ -50,6 +56,7 @@ from .rings import (ValidationReport, Violation, _antiautomorphism_violations,
 
 _RANK_RTOL = 1e-7  # singular-value threshold, relative to the largest
 _MAX_DRAWS = 8  # random central elements tried before giving up
+_INT_TOL = 1e-6  # distance of each block dimension s^2 from a positive integer
 
 
 class BasedAlgebra(_SparseStructure):
@@ -135,69 +142,68 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
 
     The algebra must be associative (``validate_based_algebra``, which
     ``decompose`` runs first), since the center is found from a generating
-    set (``_center``), and have no radical (``_check_trace_form``).
+    set (``_center``), and have no radical (``_trace_form``).
 
-    Draws up to ``_MAX_DRAWS`` random self-adjoint central elements (fresh
-    randomness per draw, reproducible via ``seed``); a draw is accepted when
-    its regular-representation spectrum splits into exactly as many
-    well-separated clusters as the center has dimensions and every cluster
-    size is a perfect square.  Non-square cluster sizes mean the input is not
-    semisimple as expected.
+    Draws up to ``_MAX_DRAWS`` random complex central elements z (fresh
+    randomness per draw, reproducible via ``seed``).  The eigenvectors of
+    L(z) on the center are multiples f = c e of the central idempotents, one
+    per block, and s^2 = Tr L(e) = Tr L(f)^2 / Tr L(f f) for any c.  A draw
+    is accepted when every s^2 is within ``_INT_TOL`` of a positive integer
+    and they sum to the dimension; two blocks whose eigenvalues nearly
+    collide mix their eigenvectors and fail that test, so the next draw is
+    tried.  Accepted sizes that are not perfect squares mean the input is
+    not semisimple as expected.
     """
     n = alg.size
-    _check_trace_form(alg)
+    t, gram = _trace_form(alg)
     basis = _center(alg)
     r = len(basis)
 
     rng = np.random.default_rng(seed)
-    dual = list(alg.dual)
     a, b, c, mult = alg.columns()
     cells = c * n + b  # z[c, b] = sum_a coeff[a] N[a,b]^c
-    last_sizes: list[int] | None = None
+    closest = math.inf
     for _ in range(_MAX_DRAWS):
         coeff = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) @ basis
-        coeff = 0.5 * (coeff + np.conj(coeff[dual]))  # self-adjoint part
-        if np.max(np.abs(coeff)) < 1e-12:
-            continue
         weight = coeff[a] * mult
         zmat = (np.bincount(cells, weight.real, n * n)
                 + 1j * np.bincount(cells, weight.imag, n * n)).reshape(n, n)
-        eigs = np.linalg.eigvals(zmat)
-        scale = float(np.max(np.abs(eigs))) + 1.0
-        clusters = _cluster(eigs, 1e-7 * scale)
-        means = [np.mean(c) for c in clusters]
-        sep = min((abs(a - b) for i, a in enumerate(means) for b in means[i + 1:]),
-                  default=np.inf)
-        if len(clusters) != r or sep < 1e-5 * scale:
-            continue  # eigenvalue collision; retry with fresh randomness
-        sizes = [len(c) for c in clusters]
-        last_sizes = sizes
+        F = np.linalg.eig(basis @ zmat @ basis.T)[1].T @ basis  # rows f = c e
+        squares = (F @ t) ** 2 / ((F @ gram) * F).sum(axis=1)
+        sizes = np.maximum(np.rint(squares.real), 1)
+        dist = float(np.max(np.abs(squares - sizes)))
+        closest = min(closest, dist)
+        if not (dist <= _INT_TOL and sizes.sum() == n):
+            continue  # near-collision of two blocks; retry with fresh randomness
+        sizes = [int(s) for s in sizes]
         roots = [math.isqrt(s) for s in sizes]
         if any(q * q != s for q, s in zip(roots, sizes)):
             raise NumericError(
-                f"eigenvalue multiplicities {sorted(sizes)} are not perfect squares; "
+                f"block dimensions {sorted(sizes)} are not perfect squares; "
                 "algebra is not semisimple as expected")
         return BlockProfile(tuple(roots))
     raise NumericError(
-        f"central spectrum did not split into {r} clusters after {_MAX_DRAWS} draws"
-        + (f" (last multiplicities {sorted(last_sizes)})" if last_sizes else "")
-        + "; algebra may not be semisimple")
+        f"block dimensions Tr L(e) were not {r} positive integers summing to {n} after "
+        f"{_MAX_DRAWS} draws (closest integrality distance {closest:.1e}, tolerance "
+        f"{_INT_TOL:.0e}); algebra may not be semisimple")
 
 
-def _check_trace_form(alg: BasedAlgebra) -> None:
-    """Raise NumericError unless G[x,y] = sum_c N[x,y]^c t_c, with
-    t_c = Tr L(c) = sum_b N[c,b]^b, has full rank at ``_RANK_RTOL``: the
-    kernel of G is the radical, so a semisimple algebra has none."""
+def _trace_form(alg: BasedAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """(t, G): t_c = Tr L(c) = sum_b N[c,b]^b and the trace form
+    G[x,y] = Tr L(x y) = sum_c N[x,y]^c t_c.  Raise NumericError unless G has
+    full rank at ``_RANK_RTOL``: the kernel of G is the radical, so a
+    semisimple algebra has none."""
     n = alg.size
     a, b, c, mult = alg.columns()
     t = np.bincount(a[b == c], mult[b == c], n)
-    svals = np.linalg.svd(np.bincount(a * n + b, mult * t[c], n * n).reshape(n, n),
-                          compute_uv=False)
+    gram = np.bincount(a * n + b, mult * t[c], n * n).reshape(n, n)
+    svals = np.linalg.svd(gram, compute_uv=False)
     ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0
     if ratio <= _RANK_RTOL:
         rank = np.count_nonzero(svals > _RANK_RTOL * svals[0])
         raise NumericError(f"trace form has rank {rank} of {n} (smallest singular value "
                            f"ratio {ratio:.1e}); algebra has a radical, not semisimple")
+    return t, gram
 
 
 def _center(alg: BasedAlgebra) -> np.ndarray:
@@ -222,21 +228,6 @@ def _center(alg: BasedAlgebra) -> np.ndarray:
     _, svals, Vt = np.linalg.svd(constraints.reshape(len(gens) * n, n), full_matrices=False)
     cutoff = _RANK_RTOL * (svals[0] if svals.size and svals[0] > 0 else 1.0)
     return Vt[svals <= cutoff]
-
-
-def _cluster(values: np.ndarray, tol: float) -> list[list[complex]]:
-    """Greedy clustering of complex values by distance; order-insensitive for
-    well-separated spectra."""
-    todo = sorted(values, key=lambda z: (round(z.real / tol) if tol > 0 else z.real, z.imag))
-    clusters: list[list[complex]] = []
-    for z in todo:
-        for cl in clusters:
-            if abs(z - cl[0]) <= tol:
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    return clusters
 
 
 def verify_dimension_theorem(Z: np.ndarray, profile: BlockProfile) -> bool:

@@ -4,13 +4,15 @@ import pytest
 from fusionkit import (BasedAlgebra, BlockProfile, NumericError, StructureError,
                        decompose_semisimple, validate_based_algebra,
                        verify_dimension_theorem)
+from fusionkit import algebras
 from fusionkit.algebras import _center
 from fusionkit.catalog import su2_level
+from fusionkit.induction import trivial_certificate
 from fusionkit.rings import _generating_labels
 
 from helpers import (GROUP_FIXTURES, brute_force_associativity, cyclic_table,
-                     dense, dense_center_projector, permute_table, product_table,
-                     symmetric_table, table_dict, table_rows)
+                     dense, dense_center_projector, permute_table, product_model,
+                     product_table, symmetric_table, table_dict, table_rows)
 
 
 def is_commutative(alg):
@@ -25,6 +27,21 @@ def matrix_unit_algebra():
         ["e11", "e12", "e21", "e22"], None, (0, 2, 1, 3),
         {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 0): 1, (1, 3, 1): 1,
          (2, 0, 2): 1, (2, 1, 3): 1, (3, 2, 2): 1, (3, 3, 3): 1})
+
+
+def matrix_units_plus_idempotent():
+    """M2 (+) C: the matrix units of M2 and an idempotent f; no unit label."""
+    return BasedAlgebra(
+        ["e11", "e12", "e21", "e22", "f"], None, (0, 2, 1, 3, 4),
+        {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 0): 1, (1, 3, 1): 1,
+         (2, 0, 2): 1, (2, 1, 3): 1, (3, 2, 2): 1, (3, 3, 3): 1, (4, 4, 4): 1})
+
+
+# the extended algebras of trivial certificates whose central spectra once
+# failed to split into n clusters, at 241, 289 and 205 labels
+LARGE_COMMUTATIVE = {"su2_240": lambda: su2_level(240),
+                     "su2_16 x su2_16": lambda: product_model(su2_level(16), su2_level(16)),
+                     "su2_4 x su2_40": lambda: product_model(su2_level(4), su2_level(40))}
 
 
 def z3_unit_redirected():
@@ -161,6 +178,20 @@ class TestDecompose:
     def test_matrix_units(self):
         assert decompose_semisimple(matrix_unit_algebra()).sizes == (2,)
 
+    def test_unequal_blocks_without_a_unit_label(self):
+        # Tr L(e) is read as a scale-free ratio, so blocks of different
+        # sizes come out right with no unit label to normalize by
+        alg = matrix_units_plus_idempotent()
+        assert validate_based_algebra(alg).ok
+        for seed in range(5):
+            assert decompose_semisimple(alg, seed=seed).sizes == (2, 1), seed
+
+    @pytest.mark.parametrize("name", list(LARGE_COMMUTATIVE))
+    def test_large_commutative_algebras_split_into_single_blocks(self, name):
+        alg = trivial_certificate(*LARGE_COMMUTATIVE[name]()).mm
+        for seed in range(5):
+            assert decompose_semisimple(alg, seed=seed).sizes == (1,) * alg.size, seed
+
     @pytest.mark.parametrize("name", sorted(GROUP_FIXTURES))
     def test_classical_character_degrees(self, name):
         table, degrees = GROUP_FIXTURES[name]
@@ -193,6 +224,13 @@ class TestDecompose:
         assert validate_based_algebra(alg).ok
         with pytest.raises(NumericError, match=r"^trace form has rank 1 of 2 "):
             decompose_semisimple(alg)
+
+    def test_failure_names_the_closest_integrality_distance(self, monkeypatch):
+        # no draw can pass a negative tolerance, so the last error reports
+        # how close the best draw came
+        monkeypatch.setattr(algebras, "_INT_TOL", -1.0)
+        with pytest.raises(NumericError, match=r"closest integrality distance \d\.\de[-+]\d+, "):
+            decompose_semisimple(BasedAlgebra.from_group_table(symmetric_table(3)))
 
     def test_sum_of_squares(self):
         for name, (table, _) in GROUP_FIXTURES.items():

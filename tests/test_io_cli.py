@@ -561,6 +561,14 @@ class TestCLI:
         assert main(["decompose", str(path)]) == 0
         assert "blocks: 2 1 1" in capsys.readouterr().out
 
+    def test_decompose_splits_su2_240_into_single_blocks(self, tmp_path, capsys):
+        # 241 labels: the central spectrum once failed to split here
+        path = tmp_path / "su2_240.json"
+        alg = trivial_certificate(*su2_level(240)).mm
+        path.write_text(serialize.dumps(serialize.algebra_to_dict(alg)))
+        assert main(["decompose", str(path)]) == 0
+        assert capsys.readouterr().out == f"blocks: {' '.join(['1'] * 241)} (dimension 241)\n"
+
     def test_decompose_refuses_a_radical_everything_annihilates(self, tmp_path, capsys):
         # a a = a and every product with b is 0: the axioms hold and the
         # central spectrum splits into two 1 x 1 blocks, but b spans a radical

@@ -5,9 +5,10 @@ on single-constituent tables and on any other; the labels it checks first
 generate the whole algebra; the Frobenius and involution checks, which
 decide valid tables entry by entry, list what dense gathers list, on random
 and corrupted tables; the duplicate rule gives the columns and error text of a stable
-sort; Deligne products of valid rings are valid; conjugating the twists
-keeps the invariant list; every permutation invariant the search returns is
-the mass matrix of an automorphism certificate that passes every check."""
+sort; Deligne products of valid rings are valid, and swapping the factors
+relabels the invariants; conjugating the twists keeps the invariant list;
+every permutation invariant the search returns is the mass matrix of an
+automorphism certificate that passes every check."""
 import functools
 import itertools
 
@@ -318,6 +319,25 @@ def test_deligne_product_properties(x, y):
         assert report.passed, (build.__name__, report.failures)
     if model[0].size <= BRUTE_FORCE_LABELS:
         assert found == [Z.tolist() for Z in brute_force_invariants(md)]
+
+
+SWAP_PAIRS = {"su2_4, su2_6": (su2_level(4), su2_level(6)),
+              "su2_4, z4_1": (su2_level(4), cyclic_model(4, 1)),
+              "su2_10, z3_2": (su2_level(10), cyclic_model(3, 2))}
+
+
+@pytest.mark.parametrize("name", list(SWAP_PAIRS))
+def test_deligne_factor_swap_relabels_the_invariants(name):
+    # B (x) A is A (x) B with label (x, y) moved to (y, x): index
+    # x |B| + y goes to y |A| + x, and the invariants move with it
+    A, B = SWAP_PAIRS[name]
+    na, nb = A[0].size, B[0].size
+    perm = (np.arange(na)[:, None] + na * np.arange(nb)).ravel()
+    found = [relabelled(mm.Z, perm)
+             for mm in search_invariants(modular_matrices(*product_model(A, B)))]
+    swapped = [mm.Z for mm in search_invariants(modular_matrices(*product_model(B, A)))]
+    assert len(found) == len(swapped) == 6
+    assert {Z.tobytes() for Z in found} == {Z.tobytes() for Z in swapped}
 
 
 CONJUGATION_MODELS = {
