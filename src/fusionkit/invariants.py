@@ -13,12 +13,14 @@ runs in two stages:
    eigenproblem: the eigenvalue-1 eigenvectors of the real part of
    X -> S X S^H on the mask cells, and
 2. a depth-first walk over integer intervals for the values of a few pivot
-   cells, chosen at large d_l d_m, that determine every cell.  At each node
-   the bounds 0 <= Z[l,m] <= w / (d_l d_m) of every cell (Z = 1 at the unit
-   cell) and the pivot cells' share of the budget
-   sum_{l,m} d_l d_m Z[l,m] = w tighten the intervals until none moves; the
+   cells, chosen at small caps, that determine every cell.  Cell (l,m) has
+   the cap c_l c_m, c_l = max_a |S[l,a]| / S[u,a] (d_l under Verlinde: the
+   bound of Bockenhauer-Evans-Kawahigashi), since Z = S Z S^H and
+   S[u,a] = d_a / |z| > 0 give Z[l,m] <= c_l c_m Z[u,u].  At each node the
+   caps (Z = 1 at the unit cell) tighten the intervals until none moves; the
    walk then branches on the free pivot with the fewest values.  Its leaves,
-   where every pivot is fixed, are filtered for integrality and the budget.
+   where every pivot is fixed, are filtered for integrality.  Row u of
+   Z = S Z S^H is sum d_l d_m Z[l,m] = w Z[u,u]: the unit fixes the budget.
    Both stages work in mask cells, so every matrix found is on the twist mask.
 
 The small-instance oracle, a raw depth-first search over the mask cells
@@ -253,12 +255,12 @@ def _gram_factorization(Z: np.ndarray, node_budget: int):
     return "yes", tuple(rows)
 
 
-def _pivot_cells(B: np.ndarray, dd: np.ndarray) -> list[int]:
+def _pivot_cells(B: np.ndarray, caps: np.ndarray) -> list[int]:
     """Greedy choice of m independent columns of the m x cells basis B,
-    preferring large d_l d_m so the per-pivot enumeration bounds stay small;
-    ties go to the first cell in row-major order."""
+    smallest cap first (a pivot takes the values 0..cap, so its branches
+    stay few); ties go to the first cell in row-major order."""
     m = B.shape[0]
-    order = sorted(range(B.shape[1]), key=lambda i: (-dd[i], i))
+    order = sorted(range(B.shape[1]), key=lambda i: (caps[i], i))
     chosen: list[int] = []
     Q = np.zeros((m, 0))  # orthonormal basis of the chosen columns
     for idx in order:
@@ -327,25 +329,22 @@ def search_invariants(md: ModularData) -> list[MassMatrix]:
         raise NondegeneracyRequired(
             f"braiding is degenerate (witness label {md.degeneracy.witness}); "
             "modular invariants are only classified for non-degenerate data")
-    n = md.size
+    n, u = md.size, md.ring.unit
     mask = twist_sparsity(md.twists)
     B = commutant_basis(md.S, mask, md.tol)[:, mask]  # m x mask cells
-    dd = np.outer(md.d, md.d)[mask]
+    c = np.max(np.abs(md.S) / md.S[u].real, axis=1)  # c_l = max_a |S[l,a]| / S[u,a]
+    caps = np.outer(c, c)[mask]
 
-    piv = _pivot_cells(B, dd)
+    piv = _pivot_cells(B, caps)
     W = np.linalg.solve(B[:, piv], B)  # pivot values -> mask cells
-    costs = dd[piv]
-    unit = int(np.flatnonzero(mask).searchsorted(md.ring.unit * (n + 1)))  # (unit, unit) cell
-    # The leaf filters put every cell within INT_TOL of [0, w (1 + 1e-6) / dd], and
-    # of 1 at the unit cell; the walk allows 2 INT_TOL for its own rounding.
-    low, high = np.full(dd.size, -2 * INT_TOL), md.w * (1 + 1e-6) / dd + 2 * INT_TOL
+    unit = int(np.flatnonzero(mask).searchsorted(u * (n + 1)))  # (u, u) cell
+    # cells in [0, c_l c_m], the unit cell at 1, with 2 INT_TOL of slack for rounding
+    low, high = np.full(caps.size, -2 * INT_TOL), caps + 2 * INT_TOL
     low[unit], high[unit] = 1 - 2 * INT_TOL, 1 + 2 * INT_TOL
-    # one more row: the pivot cells spend at most the budget, costs . p <= w + 1
-    tighten = _bound_propagator(np.column_stack([W, costs]), np.append(low, -1.0),
-                                np.append(high, md.w + 1.0))
+    tighten = _bound_propagator(W, low, high)
 
     found: set[tuple[int, ...]] = set()
-    lo, hi = tighten(np.zeros((1, len(piv))), np.floor(md.w / costs + 1e-9)[None, :])
+    lo, hi = tighten(np.zeros((1, len(piv))), np.floor(high[piv])[None, :])
     stack = list(zip(lo, hi))  # open boxes of integer pivot values
     while stack:
         lo, hi = stack.pop()
@@ -359,8 +358,7 @@ def search_invariants(md: ModularData) -> list[MassMatrix]:
             continue
         X = lo @ W  # a leaf: every pivot fixed
         R = np.rint(X)
-        if (np.max(np.abs(X - R)) <= INT_TOL and np.all(R >= 0.0) and R[unit] == 1.0
-                and abs(R @ dd - md.w) <= 1e-6 * md.w):
+        if np.max(np.abs(X - R)) <= INT_TOL and np.all(R >= 0.0) and R[unit] == 1.0:
             found.add(tuple(R.astype(np.int64).tolist()))
 
     identity = tuple(np.eye(n, dtype=np.int64)[mask].tolist())

@@ -281,7 +281,7 @@ def verlinde_fusion(md: ModularData) -> tuple[np.ndarray, float]:
     """
     S = md.S
     weights = 1.0 / S[md.ring.unit, :]
-    raw = np.einsum("lr,mr,nr,r->lmn", S, S, S.conj(), weights)
+    raw = np.einsum("lr,mr,nr,r->lmn", S, S, S.conj(), weights, optimize=True)
     if max_abs(raw.imag) > VERLINDE_TOL:
         raise VerlindeError(f"Verlinde sum has imaginary part {max_abs(raw.imag):.3e}")
     rounded = np.rint(raw.real).astype(np.int64)

@@ -218,8 +218,8 @@ class TestDecompose:
             decompose_semisimple(alg)
 
     def test_radical_everything_annihilates_detected(self):
-        # a a = a and every product with b is 0: the central spectrum sees two
-        # 1 x 1 blocks, but the trace form G[x,y] = Tr L(x y) has rank 1
+        # a a = a and every product with b is 0: the center holds both labels,
+        # but the trace form G[x,y] = Tr L(x y) has rank 1
         alg = BasedAlgebra(["a", "b"], None, (0, 1), {(0, 0, 0): 1})
         assert validate_based_algebra(alg).ok
         with pytest.raises(NumericError, match=r"^trace form has rank 1 of 2 "):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit import (NondegeneracyRequired, NumericError, TwistData,
-                       classify_invariant, commutant_basis, invariant_counts,
+from fusionkit import (NondegeneracyRequired, NumericError, TwistData, VanishingZError,
+                       catalog_models, classify_invariant, commutant_basis, invariant_counts,
                        modular_matrices, search_invariants, twist_sparsity)
 from fusionkit import invariants
 from fusionkit.catalog import CATALOG
@@ -251,6 +251,55 @@ class TestSearch:
             assert np.max(np.abs(S @ mm.Z - mm.Z @ S)) < 1e-9 * n * n
             assert mm.type_one != "unknown"
 
+    def test_su2_16_squared_contains_the_factor_products(self):
+        # 289 labels and 2801 mask cells: the cell caps c_l c_m keep the
+        # walk to a few dozen boxes
+        found = search_invariants(modular_matrices(*product_model(su2_level(16), su2_level(16))))
+        assert len(found) == 22
+        got = {tuple(mm.Z.ravel()) for mm in found}
+        factors = expected_su2_invariants(16)
+        assert len(factors) == 3
+        for ZA in factors:
+            for ZB in factors:
+                assert tuple(np.kron(ZA, ZB).ravel()) in got
+
+
+def cap_models(family):
+    """(name, ring, twists) of one family of the cell-cap property test."""
+    if family == "catalog":
+        return list(catalog_models())
+    if family == "su2":
+        return [(f"su2_{k}", *su2_level(k)) for k in range(1, 33)]
+    if family == "cyclic":
+        return ([(f"z{n}_q1", *cyclic_model(n, 1)) for n in range(2, 33, 2)]
+                + [(f"z{n}_q2", *cyclic_model(n, 2)) for n in range(3, 16, 2)])
+    small = [su2_level(2), su2_level(3), cyclic_model(4, 1), cyclic_model(3, 2),
+             named_model("fibonacci")]
+    return [(f"product_{i}_{j}", *product_model(small[i], small[j]))
+            for i in range(len(small)) for j in range(i, len(small))]
+
+
+@pytest.mark.parametrize("family", ["catalog", "su2", "cyclic", "products"])
+def test_found_cells_stay_under_the_cell_caps(family):
+    # c_l = max_a |S[l,a]| / S[u,a] caps Z[l,m] by c_l c_m; under Verlinde
+    # c = d, and every Z found spends exactly the global-index budget
+    checked = 0
+    for name, ring, twists in cap_models(family):
+        try:
+            md = modular_matrices(ring, twists)
+        except VanishingZError:
+            continue
+        if not md.degeneracy:
+            continue
+        c = np.max(np.abs(md.S) / md.S[ring.unit].real, axis=1)
+        assert max_abs(c - md.d) <= 1e-12, name
+        dd = np.outer(md.d, md.d)
+        for mm in search_invariants(md):
+            assert np.all(mm.Z <= np.outer(c, c) + 2 * invariants.INT_TOL), name
+            assert float(np.sum(dd * mm.Z)) == pytest.approx(md.w, rel=1e-9), name
+            checked += 1
+    assert checked
+
 
 class TestClassify:
     def test_identity_flags(self):
@@ -343,6 +392,28 @@ class TestClassify:
                 if small[0] != "unknown":
                     assert _gram_factorization(Z, budget) == small
         assert verdicts == {"yes", "no"}
+
+    def test_gram_search_on_random_gram_matrices(self):
+        # Z = B^t B for random non-negative B with the unit row e_0: Z is type
+        # I, and a row that reuses the previous row's lead is skipped when it
+        # sorts above that row; the verdict and rows are the reference walk's
+        rng = np.random.default_rng(11)
+        example = np.array([[1, 0, 0, 0], [0, 5, 6, 5], [0, 6, 12, 10], [0, 5, 10, 9]])
+        assert _gram_factorization(example, NODE_BUDGET) == (
+            "yes", ((1, 0, 0, 0), (0, 2, 2, 2), (0, 1, 2, 1), (0, 0, 2, 2)))
+        mats = [example]
+        for _ in range(100):
+            n, r = rng.integers(3, 5, size=2)
+            B = np.zeros((r, n), dtype=np.int64)
+            B[0, 0] = 1
+            B[1:, 1:] = rng.integers(0, 3, size=(r - 1, n - 1))
+            mats.append(B.T @ B)
+        for Z in mats:
+            got = _gram_factorization(Z, NODE_BUDGET)
+            assert got == reference_gram_factorization(Z, NODE_BUDGET)
+            assert got[0] == "yes"
+            B = np.array(got[1])
+            assert np.array_equal(B.T @ B, Z)
 
     def test_asymmetric_is_not_type_one(self):
         Z = np.eye(3, dtype=np.int64)

@@ -570,8 +570,8 @@ class TestCLI:
         assert capsys.readouterr().out == f"blocks: {' '.join(['1'] * 241)} (dimension 241)\n"
 
     def test_decompose_refuses_a_radical_everything_annihilates(self, tmp_path, capsys):
-        # a a = a and every product with b is 0: the axioms hold and the
-        # central spectrum splits into two 1 x 1 blocks, but b spans a radical
+        # a a = a and every product with b is 0: the axioms hold, but b spans
+        # a radical, so the trace form G[x,y] = Tr L(x y) has rank 1
         path = tmp_path / "radical.json"
         path.write_text(json.dumps({"labels": ["a", "b"], "unit": None, "dual": [0, 1],
                                     "structure": [[0, 0, 0, 1]]}))
@@ -877,6 +877,45 @@ def test_malformed_input_exits_2(kind, field, value, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# (file kind, fault, error line after "error: "): schema faults of three-label
+# files, each named with the file path as {file}
+SCHEMA_FAULTS = [
+    pytest.param("ring", lambda f: {**f, "twists": [0, *f["twists"][1:]]},
+                 "{file}.twists[0]: twist must be a rational string, got 0", id="twist-int"),
+    pytest.param("ring", lambda f: {**f, "twists": [f["twists"][0], "x", f["twists"][2]]},
+                 "{file}.twists[1]: 'x' is not a rational p/q", id="twist-x"),
+    pytest.param("ring", lambda f: {**f, "twists": f["twists"][:2]},
+                 "{file}.twists: expected one rational string per label", id="two-twists"),
+    pytest.param("ring", lambda f: [f], "{file}: expected a JSON object", id="ring-list"),
+    pytest.param("invariant", lambda f: {"size": f["size"]},
+                 "{file}: expected an object with 'size' and 'entries'", id="no-entries"),
+    pytest.param("invariant", lambda f: [f],
+                 "{file}: expected an object with 'size' and 'entries'", id="invariant-list"),
+    pytest.param("invariant", lambda f: {**f, "size": 3.0},
+                 "{file}.size: expected a positive integer", id="size-float"),
+    pytest.param("certificate", lambda f: [f], "certificate: expected a JSON object",
+                 id="certificate-list"),
+    pytest.param("certificate", lambda f: {k: v for k, v in f.items() if k != "aminus"},
+                 "certificate: missing field 'aminus'", id="no-aminus"),
+]
+
+
+@pytest.mark.parametrize("kind, fault, line", SCHEMA_FAULTS)
+def test_schema_fault_names_itself(kind, fault, line, tmp_path, capsys):
+    model = su2_level(2)
+    valid = {"ring": full_form(*model),
+             "invariant": {"size": 3, "entries": [[i, i, 1] for i in range(3)]},
+             "certificate": serialize.certificate_to_dict(trivial_certificate(*model))}
+    path, ring_file = tmp_path / f"bad_{kind}.json", tmp_path / "ring.json"
+    path.write_text(json.dumps(fault(valid[kind])))
+    ring_file.write_text(json.dumps(valid["ring"]))
+    argv = {"ring": ["check", str(path)],
+            "invariant": ["classify", str(path), str(ring_file)],
+            "certificate": ["verify-induction", str(path)]}[kind]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {line.format(file=path)}\n")
 
 
 class TestDeterminism:

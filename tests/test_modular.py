@@ -330,9 +330,9 @@ class TestNondegeneracy:
 
 
 class TestVerlinde:
-    @pytest.mark.parametrize("name", ["su2_3", "fibonacci", "trivial"])
+    @pytest.mark.parametrize("name", ["su2_3", "fibonacci", "trivial", "su2_64"])
     def test_roundtrip(self, name, catalog):
-        ring, twists = catalog[name]
+        ring, twists = catalog[name] if name in catalog else su2_level(int(name[4:]))
         md = modular_matrices(ring, twists)
         tensor, dev = verlinde_fusion(md)
         assert dev < 1e-9
