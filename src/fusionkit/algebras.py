@@ -30,15 +30,9 @@ The involution law gathers each entry's mirror from a scratch array of the
 flat cells (``rings._flat_table``), the dimension vector and the trace form
 are sums from one ``np.bincount``, and the commutator rows of the center
 are scattered from each generator's column (a mask) and row (a slice).
-Associativity is ``rings._associativity_violations``.  It checks the left
-labels of the generating set first, which needs no unit (the
-matrix units e11, e12, e21 generate M2) and leaves out a unit label that
-obeys the unit law, and every label only when one of them fails: the left
-labels that associate with everything form a subalgebra.  It composes index
-maps for a single-constituent table such as a group algebra, otherwise
-takes float products in blocks, exact in float32 while n max(N)^2 < 2^24
-and in float64 while it is below 2^53 (``numerics.exact_float``; larger
-tables raise ``NumericError``).
+Associativity is ``rings._associativity_violations``, as the ``rings``
+module docstring describes it; it needs no unit label (the matrix units
+e11, e12, e21 generate M2).
 """
 from __future__ import annotations
 
@@ -51,7 +45,7 @@ import numpy as np
 
 from .errors import NumericError, StructureError
 from .rings import (ValidationReport, Violation, _antiautomorphism_violations,
-                    _associativity_violations, _involution_violations,
+                    _associativity_violations, _int_array, _involution_violations,
                     _precheck_labels, _row, _sequence, _SparseStructure, _unit_violations)
 
 _RANK_RTOL = 1e-7  # singular-value threshold, relative to the largest
@@ -85,20 +79,21 @@ class BasedAlgebra(_SparseStructure):
     @classmethod
     def from_group_table(cls, table) -> "BasedAlgebra":
         """Group algebra on labels g0, g1, ... from table[i][j] = index of g_i g_j."""
-        table = [list(row) for row in table]
-        n = len(table)
-        unit = next((e for e in range(n)
-                     if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
-        if unit is None:
+        t = _int_array(table)
+        n = 0 if t is None else len(t)
+        if t is None or t.shape != (n, n):
+            raise StructureError("multiplication table must be a square array of integers")
+        e = np.arange(n)
+        units = np.flatnonzero(np.all(t == e, axis=1) & np.all(t.T == e, axis=1))
+        if not units.size:
             raise StructureError("multiplication table has no unit element")
-        dual = [0] * n
-        for g in range(n):
-            inv = [h for h in range(n) if table[g][h] == unit]
-            if len(inv) != 1:
-                raise StructureError(f"element {g} does not have a unique inverse")
-            dual[g] = inv[0]
-        structure = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
-        return cls([f"g{i}" for i in range(n)], unit, dual, structure)
+        inverses = t == units[0]
+        bad = np.flatnonzero(np.count_nonzero(inverses, axis=1) != 1)
+        if bad.size:
+            raise StructureError(f"element {bad[0]} does not have a unique inverse")
+        a, b = np.indices((n, n)).reshape(2, -1)
+        return cls([f"g{i}" for i in range(n)], int(units[0]), np.argmax(inverses, axis=1),
+                   np.stack([a, b, t.reshape(-1), np.ones_like(a)], axis=1))
 
     def _key(self) -> tuple:
         return super()._key() + (self.dims,)

@@ -8,6 +8,8 @@ for each braiding chirality.  Certificates are verified, never constructed:
 building the branching data genuinely requires operator-level input that
 this package does not model.  The verifiable consequences are:
 
+* structure: the base passes ``validate_fusion_ring`` and the extended
+  algebra ``validate_based_algebra``;
 * unit row: both inductions send the base unit to the extended unit;
 * dimension preservation: sum_beta A[l,beta] d_beta = d_l;
 * homomorphism: with v_l = sum_beta A[l,beta] [beta], the exact integer
@@ -34,10 +36,8 @@ N and N_mm from the columns in that dtype and compares the sides in blocks
 of l, so the (l, beta, gamma) intermediate is never formed whole.  The
 generating identity, a float comparison at ``GEN_TOL``, needs no bound: it
 is bilinear, one product of two vectors (``verify_generating``).  The theta
-bound sums the columns exactly.  The associativity check
-(``validate_based_algebra``) runs over the left labels of a generating set
-of the extended algebra, and over every label only when one of them fails:
-the labels that associate on the left with everything form a subalgebra.
+bound sums the columns exactly.  The ``structure`` check decides the
+associativity of both tables as the ``rings`` module docstring describes.
 """
 from __future__ import annotations
 
@@ -51,47 +51,52 @@ from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
 from .invariants import _unit_entry, check_invariance, invariant_counts
 from .modular import ModularData, TwistData, modular_matrices
 from .numerics import exact_float, max_abs, readonly
-from .rings import _INTS, FusionRing, _blocks, _int_array, _scatter
+from .rings import (_INTS, FusionRing, _blocks, _int_array, _scatter, _top,
+                    validate_fusion_ring)
 
 DIM_TOL = 1e-6
 GEN_TOL = 1e-6
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class InductionCertificate:
     """Immutable bundle: base ring + twists, extended algebra with dimension
     vector, branching matrices per chirality, optional theta branching and a
     declared intermediate-sector count."""
 
-    __slots__ = ("ring", "twists", "mm", "aplus", "aminus", "theta", "nm_count")
+    ring: FusionRing
+    twists: TwistData
+    mm: BasedAlgebra
+    aplus: np.ndarray
+    aminus: np.ndarray
+    theta: tuple[int, ...] | None = None
+    nm_count: int | None = None
 
-    def __init__(self, ring: FusionRing, twists: TwistData, mm: BasedAlgebra,
-                 aplus, aminus, theta=None, nm_count=None):
-        aplus, aminus = _integer_matrix(aplus), _integer_matrix(aminus)
-        shape = (ring.size, mm.size)
+    def __post_init__(self):
+        aplus, aminus = _integer_matrix(self.aplus), _integer_matrix(self.aminus)
+        shape = (self.ring.size, self.mm.size)
         if aplus.shape != shape or aminus.shape != shape:
             raise StructureError(
                 f"branching matrices must be {shape}, got {aplus.shape} and {aminus.shape}")
         if np.any(aplus < 0) or np.any(aminus < 0):
             raise StructureError("branching multiplicities must be non-negative")
-        if mm.dims is None:
+        if self.mm.dims is None:
             raise StructureError("extended algebra needs a dimension vector")
-        if mm.unit is None:
+        if self.mm.unit is None:
             raise StructureError("extended algebra needs a unit basis element")
+        theta, nm_count = self.theta, self.nm_count
         if theta is not None:
             theta = _integer_matrix(theta)
-            if theta.shape != (ring.size,) or np.any(theta < 0):
+            if theta.shape != (self.ring.size,) or np.any(theta < 0):
                 raise StructureError("theta branching must be per-base-label non-negative")
             theta = tuple(theta.tolist())
         if nm_count is not None and (type(nm_count) not in _INTS or nm_count < 0):
             raise StructureError(
                 f"intermediate-sector count must be a non-negative integer, got {nm_count!r}")
-        values = (ring, twists, mm, readonly(aplus), readonly(aminus), theta,
+        values = (readonly(aplus), readonly(aminus), theta,
                   None if nm_count is None else int(nm_count))
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(("aplus", "aminus", "theta", "nm_count"), values):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("InductionCertificate is immutable")
 
     def branching(self, sign: str) -> np.ndarray:
         if sign == "+":
@@ -191,11 +196,6 @@ def verify_homomorphism(cert: InductionCertificate, sign: str) -> HomomorphismRe
     return HomomorphismReport(sign=sign, passed=True, violation=None)
 
 
-def _top(structure) -> int:
-    """max(N), from the columns (0 for an empty table)."""
-    return int(structure.columns()[3].max(initial=0))
-
-
 def _exact_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X @ Y for non-negative integer arrays, exactly: in int64 when every
     sum is below 2^63 (they are at most rowsum(X) max(Y), summed here as
@@ -267,10 +267,12 @@ def full_report(cert: InductionCertificate, *,
     checks: list[CheckResult] = []
     ring, mm = cert.ring, cert.mm
 
-    mm_report = validate_based_algebra(mm)
-    checks.append(CheckResult("structure", mm_report.ok,
-                              "extended algebra axioms hold" if mm_report.ok
-                              else f"extended algebra invalid: {mm_report.axioms()}"))
+    invalid = [f"{what} invalid: {rep.axioms()}"
+               for what, rep in (("base ring", validate_fusion_ring(ring)),
+                                 ("extended algebra", validate_based_algebra(mm)))
+               if not rep.ok]
+    checks.append(CheckResult("structure", not invalid, "; ".join(invalid)
+                              or "base ring and extended algebra axioms hold"))
 
     e_nn, e_mm = ring.unit, mm.unit
     unit_ok = all(A[e_nn, e_mm] == 1 and A[e_nn].sum() == 1 for A in (cert.aplus, cert.aminus))

@@ -29,20 +29,16 @@ TOL_ENV = "FUSIONKIT_TOL"
 _QUARTER = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-def default_tolerance() -> float:
-    """Global tolerance: FUSIONKIT_TOL if set, else 1e-9, by the rule of ``tolerance``."""
-    raw = os.environ.get(TOL_ENV, DEFAULT_TOL)
-    try:
-        return tolerance(raw)
-    except ValueError:
-        raise ValueError(f"{TOL_ENV} must be a finite float > 0, got {raw!r}") from None
-
-
 def tolerance(value: float | str | None = None) -> float:
-    """``value``, or ``default_tolerance()`` when None, as a float: the one rule
-    for every tolerance is finite and > 0, and any other value is a ValueError."""
+    """``value``, or when None the global tolerance (FUSIONKIT_TOL if set, else
+    1e-9), as a float: the one rule for every tolerance is finite and > 0,
+    and any other value is a ValueError."""
     if value is None:
-        return default_tolerance()
+        raw = os.environ.get(TOL_ENV, DEFAULT_TOL)
+        try:
+            return tolerance(raw)
+        except ValueError:
+            raise ValueError(f"{TOL_ENV} must be a finite float > 0, got {raw!r}") from None
     if not 0 < float(value) < math.inf:
         raise ValueError(f"a tolerance must be finite and > 0, got {value!r}")
     return float(value)

@@ -182,11 +182,7 @@ def _table_columns(table, n: int, width: int) -> tuple[np.ndarray, ...]:
         rows = rows.reshape(0, width)
     if (rows is not None and rows.ndim == 2 and rows.shape[1] == width
             and rows.min(initial=0) >= 0 and rows[:, :-1].max(initial=0) < n):
-        # the flat key of the checked indices; below n^3 < 2^63 (_MAX_LABELS)
-        key = rows[:, 0].copy()
-        for col in rows.T[1:-1]:
-            key *= n
-            key += col
+        key = _flat_key(n, *rows.T[:-1])  # below n^3 < 2^63 (_MAX_LABELS)
         if np.all(key[1:] > key[:-1]) and rows[:, -1].min(initial=1) > 0:
             if rows is table and (table.flags.writeable or not table.flags.owndata):
                 rows = rows.copy(order="F")
@@ -323,9 +319,7 @@ class FusionRing(_SparseStructure):
         return self._dimensions
 
     def conjugation_matrix(self) -> np.ndarray:
-        C = np.zeros((self.size, self.size), dtype=np.int64)
-        C[np.arange(self.size), self.dual] = 1
-        return readonly(C)
+        return readonly(_matrix(np.arange(self.size), self.dual, 1, self.size))
 
 
 @dataclass(frozen=True)
@@ -393,21 +387,26 @@ def _matrix(x: np.ndarray, y: np.ndarray, values: np.ndarray, n: int) -> np.ndar
     return m
 
 
-def _flat_key(i: np.ndarray, j: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    """The flat cell (i n + j) n + k of index columns, in one new array."""
-    key = np.multiply(i, n)
-    key += j
-    key *= n
-    key += k
+def _flat_key(n: int, first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """The flat cell (i n + j) n + k of index columns i, j, k (any number of
+    them), in one new array."""
+    key = np.array(first, dtype=np.int64)
+    for col in rest:
+        key *= n
+        key += col
     return key
+
+
+def _top(structure: _SparseStructure) -> int:
+    """max(N), from the columns (0 for an empty table)."""
+    return int(structure.columns()[3].max(initial=0))
 
 
 def _flat_table(structure: _SparseStructure) -> np.ndarray:
     """N[a,b]^c at the flat cell (a n + b) n + c, zero elsewhere, in the
     narrowest unsigned dtype that holds max(N): scratch for the exact
     lookups of one check, never kept."""
-    top = int(structure.columns()[3].max(initial=0))
-    return _scatter(structure, np.min_scalar_type(top)).reshape(-1)
+    return _scatter(structure, np.min_scalar_type(_top(structure))).reshape(-1)
 
 
 def _scatter(structure: _SparseStructure, dtype) -> np.ndarray:
@@ -415,7 +414,7 @@ def _scatter(structure: _SparseStructure, dtype) -> np.ndarray:
     n = structure.size
     t = np.zeros((n, n, n), dtype)
     a, b, c, mult = structure.columns()
-    t.reshape(-1)[_flat_key(a, b, c, n)] = mult
+    t.reshape(-1)[_flat_key(n, a, b, c)] = mult
     return t
 
 
@@ -448,8 +447,8 @@ def _frobenius_violations(ring: _SparseStructure) -> list[Violation]:
     x, y, z, mult = ring.columns()
     if np.array_equal(np.sort(d), np.arange(n)):
         flat = _flat_table(ring)
-        if (np.array_equal(flat[_flat_key(d[x], z, y, n)], mult)
-                and np.array_equal(flat[_flat_key(z, d[y], x, n)], mult)):
+        if (np.array_equal(flat[_flat_key(n, d[x], z, y)], mult)
+                and np.array_equal(flat[_flat_key(n, z, d[y], x)], mult)):
             return []
     T = _scatter(ring, np.int64)
     left = T[d].transpose(0, 2, 1)  # [a,b,c] -> N[dual a, c]^b
@@ -465,7 +464,7 @@ def _antiautomorphism_violations(alg: _SparseStructure) -> list[Violation]:
     and listed by (a, b, c); each mirror is read from ``_flat_table``."""
     n, d = alg.size, np.asarray(alg.dual)
     a, b, c, mult = alg.columns()
-    mirrored = _flat_table(alg)[_flat_key(d[b], d[a], d[c], n)]
+    mirrored = _flat_table(alg)[_flat_key(n, d[b], d[a], d[c])]
     bad = np.flatnonzero(mirrored != mult)
     return [Violation("involution", (a, b, c), f"N[{a},{b}]^{c} = {v} but "
                                                f"N[{d[b]},{d[a]}]^{d[c]} = {mv}")
@@ -497,12 +496,10 @@ def _associativity_violations(structure: _SparseStructure,
     """
     n = structure.size
     a, b, c, mult = structure.columns()
-    top = int(mult.max(initial=0))
+    top = _top(structure)
     dtype = exact_float(n * top * top, f"associativity sums up to {n} * {top}^2")
     if not np.any((a[1:] == a[:-1]) & (b[1:] == b[:-1])):
-        P, M = np.zeros((2, n, n), dtype=np.int64)
-        P[a, b], M[a, b] = c, mult
-        sides = partial(_composed_sides, P, M, dtype)
+        sides = partial(_composed_sides, _matrix(a, b, c, n), _matrix(a, b, mult, n), dtype)
     else:
         sides = partial(_product_sides, _scatter(structure, dtype))
     if next(sides(generators), None) is None:

@@ -43,7 +43,8 @@ from .errors import SchemaError, StructureError
 from .induction import InductionCertificate
 from .invariants import MassMatrix, invariant_counts
 from .modular import TwistData
-from .rings import _INTS, FusionRing, _checked_header, _table_columns
+from .rings import (_INTS, FusionRing, _checked_header, _involution_violations, _matrix,
+                    _table_columns)
 
 
 # ---------------------------------------------------------------- rationals
@@ -130,9 +131,7 @@ def z_matrix_from_dict(obj: Any, n: int, where: str = "invariant") -> np.ndarray
         l, m, v = _table_columns(obj["entries"], n, 3)
     except StructureError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    Z = np.zeros((n, n), dtype=np.int64)
-    Z[l, m] = v
-    return Z
+    return _matrix(l, m, v, n)
 
 
 def z_matrix_to_csv(Z: np.ndarray, labels: list[str]) -> str:
@@ -217,7 +216,7 @@ def _orbit_rows(table: FusionRing | BasedAlgebra) -> np.ndarray | None:
     the axioms of a fusion ring make it invariant under cyclic shifts, and
     commutativity (every braided ring) under the rest."""
     dual = np.array(table.dual)
-    if not np.array_equal(dual[dual], np.arange(table.size)):
+    if _involution_violations(dual):
         return None
     a, b, c, mult = columns = table.columns()
     z = dual[c]
@@ -296,11 +295,9 @@ def _orbit_entries(obj: dict, where: str, key: str) -> np.ndarray:
     if np.any(x > y) or np.any(y > z):
         row = next(row for row in rows if not row[0] <= row[1] <= row[2])
         raise SchemaError(f"{where}.{key}: row {row} is not sorted as x <= y <= z")
-    bad = np.flatnonzero(dual[dual] != np.arange(n))
-    if bad.size:
-        a = bad[0]
-        raise SchemaError(f"{where}.dual: dual(dual({a})) = {dual[dual[a]]}, "
-                          f"but {key} needs an involution")
+    bad = _involution_violations(dual)
+    if bad:
+        raise SchemaError(f"{where}.dual: {bad[0].detail}, but {key} needs an involution")
     return _expand_orbits((x, y, z, mult), dual)
 
 
@@ -331,8 +328,8 @@ def certificate_to_dict(cert: InductionCertificate) -> dict:
     obj: dict[str, Any] = {
         "nn": ring_to_dict(cert.ring, cert.twists),
         "mm": algebra_to_dict(cert.mm),
-        "aplus": [[int(x) for x in row] for row in cert.aplus],
-        "aminus": [[int(x) for x in row] for row in cert.aminus],
+        "aplus": cert.aplus.tolist(),
+        "aminus": cert.aminus.tolist(),
     }
     if cert.theta is not None:
         obj["theta"] = list(cert.theta)

@@ -3,9 +3,10 @@ axiom checking, dense forms of the permutation-law checks and of the
 center, the duplicate rule by a stable sort, phases through ``Fraction``
 arithmetic, quantum dimensions from the dense table, the closed-form SU(2)
 S matrix, exact monodromy spectra and statistics characters, classical
-group tables with their character degrees, closed-form expected invariants
-for the SU(2) series (identity, D-type blocks/permutations, exceptional
-blocks), the relabelling of a model, the Deligne product of two models and
+group tables with their character degrees and an entry-by-entry group
+algebra, a well-formed table that is not a fusion ring, closed-form
+expected invariants for the SU(2) series (identity, D-type
+blocks/permutations, exceptional blocks), the relabelling of a model, the Deligne product of two models and
 a raw depth-first search for modular invariants.  ``refuse_int64_scatter``
 makes a test fail when fusionkit builds a dense int64 table.
 
@@ -27,8 +28,8 @@ from typing import Mapping
 
 import numpy as np
 
-from fusionkit import (FusionRing, ModularData, NondegeneracyRequired, StructureError,
-                       TwistData, twist_sparsity, validate_twists)
+from fusionkit import (BasedAlgebra, FusionRing, ModularData, NondegeneracyRequired,
+                       StructureError, TwistData, twist_sparsity, validate_twists)
 from fusionkit import rings
 from fusionkit.numerics import max_abs, mod1, scaled_tol, unit_phase
 from fusionkit.rings import DimensionVector
@@ -378,6 +379,27 @@ GROUP_FIXTURES = {
     "z2xs3": (product_table(cyclic_table(2), symmetric_table(3)), (2, 2, 1, 1, 1, 1)),
     "z3xz4": (product_table(cyclic_table(3), cyclic_table(4)), (1,) * 12),
 }
+
+
+def reference_group_algebra(table):
+    """The group algebra of ``table`` built entry by entry: the first e whose
+    row and column are the identity is the unit, the h with g h = e is the
+    inverse of g, and {(i, j, table[i][j]): 1} is the structure."""
+    n = len(table)
+    unit = next(e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n)))
+    dual = [next(h for h in range(n) if table[g][h] == unit) for g in range(n)]
+    return BasedAlgebra([f"g{i}" for i in range(n)], unit, dual,
+                        {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)})
+
+
+def unconjugated_z3():
+    """The Z_3 table N[a,b]^{(a+b) mod 3} = 1 with the identity as dual map
+    and twists 0, 1/3, 1/3: every entry is well formed, but it is not a
+    fusion ring (N[1,1]^0 = 0 breaks the conjugate and Frobenius laws)."""
+    a, b = np.indices((3, 3)).reshape(2, -1)
+    ring = FusionRing(["0", "1", "2"], 0, [0, 1, 2],
+                      np.stack([a, b, (a + b) % 3, np.ones_like(a)], axis=1))
+    return ring, TwistData([Fraction(0), Fraction(1, 3), Fraction(1, 3)])
 
 
 def permute_table(table, perm):

@@ -12,7 +12,14 @@ from fusionkit.rings import _generating_labels
 
 from helpers import (GROUP_FIXTURES, brute_force_associativity, cyclic_table,
                      dense, dense_center_projector, permute_table, product_model,
-                     product_table, symmetric_table, table_dict, table_rows)
+                     product_table, reference_group_algebra, symmetric_table, table_dict,
+                     table_rows)
+
+
+# the group fixtures and the two 72-element products of the benchmark
+GROUP_TABLES = {**{name: table for name, (table, _) in GROUP_FIXTURES.items()},
+                "d6xs3": product_table(GROUP_FIXTURES["d6"][0], GROUP_FIXTURES["s3"][0]),
+                "s4xz3": product_table(GROUP_FIXTURES["s4"][0], GROUP_FIXTURES["z3"][0])}
 
 
 def is_commutative(alg):
@@ -64,6 +71,26 @@ class TestConstruction:
     def test_table_without_unit_rejected(self):
         with pytest.raises(StructureError):
             BasedAlgebra.from_group_table([[1, 1], [1, 1]])
+
+    def test_element_without_unique_inverse_rejected(self):
+        with pytest.raises(StructureError) as exc:
+            BasedAlgebra.from_group_table([[0, 1], [1, 1]])
+        assert str(exc.value) == "element 1 does not have a unique inverse"
+
+    @pytest.mark.parametrize("table", [[[0, 1], [1]], [[0, 1, 2], [1, 2, 0]], [[0.0]], "ab"])
+    def test_malformed_table_rejected(self, table):
+        with pytest.raises(StructureError) as exc:
+            BasedAlgebra.from_group_table(table)
+        assert str(exc.value) == "multiplication table must be a square array of integers"
+
+    @pytest.mark.parametrize("name", sorted(GROUP_TABLES))
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_from_group_table_matches_entry_by_entry_build(self, name, relabel):
+        # relabelling by the reversal moves the unit off label 0
+        table = GROUP_TABLES[name]
+        if relabel:
+            table = permute_table(table, list(reversed(range(len(table)))))
+        assert BasedAlgebra.from_group_table(table) == reference_group_algebra(table)
 
     def test_duplicate_structure_key(self):
         with pytest.raises(StructureError):

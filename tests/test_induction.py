@@ -11,7 +11,7 @@ from fusionkit import (BasedAlgebra, CertificateError, InductionCertificate,
 from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.invariants import invariant_counts
 
-from helpers import permute_model, table_dict
+from helpers import permute_model, table_dict, unconjugated_z3
 
 
 def corrupted(cert, **changes):
@@ -84,6 +84,21 @@ class TestConstruction:
     def test_negative_nm_count(self):
         with pytest.raises(StructureError, match="non-negative"):
             corrupted(trivial_certificate(*su2_level(4)), nm_count=-3)
+
+
+    def test_branching_sign_must_be_plus_or_minus(self):
+        cert = trivial_certificate(*su2_level(2))
+        with pytest.raises(StructureError) as exc:
+            cert.branching("x")
+        assert str(exc.value) == "sign must be '+' or '-', got 'x'"
+
+    def test_fields_cannot_be_assigned(self):
+        cert = trivial_certificate(*su2_level(2))
+        with pytest.raises(AttributeError):
+            cert.nm_count = 3
+        assert cert.nm_count is None
+        # equality is identity: an equal copy is another certificate
+        assert cert == cert and cert != corrupted(cert)
 
 
 class TestHomomorphism:
@@ -251,6 +266,32 @@ class TestFullReport:
         monkeypatch.setenv("FUSIONKIT_TOL", "1e-25")
         report = full_report(trivial_certificate(*su2_level(10)), tol=1e-6)
         assert report.passed, report.failures
+
+    def test_unknown_check_name_is_a_key_error(self):
+        report = full_report(trivial_certificate(*su2_level(2)))
+        assert report["structure"].detail == "base ring and extended algebra axioms hold"
+        with pytest.raises(KeyError):
+            report["nope"]
+
+    def test_base_that_is_not_a_fusion_ring_fails_structure(self):
+        # every other check passes on this base, so only structure catches it
+        report = full_report(trivial_certificate(*unconjugated_z3()))
+        assert not report.passed
+        assert report.failures == ("structure",)
+        assert report["structure"].detail == "base ring invalid: ('conjugate', 'frobenius')"
+
+    @pytest.mark.parametrize("base, prefix", [
+        (su2_level(2), ""),
+        (unconjugated_z3(), "base ring invalid: ('conjugate', 'frobenius'); ")],
+        ids=["valid base", "invalid base"])
+    def test_structure_detail_names_each_invalid_table(self, base, prefix):
+        # d_1 = 2 breaks the multiplicativity of the extended algebra's dims
+        cert = trivial_certificate(*base)
+        mm = BasedAlgebra(cert.mm.labels, cert.mm.unit, cert.mm.dual, table_dict(cert.mm),
+                          dims=[1, 2, 1])
+        check = full_report(corrupted(cert, mm=mm))["structure"]
+        assert not check.passed
+        assert check.detail == prefix + "extended algebra invalid: ('dimension',)"
 
     def test_wrong_declared_count_fails(self):
         report = full_report(corrupted(trivial_certificate(*su2_level(4)), nm_count=7))

@@ -16,7 +16,7 @@ from fusionkit.induction import (InductionCertificate, conjugation_certificate,
                                  trivial_certificate)
 from fusionkit import serialize
 
-from helpers import GROUP_FIXTURES, cyclic_table, full_form, permute_model
+from helpers import GROUP_FIXTURES, cyclic_table, full_form, permute_model, unconjugated_z3
 
 
 def counted_certificate(k, nm_count, theta=None):
@@ -628,6 +628,19 @@ class TestCLI:
         assert main(["verify-induction", str(path)]) == 1
         assert "FAIL nondegeneracy" in capsys.readouterr().out
 
+    def test_verify_induction_base_not_a_fusion_ring_exits_1(self, tmp_path, capsys):
+        ring, twists = unconjugated_z3()
+        ring_path, cert_path = tmp_path / "z3.json", tmp_path / "cert.json"
+        ring_path.write_text(serialize.dumps(serialize.ring_to_dict(ring, twists)))
+        cert_path.write_text(serialize.dumps(serialize.certificate_to_dict(
+            trivial_certificate(ring, twists))))
+        assert main(["check", str(ring_path)]) == 1
+        capsys.readouterr()
+        assert main(["verify-induction", str(cert_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "FAIL structure: base ring invalid: ('conjugate', 'frobenius')"
+        assert all(line.startswith("pass ") for line in lines[1:])
+
     def test_verify_induction_inexact_sums_exit_1(self, tmp_path, capsys):
         obj = serialize.certificate_to_dict(trivial_certificate(*cyclic_model(2, 1)))
         obj["aplus"] = [[1, 0], [2**63 - 1, 0]]
@@ -796,12 +809,12 @@ class TestCLI:
                                            "positive\n")
 
     def test_tol_env_override(self, monkeypatch):
-        from fusionkit.numerics import default_tolerance
+        from fusionkit.numerics import tolerance
         monkeypatch.setenv("FUSIONKIT_TOL", "1e-6")
-        assert default_tolerance() == 1e-6
+        assert tolerance() == 1e-6
         monkeypatch.setenv("FUSIONKIT_TOL", "bogus")
         with pytest.raises(ValueError):
-            default_tolerance()
+            tolerance()
 
     def test_text_output_golden(self, tmp_path, capsys):
         ring_file = str(tmp_path / "s.json")

@@ -248,6 +248,17 @@ class TestStructuralErrors:
             FusionRing(["0"], 0, [0], table)
         assert str(exc.value) == message
 
+    def test_mapping_key_that_is_not_a_tuple_named(self):
+        with pytest.raises(StructureError) as exc:
+            FusionRing(["0"], 0, [0], {1: 1})
+        assert str(exc.value) == "structure entry (1, 1) is not (a, b, c, mult)"
+
+    def test_repr_and_hash(self):
+        ring = FusionRing(["0", "1", "2"], 0, [0, 1, 2], su2_2_entries())
+        same = FusionRing(["0", "1", "2"], 0, [0, 1, 2], table_rows(ring))
+        assert repr(ring) == "FusionRing(3 labels, unit='0')"
+        assert same == ring and hash(same) == hash(ring)
+
     def test_input_forms_agree(self, catalog):
         # a list, a mapping, integer and object arrays and a shuffled list
         # give one ring
