@@ -19,8 +19,8 @@ Subcommands:
 
 Each subcommand takes only the flags it reads; each gen family is a
 subcommand with its own required flag.  --tol, finite and > 0, defaults to
-FUSIONKIT_TOL, held to the same rule, or else to 1e-9.  Exit codes: 0 all
-checks pass, 1 checks failed, 2 usage or I/O error, 3 internal error.
+1e-9.  Exit codes: 0 all checks pass, 1 checks failed, 2 usage or I/O
+error, 3 internal error.
 Every command calls only public library functions.
 """
 from __future__ import annotations
@@ -252,11 +252,10 @@ class _SubcommandParser(argparse.ArgumentParser):
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it as it
-    was, and ``main`` reads FUSIONKIT_TOL after parsing, on every call."""
+    """The argument parser, built once per process: parsing leaves it as it was."""
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=tolerance, default=None,
-                     help="global tolerance, finite and > 0 (default 1e-9 or FUSIONKIT_TOL)")
+                     help="global tolerance, finite and > 0 (default 1e-9)")
     json_format = argparse.ArgumentParser(add_help=False)
     json_format.add_argument("--format", choices=("text", "json"), default="text")
     csv_format = argparse.ArgumentParser(add_help=False)
@@ -321,13 +320,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if hasattr(args, "tol"):  # None reads FUSIONKIT_TOL
-            args.tol = tolerance(args.tol)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except ValueError as exc:  # a FUSIONKIT_TOL that breaks the tolerance rule
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (SchemaError, StructureError, TwistError) as exc:

@@ -280,12 +280,16 @@ def full_report(cert: InductionCertificate, *,
                               "unit label induces the extended unit once" if unit_ok
                               else "unit row is not the standard basis vector at the extended unit"))
 
-    d = ring.dimensions().d
-    dm = np.array(mm.dims)
-    worst = max(max_abs(cert.aplus @ dm - d), max_abs(cert.aminus @ dm - d))
-    dim_ok = worst <= DIM_TOL * max(1.0, float(np.max(d)))
-    checks.append(CheckResult("dimension", dim_ok,
-                              f"max |A d_mm - d_nn| = {worst:.2e}"))
+    try:
+        d = ring.dimensions().d
+    except FusionKitError as exc:  # no Perron-Frobenius eigenvector
+        checks.append(CheckResult("dimension", False, f"no quantum dimensions: {exc}"))
+    else:
+        dm = np.array(mm.dims)
+        worst = max(max_abs(cert.aplus @ dm - d), max_abs(cert.aminus @ dm - d))
+        dim_ok = worst <= DIM_TOL * max(1.0, float(np.max(d)))
+        checks.append(CheckResult("dimension", dim_ok,
+                                  f"max |A d_mm - d_nn| = {worst:.2e}"))
 
     for sign, name in (("+", "homomorphism_plus"), ("-", "homomorphism_minus")):
         rep = verify_homomorphism(cert, sign)

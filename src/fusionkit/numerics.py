@@ -15,7 +15,6 @@ each phase without building a ``Fraction``.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -23,22 +22,17 @@ import numpy as np
 from .errors import NumericError
 
 DEFAULT_TOL = 1e-9
-TOL_ENV = "FUSIONKIT_TOL"
 
 # exact values of i**k for quadrant reduction
 _QUARTER = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def tolerance(value: float | str | None = None) -> float:
-    """``value``, or when None the global tolerance (FUSIONKIT_TOL if set, else
-    1e-9), as a float: the one rule for every tolerance is finite and > 0,
-    and any other value is a ValueError."""
+    """``value``, or when None the global tolerance 1e-9, as a float: the one
+    rule for every tolerance is finite and > 0, and any other value is a
+    ValueError."""
     if value is None:
-        raw = os.environ.get(TOL_ENV, DEFAULT_TOL)
-        try:
-            return tolerance(raw)
-        except ValueError:
-            raise ValueError(f"{TOL_ENV} must be a finite float > 0, got {raw!r}") from None
+        return DEFAULT_TOL
     if not 0 < float(value) < math.inf:
         raise ValueError(f"a tolerance must be finite and > 0, got {value!r}")
     return float(value)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit import (BasedAlgebra, CertificateError, InductionCertificate,
+from fusionkit import (BasedAlgebra, CertificateError, FusionRing, InductionCertificate,
                        NondegeneracyRequired, NumericError, StructureError, TwistData,
                        compute_Z_from_branching, conjugation_certificate,
                        full_report, modular_matrices, quantum_dimensions,
@@ -261,11 +261,13 @@ class TestFullReport:
             full_report(trivial_certificate(*su2_level(2)))
 
     def test_tol_argument_reaches_every_check(self, monkeypatch):
-        # a tolerance far below float noise in the environment must not
-        # reach any check when full_report is given its own
+        # a tolerance far below float noise in the environment reaches no
+        # check: full_report runs at its own tol, or at 1e-9 given none
         monkeypatch.setenv("FUSIONKIT_TOL", "1e-25")
-        report = full_report(trivial_certificate(*su2_level(10)), tol=1e-6)
-        assert report.passed, report.failures
+        cert = trivial_certificate(*su2_level(10))
+        for tol in (1e-6, None):
+            report = full_report(cert, tol=tol)
+            assert report.passed, (tol, report.failures)
 
     def test_unknown_check_name_is_a_key_error(self):
         report = full_report(trivial_certificate(*su2_level(2)))
@@ -279,6 +281,26 @@ class TestFullReport:
         assert not report.passed
         assert report.failures == ("structure",)
         assert report["structure"].detail == "base ring invalid: ('conjugate', 'frobenius')"
+
+    def test_base_without_quantum_dimensions_gets_every_check(self):
+        # the semion table without N[1,1]^0 has no Perron-Frobenius vector,
+        # so the dimension and modular checks fail and the others still run
+        ring, twists = cyclic_model(2, 1)
+        base = FusionRing(ring.labels, ring.unit, ring.dual,
+                          [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]])
+        eye = np.eye(2, dtype=np.int64)
+        report = full_report(InductionCertificate(
+            base, twists, trivial_certificate(ring, twists).mm, eye, eye))
+        assert [c.name for c in report.checks] == [
+            "structure", "unit_row", "dimension", "homomorphism_plus", "homomorphism_minus",
+            "z_matrix", "modular_invariance", "nondegeneracy", "generating", "counts"]
+        assert report["structure"].detail == "base ring invalid: ('conjugate', 'frobenius')"
+        no_dims = "power iteration did not converge in 100000 steps"
+        assert report["dimension"].detail == f"no quantum dimensions: {no_dims}"
+        assert report["modular_invariance"].detail == f"no modular data: {no_dims}"
+        assert report.failures == ("structure", "dimension", "homomorphism_plus",
+                                   "homomorphism_minus", "modular_invariance",
+                                   "nondegeneracy", "generating")
 
     @pytest.mark.parametrize("base, prefix", [
         (su2_level(2), ""),

@@ -607,15 +607,15 @@ class TestCLI:
         assert main(["verify-induction", str(path)]) == 0
         assert "pass generating" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("env, tol", [("1e-25", "1e-6"), ("bogus", "1e-9")])
-    def test_verify_induction_tol_flag_overrides_env(self, env, tol, tmp_path, capsys,
-                                                    monkeypatch):
-        # --tol reaches every check, so FUSIONKIT_TOL is never read
+    @pytest.mark.parametrize("env, tol", [("1e-25", "1e-6"), ("bogus", "1e-9"), ("1e-25", None)])
+    def test_verify_induction_ignores_tol_env(self, env, tol, tmp_path, capsys, monkeypatch):
+        # every check runs at --tol or at 1e-9, whatever FUSIONKIT_TOL says
         monkeypatch.setenv("FUSIONKIT_TOL", env)
         path = tmp_path / "cert.json"
         path.write_text(serialize.dumps(serialize.certificate_to_dict(
             trivial_certificate(*su2_level(10)))))
-        assert main(["verify-induction", str(path), "--tol", tol, "--format", "json"]) == 0
+        flags = [] if tol is None else ["--tol", tol]
+        assert main(["verify-induction", str(path), *flags, "--format", "json"]) == 0
         out, err = capsys.readouterr()
         report = json.loads(out)
         assert report["passed"] and all(c["passed"] for c in report["checks"])
@@ -729,36 +729,32 @@ class TestCLI:
         command = argv[:2] if argv[0] == "gen" and argv[1] != "su3" else argv[:1]
         assert err.startswith(f"usage: fusionkit {' '.join(command)} [-h]")
 
-    def test_parser_built_once_gives_fresh_results(self, tmp_path, capsys, monkeypatch):
+    def test_parser_built_once_gives_fresh_results(self, tmp_path, capsys):
         ring, cert = str(tmp_path / "ring.json"), str(tmp_path / "cert.json")
         Path(cert).write_text(serialize.dumps(serialize.certificate_to_dict(
             trivial_certificate(*su2_level(10)))))
-        calls = [  # (FUSIONKIT_TOL, argv); 1e-25 fails non-degeneracy on SU(2)_10
-            (None, ["gen", "su2", "--level", "4", "-o", ring]),
-            (None, ["check", ring]),
-            (None, ["verify-induction", cert, "--format", "json"]),
-            ("1e-25", ["verify-induction", cert, "--format", "json"]),
-            ("1e-25", ["verify-induction", cert, "--tol", "1e-6"]),
-            ("bogus", ["modular", ring, "--print", "S"]),
-            (None, ["modular", ring, "--print", "S", "--format", "json"]),
-            ("1e-6", ["invariants", ring, "--format", "csv"]),
-            (None, ["gen", "su2"]),
-            (None, ["decompose", ring, "--tol", "1e-6"]),
+        calls = [  # --tol 1e-25 fails non-degeneracy on SU(2)_10
+            ["gen", "su2", "--level", "4", "-o", ring],
+            ["check", ring],
+            ["verify-induction", cert, "--format", "json"],
+            ["verify-induction", cert, "--format", "json", "--tol", "1e-25"],
+            ["verify-induction", cert, "--tol", "1e-6"],
+            ["modular", ring, "--print", "S", "--tol", "bogus"],
+            ["modular", ring, "--print", "S", "--format", "json"],
+            ["invariants", ring, "--format", "csv", "--tol", "1e-6"],
+            ["gen", "su2"],
+            ["decompose", ring, "--tol", "1e-6"],
         ]
 
-        def run(env, argv, fresh):
+        def run(argv, fresh):
             if fresh:
                 _parser.cache_clear()
-            if env is None:
-                monkeypatch.delenv("FUSIONKIT_TOL", raising=False)
-            else:
-                monkeypatch.setenv("FUSIONKIT_TOL", env)
             code = main(argv)
             return code, *capsys.readouterr()
 
-        fresh = [run(env, argv, fresh=True) for env, argv in calls]
+        fresh = [run(argv, fresh=True) for argv in calls]
         parser = _parser()
-        reused = [run(env, argv, fresh=False) for env, argv in calls]
+        reused = [run(argv, fresh=False) for argv in calls]
         assert _parser() is parser
         assert reused == fresh
         assert [code for code, _, _ in fresh] == [0, 0, 0, 1, 0, 2, 0, 0, 2, 2]
@@ -779,15 +775,6 @@ class TestCLI:
         assert err.startswith(f"usage: fusionkit {command} ")
         assert err.endswith(f"error: argument --tol: invalid tolerance value: '{tol}'\n")
 
-    def test_tol_env_must_be_finite(self, tmp_path, capsys, monkeypatch):
-        ring = str(tmp_path / "r.json")
-        main(["gen", "su2", "--level", "4", "-o", ring])
-        capsys.readouterr()
-        monkeypatch.setenv("FUSIONKIT_TOL", "inf")
-        assert main(["check", ring]) == 2
-        assert capsys.readouterr() == ("", "error: FUSIONKIT_TOL must be a finite float > 0, "
-                                           "got 'inf'\n")
-
     @pytest.mark.parametrize("command", ["modular", "invariants", "classify"])
     def test_twists_required(self, command, tmp_path, capsys):
         ring, zfile = tmp_path / "bare.json", tmp_path / "z.json"
@@ -807,14 +794,6 @@ class TestCLI:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {path}.fusion: multiplicities must be "
                                            "positive\n")
-
-    def test_tol_env_override(self, monkeypatch):
-        from fusionkit.numerics import tolerance
-        monkeypatch.setenv("FUSIONKIT_TOL", "1e-6")
-        assert tolerance() == 1e-6
-        monkeypatch.setenv("FUSIONKIT_TOL", "bogus")
-        with pytest.raises(ValueError):
-            tolerance()
 
     def test_text_output_golden(self, tmp_path, capsys):
         ring_file = str(tmp_path / "s.json")

@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import (BasedAlgebra, FusionKitError, StructureError, TwistData, VanishingZError,
-                       catalog_models, conjugation_certificate, full_report, modular_matrices,
-                       named_model, search_invariants, trivial_certificate,
-                       validate_based_algebra, validate_fusion_ring)
+                       catalog_models, conjugation_certificate, decompose_semisimple,
+                       full_report, modular_matrices, named_model, search_invariants,
+                       trivial_certificate, validate_based_algebra, validate_fusion_ring,
+                       verify_dimension_theorem)
 from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.induction import _self_certificate, compute_Z_from_branching
 from fusionkit.invariants import check_invariance
@@ -369,7 +370,9 @@ def test_conjugate_twists_keep_the_invariant_list(name):
 def test_permutation_invariants_give_passing_automorphism_certificates():
     # a permutation invariant Z_pi commutes with S, so pi is a fusion
     # automorphism keeping the twists: (A+, A-) = (I, Z^t), with the base
-    # ring as the extended algebra, is a certificate whose mass matrix is Z
+    # ring as the extended algebra, is a certificate whose mass matrix is Z;
+    # its n blocks of size 1 match the n unit entries of Z, and no longer do
+    # once the unit entry is 2
     models = [(ring, twists) for _, ring, twists in catalog_models()]
     models += [su2_level(k) for k in range(17, 31)] + [cyclic_model(n, 1) for n in range(2, 41, 2)]
     z4 = cyclic_model(4, 1)
@@ -390,6 +393,11 @@ def test_permutation_invariants_give_passing_automorphism_certificates():
             report = full_report(cert)
             assert report.passed, (ring.labels, mm.Z.tolist(), report.failures)
             assert np.array_equal(compute_Z_from_branching(cert), mm.Z)
+            profile = decompose_semisimple(cert.mm)
+            assert verify_dimension_theorem(mm.Z, profile)
+            Z = mm.Z.copy()
+            Z[ring.unit, ring.unit] = 2
+            assert not verify_dimension_theorem(Z, profile)
             counts[1] += 1
             counts[2] += not mm.is_identity
     assert counts == [58, 110, 52]
