@@ -2,11 +2,9 @@
 
 The main operation splits such an algebra into simple matrix blocks, once
 its trace form Tr L(x y) has full rank: its kernel is the radical.  The
-center is the nullspace of the commutator constraints with a generating set
-G of labels only (``generating_labels()``, the same G the associativity
-check uses), |G| n rows instead of n^2: in an associative algebra an element
-that commutes with G commutes with everything G generates, which is every
-label.  A random complex central element z is drawn and its left
+center is the nullspace of the commutator constraints with the generating
+set G only, |G| n rows instead of n^2, by the rule of the ``rings`` module
+docstring.  A random complex central element z is drawn and its left
 multiplication matrix is summed from the sparse columns.  On the center,
 L(z) has one eigenvector f per simple block, a multiple of the block's
 central idempotent e, and the block's size s is read off the trace form by
@@ -206,8 +204,7 @@ def _center(alg: BasedAlgebra) -> np.ndarray:
 
     The center is the nullspace of sum_b c_b (N[b,g]^d - N[g,b]^d) = 0, one
     row per (g, d) for g in the generating set G of ``generating_labels()``
-    only: in an associative algebra an element that commutes with G
-    commutes with every product of G, hence with every label.  G is never
+    only, which suffices in an associative algebra (``rings``).  G is never
     empty, so there are at least n rows and the reduced SVD keeps every
     null vector.  The rows of g are scattered from the entries with middle
     index g (a mask of the columns) and first index g (a slice).

@@ -132,7 +132,7 @@ def cmd_modular(args) -> int:
         obj = {
             "labels": list(ring.labels),
             "z": [md.z.real, md.z.imag],
-            "central_charge": serialize.format_rational(md.c),
+            "central_charge": str(md.c),
             "global_index": md.w,
             "nondegenerate": nd.nondegenerate,
             "dimensions": [float(x) for x in md.d],

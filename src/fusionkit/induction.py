@@ -27,17 +27,18 @@ this package does not model.  The verifiable consequences are:
 Z, the theta bound and the Gram sums are integer products, computed in
 Python ints wherever int64 could wrap.
 
-The homomorphism sums are float contractions (BLAS), exact because the
-inputs are non-negative integers: an integer bound on every partial sum,
-read from the columns, goes through ``numerics.exact_float`` (float32 below
-2^24, float64 below 2^53, ``NumericError`` above), the rule of the
-associativity check of the extended algebra.  The check scatters the dense
-N and N_mm from the columns in that dtype and compares the sides in blocks
-of l, so the (l, beta, gamma) intermediate is never formed whole.  The
-generating identity, a float comparison at ``GEN_TOL``, needs no bound: it
-is bilinear, one product of two vectors (``verify_generating``).  The theta
-bound sums the columns exactly.  The ``structure`` check decides the
-associativity of both tables as the ``rings`` module docstring describes.
+The homomorphism sums are float products, exact because the inputs are
+non-negative integers: an integer bound on every partial sum, read from
+the columns, goes through ``numerics.exact_float`` (float32 below 2^24,
+float64 below 2^53, ``NumericError`` above), the rule of the associativity
+check of the extended algebra.  Each row l is one n x m equation read from
+the columns, with no n^3 array (``_homomorphism``); when the ``structure``
+check passed, the rows of the base's generating set decide every row, by
+the rule of the ``rings`` module docstring.  The generating identity, a
+float comparison at ``GEN_TOL``, needs no bound: it is bilinear, one
+product of two vectors (``verify_generating``).  The theta bound sums the
+columns exactly.  The ``structure`` check decides the associativity of
+both tables as the ``rings`` module docstring describes.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
 from .invariants import _unit_entry, check_invariance, invariant_counts
 from .modular import ModularData, TwistData, modular_matrices
 from .numerics import exact_float, max_abs, readonly
-from .rings import (_INTS, FusionRing, _blocks, _int_array, _scatter, _top,
+from .rings import (_INTS, FusionRing, _int_array, _matrix, _row, _top,
                     validate_fusion_ring)
 
 DIM_TOL = 1e-6
@@ -168,31 +169,36 @@ class CertificateReport:
 
 
 def verify_homomorphism(cert: InductionCertificate, sign: str) -> HomomorphismReport:
-    """Exact check of v_l v_m = sum_nu N[l,m]^nu v_nu for one chirality.
+    """Exact check of v_l v_m = sum_nu N[l,m]^nu v_nu for one chirality, on
+    every row l (``_homomorphism``)."""
+    return _homomorphism(cert, sign, range(cert.ring.size))
 
-    The two sides are float contractions, exact under ``exact_float`` for
-    the bounds rowsum(A)^2 max(N_mm) and max_{l,m} sum_nu N[l,m]^nu max(A),
-    whose sums run in float64 (exact below 2^53 and at least 2^53 above,
-    which is all ``exact_float`` tells apart).  N and N_mm are scattered
-    from the columns in that dtype; both sides are formed and compared in
-    blocks of l (``rings._blocks``), and the first differing (l, m, beta)
-    in that order is the violation.
-    """
+
+def _homomorphism(cert: InductionCertificate, sign: str, labels) -> HomomorphismReport:
+    """The identity on the rows ``labels``; the first differing (l, m, beta)
+    in that order is the violation.  Row l is A L_l = P_l A: L_l[gamma,delta]
+    = sum_beta A[l,beta] N_mm[beta,gamma,delta] is one ``np.bincount`` over
+    the extended columns, P_l[m,nu] = N[l,m]^nu a scatter of the row's slice
+    of the base columns.  Both are exact under ``exact_float`` for the bounds
+    rowsum(A)^2 max(N_mm) and max_{l,m} sum_nu N[l,m]^nu max(A), summed in
+    float64: exact below 2^53, at least 2^53 above, which is all it needs."""
     A = cert.branching(sign)
     size, size_mm = A.shape
-    left, right, _, mult = cert.ring.columns()
+    left, right, out, mult = cert.ring.columns()
     rows, pairs = A.sum(axis=1, dtype=float).max(), np.bincount(left * size + right, mult).max()
     bound = max(int(rows) ** 2 * _top(cert.mm), int(pairs) * int(A.max()))
     dtype = exact_float(bound, f"homomorphism[{sign}] sums up to {bound}")
-    N, N_mm = _scatter(cert.ring, dtype), _scatter(cert.mm, dtype)
-    A = A.astype(dtype)
-    for ls in _blocks(size, (2 * size + size_mm) * size_mm * A.itemsize):
-        got = A @ np.tensordot(A[ls], N_mm, axes=(1, 0))  # [l, m, d]
-        want = np.tensordot(N[ls], A, axes=(2, 0))
+    beta, gamma, delta, mult_mm = cert.mm.columns()
+    cells, Af = gamma * size_mm + delta, A.astype(dtype)
+    for l in labels:
+        L = np.bincount(cells, A[l][beta] * mult_mm, size_mm * size_mm).astype(dtype)
+        row = _row(left, l)
+        got = Af @ L.reshape(size_mm, size_mm)
+        want = _matrix(right[row], out[row], mult[row], size).astype(dtype) @ Af
         if not np.array_equal(got, want):
-            l, m, b = (int(x) for x in np.argwhere(got != want)[0])
+            m, b = (int(x) for x in np.argwhere(got != want)[0])
             return HomomorphismReport(sign=sign, passed=False, violation=(
-                ls.start + l, m, b, int(got[l, m, b]), int(want[l, m, b])))
+                l, m, b, int(got[m, b]), int(want[m, b])))
     return HomomorphismReport(sign=sign, passed=True, violation=None)
 
 
@@ -292,7 +298,9 @@ def full_report(cert: InductionCertificate, *,
                                   f"max |A d_mm - d_nn| = {worst:.2e}"))
 
     for sign, name in (("+", "homomorphism_plus"), ("-", "homomorphism_minus")):
-        rep = verify_homomorphism(cert, sign)
+        rep = _homomorphism(cert, sign, ring.generating_labels())
+        if invalid or not rep.passed:  # G decides every row only if both tables are associative
+            rep = verify_homomorphism(cert, sign)
         checks.append(CheckResult(name, rep.passed, str(rep)))
 
     Z = _exact_product(cert.aplus, cert.aminus.T)

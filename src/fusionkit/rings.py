@@ -30,22 +30,27 @@ narrowest unsigned dtype that holds max(N), built for that one check.
 Frobenius reciprocity is decided the same way when the dual is a
 permutation.
 
-Associativity is decided on a generating set of labels: the left labels a
-with (a x) y = a (x y) for all x, y (the left nucleus) form a subalgebra, so
-it is enough to check a set G whose products prove every label to lie in
-the algebra G generates (``generating_labels()``, a least fixed point on the
-pattern N > 0, found once per table; G = {0, 1} for SU(2)_k).  When the
-unit law holds, the unit is in the left nucleus and leaves G, so SU(2)_k
-checks label 1 alone.  Only when a label of G fails are all left labels
-checked, so every violation is still listed.  Every partial sum of the
-check is a non-negative integer of at most n max(N)^2, and
-``numerics.exact_float`` turns that bound into float32 below 2^24, float64
-below 2^53 and a ``NumericError`` above, before any product is formed.  A
-single-constituent table (no (a, b) repeats in the columns, as in groups
-and Z_n rings) is then decided exactly by composing its n x n constituent
-and multiplicity maps, scattered from the columns; any other table by
-float products of a dense copy in that dtype, compared in blocks of about
-``_BLOCK_BYTES``, with the full sides formed only for a label that fails.
+Every product-closed check reads one generating set G, whose products
+prove every label to lie in the algebra G generates (``generating_labels()``,
+a least fixed point on the pattern N > 0, found once per table; G = {0, 1}
+for SU(2)_k): a property whose labels form a subalgebra holds on every label
+once it holds on G.  Such labels are the left nucleus
+{a : (a x) y = a (x y) for all x, y}, which decides associativity; the
+centralizer of an element of an associative algebra, which gives the center
+(``algebras._center``); and, when both tables of an induction certificate
+are associative, the l with phi(l x) = phi(l) phi(x) for all x, the rows of
+its homomorphism check (``induction.full_report``).  When the unit law
+holds, the unit is in the left nucleus and leaves G, so SU(2)_k checks
+label 1 alone.  Only when a label of G fails are all labels checked, so every
+violation is still listed.  Each associativity partial sum is a non-negative
+integer of at most n max(N)^2, and ``numerics.exact_float`` turns that bound
+into float32 below 2^24, float64 below 2^53 and a ``NumericError`` above,
+before any product is formed.  A single-constituent table (no (a, b) repeats
+in the columns, as in groups and Z_n rings) is then decided exactly by
+composing its n x n constituent and multiplicity maps, scattered from the
+columns; any other table by float products of a dense copy in that dtype,
+compared in blocks of about ``_BLOCK_BYTES``, with the full sides formed
+only for a label that fails.
 """
 from __future__ import annotations
 
@@ -98,8 +103,8 @@ _INTS = frozenset([int] + [np.dtype(code).type for code in np.typecodes["AllInte
 # the flat key (a n + b) n + c of a structure entry, like the n^3 cells of
 # a dense table, must be addressable in int64
 _MAX_LABELS = 2 ** 21 - 1
-# the bytes of the float products the associativity check and the
-# certificate contractions form at once (``_blocks``)
+# the bytes of the float products the associativity check forms at once
+# (``_product_sides``)
 _BLOCK_BYTES = 2 ** 20
 
 
@@ -313,9 +318,16 @@ class FusionRing(_SparseStructure):
         super().__init__(labels, unit, dual, fusion)
 
     def dimensions(self) -> DimensionVector:
-        """The ring's :func:`quantum_dimensions`, found once."""
+        """The ring's :func:`quantum_dimensions`, found once; a ring without
+        them keeps the ``NumericError`` and raises it again."""
         if self._dimensions is None:
-            object.__setattr__(self, "_dimensions", quantum_dimensions(self))
+            try:
+                dims = quantum_dimensions(self)
+            except NumericError as exc:
+                dims = exc
+            object.__setattr__(self, "_dimensions", dims)
+        if isinstance(self._dimensions, NumericError):
+            raise self._dimensions
         return self._dimensions
 
     def conjugation_matrix(self) -> np.ndarray:
@@ -549,27 +561,22 @@ def _generating_labels(structure: _SparseStructure) -> list[int]:
     return gens
 
 
-def _blocks(n: int, row_bytes: int) -> list[slice]:
-    """range(n) cut into slices of rows of ``row_bytes`` each, about
-    ``_BLOCK_BYTES`` per slice and at least one row."""
-    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
-    return [slice(s, s + step) for s in range(0, n, step)]
-
-
 def _product_sides(F: np.ndarray, labels: Iterable[int]):
     """(a, ((a b) c)_d, (a (b c))_d) for each left label a in ``labels``
     where the two differ, from the float products F[a] @ F.reshape(n, n*n)
     and F.reshape(n*n, n) @ F[a].
 
-    The products are compared in blocks of the middle index c
-    (``_blocks``): ((a b) c)_d for c in a block is F[a] times a strided
-    view of F, (a (b c))_d is a contiguous copy of the same cells times
-    F[a], so F is read once per label and each product is one wide matrix
-    product.  Only a label that fails has its full sides formed.
+    The products are compared in blocks of the middle index c, about
+    ``_BLOCK_BYTES`` for both sides and the copy, and at least one c:
+    ((a b) c)_d for c in a block is F[a] times a strided view of F,
+    (a (b c))_d is a contiguous copy of the same cells times F[a], so F is
+    read once per label and each product is one wide matrix product.  Only
+    a label that fails has its full sides formed.
     """
     n = len(F)
     rows, cols = F.reshape(n * n, n), F.reshape(n, n * n)
-    blocks = _blocks(n, 3 * n * n * F.itemsize)  # both sides and the copy
+    step = max(1, _BLOCK_BYTES // (3 * n * n * F.itemsize))
+    blocks = [slice(s, s + step) for s in range(0, n, step)]
     for a in labels:
         if all(np.array_equal(F[a] @ F[:, s].reshape(n, -1),
                               (np.ascontiguousarray(F[:, s]).reshape(-1, n) @ F[a]).reshape(n, -1))

@@ -49,10 +49,6 @@ from .rings import (_INTS, FusionRing, _checked_header, _involution_violations, 
 
 # ---------------------------------------------------------------- rationals
 
-def format_rational(x: Fraction) -> str:
-    return str(x)  # "0", "1/2", "3/16"
-
-
 def parse_rational(text: str, where: str) -> Fraction:
     if not isinstance(text, str):
         raise SchemaError(f"{where}: twist must be a rational string, got {text!r}")
@@ -62,7 +58,7 @@ def parse_rational(text: str, where: str) -> Fraction:
         raise SchemaError(f"{where}: {text!r} is not a rational p/q") from None
     if not 0 <= value.numerator < value.denominator:  # 0 <= value < 1, on ints
         raise SchemaError(f"{where}: twist {text!r} must lie in [0, 1)")
-    canonical = format_rational(value)
+    canonical = str(value)  # "0", "1/2", "3/16"
     if canonical != text.strip():
         raise SchemaError(f"{where}: twist {text!r} is not written as p/q in lowest terms; "
                           f"write {canonical!r}")
@@ -74,7 +70,7 @@ def parse_rational(text: str, where: str) -> Fraction:
 def ring_to_dict(ring: FusionRing, twists: TwistData | None = None) -> dict:
     obj = _table_to_dict(ring, "fusion")
     if twists is not None:
-        obj["twists"] = [format_rational(h) for h in twists.h]
+        obj["twists"] = [str(h) for h in twists.h]
     return obj
 
 
@@ -92,7 +88,7 @@ def ring_from_dict(obj: Any, where: str = "ring") -> tuple[FusionRing, TwistData
 
 # --------------------------------------------------------------- invariants
 
-def invariant_to_dict(mm: MassMatrix, labels: list[str] | None = None) -> dict:
+def invariant_to_dict(mm: MassMatrix, labels: list[str]) -> dict:
     Z = mm.Z
     tr_z, tr_zzt = invariant_counts(Z)
     cells = np.argwhere(Z)  # row-major
@@ -107,9 +103,8 @@ def invariant_to_dict(mm: MassMatrix, labels: list[str] | None = None) -> dict:
         },
         "residuals": {"s_commutator": mm.residual_s, "t_commutator": mm.residual_t},
         "counts": {"trZ": tr_z, "trZZt": tr_zzt},
+        "labels": list(labels),
     }
-    if labels is not None:
-        obj["labels"] = list(labels)
     if mm.gram_rows is not None:
         obj["gram_rows"] = [list(r) for r in mm.gram_rows]
     return obj

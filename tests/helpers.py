@@ -51,8 +51,8 @@ def refuse_int64_scatter(monkeypatch):
     """Make ``rings._scatter`` raise AssertionError for int64, in every
     fusionkit module that binds it, for the rest of the test: the dense
     int64 table is built only to list Frobenius violations and by
-    ``verlinde_fusion``.  Float scatters, the exact products of the
-    associativity check and the certificates, still run."""
+    ``verlinde_fusion``.  Float scatters, for the exact products of the
+    associativity check, still run."""
     scatter = rings._scatter
 
     def refuse(structure, dtype):

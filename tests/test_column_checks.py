@@ -1,5 +1,5 @@
 """The checks that read the sparse columns (the axiom validators, the
-generating set, the center and the certificate contractions) against the
+generating set, the center and the certificate checks) against the
 dense code they replaced (``references.py``), with blocks of the
 default size and of one row each; tracemalloc bounds on the largest of
 them, as multiples of the bytes of the table's columns; and the certify
@@ -31,8 +31,7 @@ from references import (reference_associativity_violations, reference_center,
                         reference_verify_homomorphism)
 
 # block sizes: the default, and one byte, which cuts every product the
-# associativity check and the certificate contractions form into blocks
-# of one row
+# associativity check forms into blocks of one row
 BLOCK_SIZES = [None, 1]
 
 
@@ -263,6 +262,29 @@ def test_certificate_report_memory():
     # float copies and the full contractions peaked at 5.2 times that
     cert = trivial_certificate(*su2_level(48))
     assert traced_peak(lambda: full_report(cert)) <= 4.5 * column_bytes(cert.ring)
+
+
+def test_homomorphism_never_forms_an_n_cubed_array():
+    # the product SU(2)_8 x SU(2)_8, n = 81: the dense check scattered
+    # N and N_mm as two float32 n^3 tables of 2.1 MB each
+    cert = trivial_certificate(*product_model(su2_level(8), su2_level(8)))
+    n = cert.ring.size
+    assert traced_peak(lambda: verify_homomorphism(cert, "+")) < n ** 3 * 4
+
+
+@pytest.mark.parametrize("k, l", [(4, 2), (4, 4), (10, 5), (10, 10)])
+def test_corrupted_row_outside_the_generating_set_fails(k, l):
+    # v_l enters the products of G = (0, 1), so a broken row l outside G
+    # breaks a row of G too; full_report then checks every row and names
+    # the first violation, as the dense reference does
+    cert = trivial_certificate(*su2_level(k))
+    assert cert.ring.generating_labels() == (0, 1)
+    A = cert.aplus.copy()
+    A[l] = np.roll(A[l], 1)
+    cert = InductionCertificate(cert.ring, cert.twists, cert.mm, A, cert.aminus)
+    report = full_report(cert)
+    assert report["structure"].passed and not report["homomorphism_plus"].passed
+    assert report["homomorphism_plus"].detail == str(reference_verify_homomorphism(cert, "+"))
 
 
 def test_certify_commands_never_build_the_tensor(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fusionkit import (BasedAlgebra, CertificateError, FusionRing, InductionCert
                        compute_Z_from_branching, conjugation_certificate,
                        full_report, modular_matrices, quantum_dimensions,
                        trivial_certificate, verify_generating, verify_homomorphism)
+from fusionkit import rings
 from fusionkit.catalog import cyclic_model, su2_level
 from fusionkit.invariants import invariant_counts
 
@@ -301,6 +303,24 @@ class TestFullReport:
         assert report.failures == ("structure", "dimension", "homomorphism_plus",
                                    "homomorphism_minus", "modular_invariance",
                                    "nondegeneracy", "generating")
+
+    def test_failed_dimensions_are_computed_once(self):
+        # the dimension and modular checks share the ring's one failed
+        # power iteration, and both still report its error
+        ring, twists = cyclic_model(2, 1)
+        base = FusionRing(ring.labels, ring.unit, ring.dual,
+                          [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]])
+        eye = np.eye(2, dtype=np.int64)
+        cert = InductionCertificate(base, twists, trivial_certificate(ring, twists).mm, eye, eye)
+        with mock.patch.object(rings, "quantum_dimensions",
+                               wraps=rings.quantum_dimensions) as counted:
+            report = full_report(cert)
+        assert counted.call_count == 1
+        no_dims = "power iteration did not converge in 100000 steps"
+        assert report["dimension"].detail == f"no quantum dimensions: {no_dims}"
+        assert report["modular_invariance"].detail == f"no modular data: {no_dims}"
+        with pytest.raises(NumericError, match=no_dims):
+            base.dimensions()
 
     @pytest.mark.parametrize("base, prefix", [
         (su2_level(2), ""),
