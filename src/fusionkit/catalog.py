@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import StructureError
 from .modular import TwistData
-from .rings import FusionRing
+from .rings import FusionRing, _ranges
 
 
 def su2_level(k: int) -> tuple[FusionRing, TwistData]:
@@ -35,8 +35,7 @@ def su2_level(k: int) -> tuple[FusionRing, TwistData]:
     a, b = np.indices((k + 1, k + 1)).reshape(2, -1)
     lo, hi = abs(a - b), np.minimum(a + b, 2 * k - a - b)
     count = (hi - lo) // 2 + 1  # channels c = lo, lo + 2, ..., hi
-    step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    c = np.repeat(lo, count) + 2 * step
+    c = np.repeat(lo, count) + 2 * _ranges(0, count)
     rows = np.stack([np.repeat(a, count), np.repeat(b, count), c, np.ones_like(c)], axis=1)
     ring = FusionRing(labels, 0, list(range(k + 1)), rows)
     twists = TwistData(Fraction(a * (a + 2), 4 * (k + 2)) for a in range(k + 1))

@@ -304,10 +304,15 @@ def _parser() -> argparse.ArgumentParser:
     cl.add_argument("ringfile")
     cl.set_defaults(func=cmd_classify)
 
+    def seed(value: str) -> int:  # argparse reports a ValueError as "invalid seed value"
+        if int(value) < 0:
+            raise ValueError(f"seed {value} < 0")
+        return int(value)
+
     d = sub.add_parser("decompose", parents=[json_format],
                        help="simple block profile of a based algebra")
     d.add_argument("file")
-    d.add_argument("--seed", type=int, default=0, help="randomized-algorithm seed")
+    d.add_argument("--seed", type=seed, default=0, help="randomized-algorithm seed >= 0")
     d.set_defaults(func=cmd_decompose)
 
     v = sub.add_parser("verify-induction", parents=[tol, json_format],

@@ -52,7 +52,7 @@ from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
 from .invariants import _unit_entry, check_invariance, invariant_counts
 from .modular import ModularData, TwistData, modular_matrices
 from .numerics import exact_float, max_abs, readonly
-from .rings import (_INTS, FusionRing, _int_array, _matrix, _row, _top,
+from .rings import (_INTS, FusionRing, _int_array, _matrix, _ranges, _row, _top,
                     validate_fusion_ring)
 
 DIM_TOL = 1e-6
@@ -178,10 +178,12 @@ def _homomorphism(cert: InductionCertificate, sign: str, labels) -> Homomorphism
     """The identity on the rows ``labels``; the first differing (l, m, beta)
     in that order is the violation.  Row l is A L_l = P_l A: L_l[gamma,delta]
     = sum_beta A[l,beta] N_mm[beta,gamma,delta] is one ``np.bincount`` over
-    the extended columns, P_l[m,nu] = N[l,m]^nu a scatter of the row's slice
-    of the base columns.  Both are exact under ``exact_float`` for the bounds
-    rowsum(A)^2 max(N_mm) and max_{l,m} sum_nu N[l,m]^nu max(A), summed in
-    float64: exact below 2^53, at least 2^53 above, which is all it needs."""
+    the slices of the extended columns with A[l,beta] > 0 (``_ranges``), so
+    it costs the row's support; P_l[m,nu] = N[l,m]^nu is a scatter of the
+    row's slice of the base columns.  Both are exact under ``exact_float``
+    for the bounds rowsum(A)^2 max(N_mm) and max_{l,m} sum_nu N[l,m]^nu
+    max(A), summed in float64: exact below 2^53, at least 2^53 above, which
+    is all it needs."""
     A = cert.branching(sign)
     size, size_mm = A.shape
     left, right, out, mult = cert.ring.columns()
@@ -190,8 +192,11 @@ def _homomorphism(cert: InductionCertificate, sign: str, labels) -> Homomorphism
     dtype = exact_float(bound, f"homomorphism[{sign}] sums up to {bound}")
     beta, gamma, delta, mult_mm = cert.mm.columns()
     cells, Af = gamma * size_mm + delta, A.astype(dtype)
+    first = np.searchsorted(beta, np.arange(size_mm + 1))  # beta's entries start at first[beta]
     for l in labels:
-        L = np.bincount(cells, A[l][beta] * mult_mm, size_mm * size_mm).astype(dtype)
+        support = np.flatnonzero(A[l])
+        at = _ranges(first[support], first[support + 1] - first[support])
+        L = np.bincount(cells[at], A[l][beta[at]] * mult_mm[at], size_mm * size_mm).astype(dtype)
         row = _row(left, l)
         got = Af @ L.reshape(size_mm, size_mm)
         want = _matrix(right[row], out[row], mult[row], size).astype(dtype) @ Af

@@ -45,12 +45,12 @@ label 1 alone.  Only when a label of G fails are all labels checked, so every
 violation is still listed.  Each associativity partial sum is a non-negative
 integer of at most n max(N)^2, and ``numerics.exact_float`` turns that bound
 into float32 below 2^24, float64 below 2^53 and a ``NumericError`` above,
-before any product is formed.  A single-constituent table (no (a, b) repeats
-in the columns, as in groups and Z_n rings) is then decided exactly by
-composing its n x n constituent and multiplicity maps, scattered from the
-columns; any other table by float products of a dense copy in that dtype,
-compared in blocks of about ``_BLOCK_BYTES``, with the full sides formed
-only for a label that fails.
+before any product is formed.  A label is decided by one of two exact
+tests: a single-constituent table (no (a, b) repeats in the columns, as in
+groups and Z_n rings) composes its n x n constituent and multiplicity maps,
+scattered from the columns; any other table compares float products of a
+dense copy in that dtype, in blocks of about ``_BLOCK_BYTES``.  Failing
+labels are listed from full products of that one dense copy.
 """
 from __future__ import annotations
 
@@ -103,8 +103,8 @@ _INTS = frozenset([int] + [np.dtype(code).type for code in np.typecodes["AllInte
 # the flat key (a n + b) n + c of a structure entry, like the n^3 cells of
 # a dense table, must be addressable in int64
 _MAX_LABELS = 2 ** 21 - 1
-# the bytes of the float products the associativity check forms at once
-# (``_product_sides``)
+# the bytes of the float products the associativity test of one label forms
+# at once (``_product_fails``); a failing label's full sides are not blocked
 _BLOCK_BYTES = 2 ** 20
 
 
@@ -392,6 +392,11 @@ def _row(a: np.ndarray, label: int) -> slice:
     return slice(*np.searchsorted(a, (label, label + 1)).tolist())
 
 
+def _ranges(start, count: np.ndarray) -> np.ndarray:
+    """range(start[i], start[i] + count[i]) for every i, concatenated (start may be a scalar)."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
 def _matrix(x: np.ndarray, y: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """The n x n int64 matrix with ``values`` at the cells (x, y), zero elsewhere."""
     m = np.zeros((n, n), dtype=np.int64)
@@ -501,28 +506,29 @@ def _associativity_violations(structure: _SparseStructure,
     ``generators`` decides at once.
 
     Every partial sum is a non-negative integer of at most n max(N)^2, a
-    bound that ``exact_float`` must accept before either side is formed.  A
-    single-constituent table (no (a, b) repeats in the columns: groups, Z_n
-    rings, matrix units) composes index maps scattered from the columns;
-    any other table takes float products of a dense copy in that dtype.
+    bound that ``exact_float`` must accept before any product is formed.
+    A label is decided by ``_composed_fails`` on a single-constituent table
+    (no (a, b) repeats in the columns: groups, Z_n rings, matrix units),
+    else by ``_product_fails`` on a dense copy F in that dtype.  Failing
+    labels are listed from F[a] @ F.reshape(n, n*n) and F.reshape(n*n, n) @
+    F[a] (F scattered only then for a single-constituent table).
     """
     n = structure.size
     a, b, c, mult = structure.columns()
     top = _top(structure)
     dtype = exact_float(n * top * top, f"associativity sums up to {n} * {top}^2")
-    if not np.any((a[1:] == a[:-1]) & (b[1:] == b[:-1])):
-        sides = partial(_composed_sides, _matrix(a, b, c, n), _matrix(a, b, mult, n), dtype)
-    else:
-        sides = partial(_product_sides, _scatter(structure, dtype))
-    if next(sides(generators), None) is None:
+    F = _scatter(structure, dtype) if np.any((a[1:] == a[:-1]) & (b[1:] == b[:-1])) else None
+    fails = (partial(_composed_fails, _matrix(a, b, c, n), _matrix(a, b, mult, n)) if F is None
+             else partial(_product_fails, F))
+    if not any(map(fails, generators)):
         return []
-    out = []
-    for a, lhs, rhs in sides(range(n)):
-        for b, c, d in np.argwhere(lhs != rhs):
-            out.append(Violation("associativity", (a, int(b), int(c), int(d)),
-                                 f"(({a} {b}) {c})_{d} = {int(lhs[b, c, d])}, "
-                                 f"({a} ({b} {c}))_{d} = {int(rhs[b, c, d])}"))
-    return out
+    F = _scatter(structure, dtype) if F is None else F
+    sides = ((x, np.tensordot(F[x], F, 1), np.tensordot(F, F[x], 1))
+             for x in filter(fails, range(n)))
+    return [Violation("associativity", (x, int(b), int(c), int(d)),
+                      f"(({x} {b}) {c})_{d} = {int(lhs[b, c, d])}, "
+                      f"({x} ({b} {c}))_{d} = {int(rhs[b, c, d])}")
+            for x, lhs, rhs in sides for b, c, d in np.argwhere(lhs != rhs)]
 
 
 def _generating_labels(structure: _SparseStructure) -> list[int]:
@@ -561,50 +567,30 @@ def _generating_labels(structure: _SparseStructure) -> list[int]:
     return gens
 
 
-def _product_sides(F: np.ndarray, labels: Iterable[int]):
-    """(a, ((a b) c)_d, (a (b c))_d) for each left label a in ``labels``
-    where the two differ, from the float products F[a] @ F.reshape(n, n*n)
-    and F.reshape(n*n, n) @ F[a].
-
-    The products are compared in blocks of the middle index c, about
-    ``_BLOCK_BYTES`` for both sides and the copy, and at least one c:
-    ((a b) c)_d for c in a block is F[a] times a strided view of F,
-    (a (b c))_d is a contiguous copy of the same cells times F[a], so F is
-    read once per label and each product is one wide matrix product.  Only
-    a label that fails has its full sides formed.
+def _product_fails(F: np.ndarray, a: int) -> bool:
+    """Whether ((a b) c)_d != (a (b c))_d for some (b, c, d), from the float
+    products F[a] @ F.reshape(n, n*n) and F.reshape(n*n, n) @ F[a],
+    compared in blocks of the middle index c of about ``_BLOCK_BYTES`` for
+    both sides and the copy, and at least one c: ((a b) c)_d is F[a] times
+    a strided view of F, (a (b c))_d a contiguous copy of the same cells
+    times F[a], so F is read once and each product is one matrix product.
     """
     n = len(F)
-    rows, cols = F.reshape(n * n, n), F.reshape(n, n * n)
     step = max(1, _BLOCK_BYTES // (3 * n * n * F.itemsize))
-    blocks = [slice(s, s + step) for s in range(0, n, step)]
-    for a in labels:
-        if all(np.array_equal(F[a] @ F[:, s].reshape(n, -1),
-                              (np.ascontiguousarray(F[:, s]).reshape(-1, n) @ F[a]).reshape(n, -1))
-               for s in blocks):
-            continue
-        yield a, (F[a] @ cols).reshape(n, n, n), (rows @ F[a]).reshape(n, n, n)
+    return not all(np.array_equal(F[a] @ B.reshape(n, -1),
+                                  (np.ascontiguousarray(B).reshape(-1, n) @ F[a]).reshape(n, -1))
+                   for B in (F[:, s:s + step] for s in range(0, n, step)))
 
 
-def _composed_sides(P: np.ndarray, M: np.ndarray, dtype, labels: Iterable[int]):
-    """The sides of :func:`_product_sides` for a table whose product a b is
-    M[a,b] copies of P[a,b] (nothing when M[a,b] = 0).
-
-    ((a b) c) is M[a,b] M[P[a,b],c] copies of P[P[a,b],c] and (a (b c)) is
-    M[b,c] M[a,P[b,c]] copies of P[a,P[b,c]]: n^2 lookups per label instead
-    of n^3 multiply-adds.  Each product is at most max(N)^2, so it is exact
-    in int64 and in ``dtype``.
+def _composed_fails(P: np.ndarray, M: np.ndarray, a: int) -> bool:
+    """:func:`_product_fails` for a table whose product a b is M[a,b]
+    copies of P[a,b] (nothing when M[a,b] = 0): ((a b) c) is M[a,b]
+    M[P[a,b],c] copies of P[P[a,b],c] and (a (b c)) is M[b,c] M[a,P[b,c]]
+    copies of P[a,P[b,c]], n^2 products of at most max(N)^2, exact in int64.
     """
-    n = len(P)
-    b, c = np.indices((n, n))
-    for a in labels:
-        lhs_d, lhs = P[P[a]], M[a][:, None] * M[P[a]]
-        rhs_d, rhs = P[a][P], M * M[a][P]
-        if not np.any((lhs != rhs) | ((lhs > 0) & (lhs_d != rhs_d))):
-            continue
-        sides = np.zeros((2, n, n, n), dtype)
-        sides[0, b, c, lhs_d] = lhs
-        sides[1, b, c, rhs_d] = rhs
-        yield a, sides[0], sides[1]
+    lhs_d, lhs = P[P[a]], M[a][:, None] * M[P[a]]
+    rhs_d, rhs = P[a][P], M * M[a][P]
+    return bool(np.any((lhs != rhs) | ((lhs > 0) & (lhs_d != rhs_d))))
 
 
 def quantum_dimensions(ring: FusionRing) -> DimensionVector:

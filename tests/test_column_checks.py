@@ -156,6 +156,50 @@ def test_perturbed_tables_match_dense_references(data):
             == reference_associativity_violations(dense(structure), precheck))
 
 
+def single_constituent(structure) -> bool:
+    a, b, _, _ = structure.columns()
+    return not np.any((a[1:] == a[:-1]) & (b[1:] == b[:-1]))
+
+
+def assert_deciders_agree(structure):
+    """The composition test and the product test give one verdict per label."""
+    n = structure.size
+    a, b, c, mult = structure.columns()
+    P, M = rings._matrix(a, b, c, n), rings._matrix(a, b, mult, n)
+    F = rings._scatter(structure, np.float32)
+    assert ([rings._composed_fails(P, M, x) for x in range(n)]
+            == [rings._product_fails(F, x) for x in range(n)])
+
+
+SINGLE = [(name, s) for name, s in STRUCTURES if single_constituent(s)]
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+@pytest.mark.parametrize("name, structure", SINGLE, ids=[name for name, _ in SINGLE])
+def test_associativity_deciders_agree(name, structure, size):
+    with blocks(size):
+        assert_deciders_agree(structure)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_associativity_deciders_agree_on_perturbed_tables(data):
+    # each defect keeps one constituent per (a, b): a multiplicity changed
+    # (0 drops the entry) or the constituent of an entry moved
+    name, structure = data.draw(st.sampled_from(SINGLE), label="structure")
+    n, table = structure.size, table_dict(structure)
+    for _ in range(data.draw(st.integers(1, 2), label="defects") if n > 1 else 1):
+        key = data.draw(st.sampled_from(sorted(table)), label="entry")
+        if data.draw(st.booleans(), label="move"):
+            table[(*key[:2], data.draw(st.integers(0, n - 1), label="c"))] = table.pop(key)
+        else:
+            table[key] = data.draw(st.sampled_from([0, 2, 3]), label="mult")
+            table = {k: v for k, v in table.items() if v}
+    structure = type(structure)(structure.labels, structure.unit, structure.dual, table)
+    assert single_constituent(structure)
+    assert_deciders_agree(structure)
+
+
 def outcome(check, *args):
     """What ``check(*args)`` returns, or the type and text of the
     fusionkit error it raises."""

@@ -561,6 +561,20 @@ class TestCLI:
         assert main(["decompose", str(path)]) == 0
         assert "blocks: 2 1 1" in capsys.readouterr().out
 
+    def test_decompose_negative_seed_exits_2(self, tmp_path, capsys):
+        # the seed reaches numpy's generator, which refuses a negative one
+        from helpers import symmetric_table
+        path = tmp_path / "s3.json"
+        alg = BasedAlgebra.from_group_table(symmetric_table(3))
+        path.write_text(serialize.dumps(serialize.algebra_to_dict(alg)))
+        capsys.readouterr()
+        assert main(["decompose", str(path), "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: fusionkit decompose ")
+        assert err.endswith("error: argument --seed: invalid seed value: '-1'\n")
+        assert main(["decompose", str(path), "--seed", "0"]) == 0
+
     def test_decompose_splits_su2_240_into_single_blocks(self, tmp_path, capsys):
         # 241 labels: the central spectrum once failed to split here
         path = tmp_path / "su2_240.json"

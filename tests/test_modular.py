@@ -345,6 +345,14 @@ class TestVerlinde:
         with pytest.raises(VerlindeError):
             verlinde_fusion(md)
 
+    def test_tensor_of_another_ring_disagrees(self):
+        # Z_4's S gives an integral Verlinde tensor, but Z_2 x Z_2 fuses otherwise
+        md = modular_matrices(*cyclic_model(4, 1))
+        z2xz2 = product_model(cyclic_model(2, 1), cyclic_model(2, 1))[0]
+        with pytest.raises(VerlindeError, match="^Verlinde tensor disagrees with the "
+                                                "ring's fusion tensor$"):
+            verlinde_fusion(dataclasses.replace(md, ring=z2xz2))
+
 
 class TestSL2Z:
     def test_su2_10(self):

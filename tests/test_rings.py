@@ -104,21 +104,23 @@ class TestValidation:
         assert _precheck_labels(ring, True) == (1,)
         assert _precheck_labels(ring, False) == (0, 1)
         assert _precheck_labels(named_model("trivial")[0], True) == ()
-        # the valid ring's check tries label 1 alone; a broken unit row keeps 0
+        # the valid ring's check tries label 1 alone; a broken unit row keeps
+        # 0, which fails first, and then every label is tried
         tried = []
-        sides = rings._product_sides
+        fails = rings._product_fails
 
-        def spy(F, labels):
-            tried.append(list(labels))
-            return sides(F, tried[-1])
+        def spy(F, a):
+            tried.append(a)
+            return fails(F, a)
 
-        monkeypatch.setattr(rings, "_product_sides", spy)
+        monkeypatch.setattr(rings, "_product_fails", spy)
         assert validate_fusion_ring(ring).ok
+        assert tried == [1]
         table = table_dict(su2_level(4)[0])
         table[(0, 1, 3)] = 1
         broken = FusionRing(ring.labels[:5], 0, range(5), table)
         assert "unit" in validate_fusion_ring(broken).axioms()
-        assert tried[:2] == [[1], [0, 1]]
+        assert tried == [1, 0, 0, 1, 2, 3, 4]
 
     def test_collects_all_violations(self):
         # a corrupted entry trips frobenius as well; nothing is short-circuited
