@@ -42,13 +42,13 @@ from numbers import Real
 import numpy as np
 
 from .errors import NumericError, StructureError
+from .numerics import INT_TOL, zero_mask
 from .rings import (ValidationReport, Violation, _antiautomorphism_violations,
                     _associativity_violations, _int_array, _involution_violations,
                     _precheck_labels, _row, _sequence, _SparseStructure, _unit_violations)
 
 _RANK_RTOL = 1e-7  # singular-value threshold, relative to the largest
 _MAX_DRAWS = 8  # random central elements tried before giving up
-_INT_TOL = 1e-6  # distance of each block dimension s^2 from a positive integer
 
 
 class BasedAlgebra(_SparseStructure):
@@ -124,7 +124,7 @@ def validate_based_algebra(alg: BasedAlgebra) -> ValidationReport:
         n, d = alg.size, np.array(alg.dims)
         a, b, c, mult = alg.columns()
         products = np.bincount(a * n + b, mult * d[c], n * n).reshape(n, n)
-        off = np.abs(products - np.outer(d, d)) > 1e-6 * max(1.0, float(np.max(d)) ** 2)
+        off = np.abs(products - np.outer(d, d)) > INT_TOL * max(1.0, float(np.max(d)) ** 2)
         out += [Violation("dimension", (int(a), int(b)), f"sum_c N[{a},{b}]^c d_c != d_{a} d_{b}")
                 for a, b in np.argwhere(off)]
     return ValidationReport(tuple(out))
@@ -141,7 +141,7 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
     randomness per draw, reproducible via ``seed``).  The eigenvectors of
     L(z) on the center are multiples f = c e of the central idempotents, one
     per block, and s^2 = Tr L(e) = Tr L(f)^2 / Tr L(f f) for any c.  A draw
-    is accepted when every s^2 is within ``_INT_TOL`` of a positive integer
+    is accepted when every s^2 is within ``INT_TOL`` of a positive integer
     and they sum to the dimension; two blocks whose eigenvalues nearly
     collide mix their eigenvectors and fail that test, so the next draw is
     tried.  Accepted sizes that are not perfect squares mean the input is
@@ -166,7 +166,7 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
         sizes = np.maximum(np.rint(squares.real), 1)
         dist = float(np.max(np.abs(squares - sizes)))
         closest = min(closest, dist)
-        if not (dist <= _INT_TOL and sizes.sum() == n):
+        if not (dist <= INT_TOL and sizes.sum() == n):
             continue  # near-collision of two blocks; retry with fresh randomness
         sizes = [int(s) for s in sizes]
         roots = [math.isqrt(s) for s in sizes]
@@ -178,24 +178,24 @@ def decompose_semisimple(alg: BasedAlgebra, *, seed: int = 0) -> BlockProfile:
     raise NumericError(
         f"block dimensions Tr L(e) were not {r} positive integers summing to {n} after "
         f"{_MAX_DRAWS} draws (closest integrality distance {closest:.1e}, tolerance "
-        f"{_INT_TOL:.0e}); algebra may not be semisimple")
+        f"{INT_TOL:.0e}); algebra may not be semisimple")
 
 
 def _trace_form(alg: BasedAlgebra) -> tuple[np.ndarray, np.ndarray]:
     """(t, G): t_c = Tr L(c) = sum_b N[c,b]^b and the trace form
     G[x,y] = Tr L(x y) = sum_c N[x,y]^c t_c.  Raise NumericError unless G has
-    full rank at ``_RANK_RTOL``: the kernel of G is the radical, so a
-    semisimple algebra has none."""
+    full rank at ``_RANK_RTOL`` (``numerics.zero_mask``): the kernel of G is
+    the radical, so a semisimple algebra has none."""
     n = alg.size
     a, b, c, mult = alg.columns()
     t = np.bincount(a[b == c], mult[b == c], n)
     gram = np.bincount(a * n + b, mult * t[c], n * n).reshape(n, n)
     svals = np.linalg.svd(gram, compute_uv=False)
-    ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0
-    if ratio <= _RANK_RTOL:
-        rank = np.count_nonzero(svals > _RANK_RTOL * svals[0])
-        raise NumericError(f"trace form has rank {rank} of {n} (smallest singular value "
-                           f"ratio {ratio:.1e}); algebra has a radical, not semisimple")
+    zero = zero_mask(svals, _RANK_RTOL * svals[0], "trace-form singular values")
+    if zero.any():
+        ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0
+        raise NumericError(f"trace form has rank {n - zero.sum()} of {n} (smallest singular "
+                           f"value ratio {ratio:.1e}); algebra has a radical, not semisimple")
     return t, gram
 
 
@@ -206,8 +206,9 @@ def _center(alg: BasedAlgebra) -> np.ndarray:
     row per (g, d) for g in the generating set G of ``generating_labels()``
     only, which suffices in an associative algebra (``rings``).  G is never
     empty, so there are at least n rows and the reduced SVD keeps every
-    null vector.  The rows of g are scattered from the entries with middle
-    index g (a mask of the columns) and first index g (a slice).
+    null vector, at ``_RANK_RTOL`` times the largest singular value.  The
+    rows of g are scattered from the entries with middle index g (a mask of
+    the columns) and first index g (a slice).
     """
     n = alg.size
     a, b, c, mult = alg.columns()
@@ -218,8 +219,7 @@ def _center(alg: BasedAlgebra) -> np.ndarray:
         constraints[i, c[col], a[col]] = mult[col]
         constraints[i, c[row], b[row]] -= mult[row]
     _, svals, Vt = np.linalg.svd(constraints.reshape(len(gens) * n, n), full_matrices=False)
-    cutoff = _RANK_RTOL * (svals[0] if svals.size and svals[0] > 0 else 1.0)
-    return Vt[svals <= cutoff]
+    return Vt[zero_mask(svals, _RANK_RTOL * svals[0], "center singular values")]
 
 
 def verify_dimension_theorem(Z: np.ndarray, profile: BlockProfile) -> bool:

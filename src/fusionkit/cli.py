@@ -51,7 +51,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _complex_matrix(M: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, dtype=complex)]
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def _emit(text: str) -> None:
@@ -120,14 +120,14 @@ def _twisted_ring(path):
 
 
 def cmd_modular(args) -> int:
-    ring, twists = _twisted_ring(args.file)
-    md = modular_matrices(ring, twists, tol=args.tol)
-    nd = md.degeneracy
     wanted = [p.strip() for p in (args.print or "").split(",") if p.strip()]
     for name in wanted:
         if name not in ("Y", "S", "T", "c"):
             raise SchemaError(f"unknown --print item {name!r}")
     blocks = [name for name in wanted if name != "c"]  # c is always printed
+    ring, twists = _twisted_ring(args.file)
+    md = modular_matrices(ring, twists, tol=args.tol)
+    nd = md.degeneracy
     if args.format == "json":
         obj = {
             "labels": list(ring.labels),

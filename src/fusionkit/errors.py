@@ -22,8 +22,8 @@ class NumericError(FusionKitError, RuntimeError):
 
 
 class RankAmbiguityError(NumericError):
-    """Singular values too close to the rank cutoff to decide the dimension
-    of a solution space; rerun with tighter tolerance or better data."""
+    """Values too close to a rank cutoff (``numerics.zero_mask``) to decide
+    the dimension of a space; rerun with tighter tolerance or better data."""
 
 
 class VanishingZError(FusionKitError):

@@ -25,20 +25,18 @@ this package does not model.  The verifiable consequences are:
   sum_beta A[l,beta] A[m,beta] <= sum_nu theta_nu N[nu l]^m.
 
 Z, the theta bound and the Gram sums are integer products, computed in
-Python ints wherever int64 could wrap.
+Python ints wherever int64 could wrap (``numerics.exact_int``).
 
-The homomorphism sums are float products, exact because the inputs are
-non-negative integers: an integer bound on every partial sum, read from
-the columns, goes through ``numerics.exact_float`` (float32 below 2^24,
-float64 below 2^53, ``NumericError`` above), the rule of the associativity
-check of the extended algebra.  Each row l is one n x m equation read from
-the columns, with no n^3 array (``_homomorphism``); when the ``structure``
-check passed, the rows of the base's generating set decide every row, by
-the rule of the ``rings`` module docstring.  The generating identity, a
-float comparison at ``GEN_TOL``, needs no bound: it is bilinear, one
-product of two vectors (``verify_generating``).  The theta bound sums the
-columns exactly.  The ``structure`` check decides the associativity of
-both tables as the ``rings`` module docstring describes.
+The homomorphism sums are float products of non-negative integers, exact
+in the ``numerics.exact_float`` type of a bound on every partial sum read
+from the columns, as in the associativity check of the extended algebra.
+Each row l is one n x m equation read from the columns, with no n^3 array
+(``_homomorphism``); when the ``structure`` check passed, the rows of the
+base's generating set decide every row, by the rule of the ``rings``
+module docstring.  The generating identity, a float comparison at
+``numerics.INT_TOL``, needs no bound: it is bilinear, one product of two
+vectors (``verify_generating``).  The ``structure`` check decides the
+associativity of both tables as the ``rings`` module docstring describes.
 """
 from __future__ import annotations
 
@@ -51,12 +49,9 @@ from .errors import (CertificateError, FusionKitError, NondegeneracyRequired,
                      StructureError)
 from .invariants import _unit_entry, check_invariance, invariant_counts
 from .modular import ModularData, TwistData, modular_matrices
-from .numerics import exact_float, max_abs, readonly
+from .numerics import INT_TOL, exact_float, exact_int, max_abs, readonly
 from .rings import (_INTS, FusionRing, _int_array, _matrix, _ranges, _row, _top,
                     validate_fusion_ring)
-
-DIM_TOL = 1e-6
-GEN_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -208,21 +203,18 @@ def _homomorphism(cert: InductionCertificate, sign: str, labels) -> Homomorphism
 
 
 def _exact_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X @ Y for non-negative integer arrays, exactly: in int64 when every
-    sum is below 2^63 (they are at most rowsum(X) max(Y), summed here as
-    Python ints), else in Python ints (an object array)."""
-    if int(X.sum(axis=-1, dtype=object).max(initial=0)) * int(Y.max(initial=0)) < 2 ** 63:
-        return X @ Y
-    return X.astype(object) @ Y.astype(object)
+    """X @ Y for non-negative integer arrays, exactly: in the ``exact_int``
+    type of rowsum(X) max(Y), a bound on every sum taken in Python ints."""
+    dtype = exact_int(int(X.sum(axis=-1, dtype=object).max(initial=0)) * int(Y.max(initial=0)))
+    return X.astype(dtype, copy=False) @ Y.astype(dtype, copy=False)
 
 
 def _theta_bound(ring: FusionRing, theta: tuple[int, ...]) -> np.ndarray:
-    """[l, m] = sum_nu theta_nu N[nu,l]^m, summed from the columns exactly:
-    in int64 when every sum is below 2^63 (they are at most
-    sum(theta) max(N), as Python ints), else in Python ints."""
+    """[l, m] = sum_nu theta_nu N[nu,l]^m, summed from the columns exactly,
+    in the ``numerics.exact_int`` type of the bound sum(theta) max(N)."""
     n = ring.size
     nu, l, m, mult = ring.columns()
-    dtype = np.int64 if sum(theta) * _top(ring) < 2 ** 63 else object
+    dtype = exact_int(sum(theta) * _top(ring))
     bound = np.zeros(n * n, dtype)
     np.add.at(bound, l * n + m, np.array(theta, dtype)[nu] * mult.astype(dtype, copy=False))
     return bound.reshape(n, n)
@@ -263,7 +255,7 @@ def verify_generating(cert: InductionCertificate, md: ModularData) -> Generating
     residual = float(np.max(np.abs(lhs - md.w * np.array(cert.mm.dims)))) / md.w
     hit = delta[cert.aplus.any(axis=0)[beta] & cert.aminus.any(axis=0)[gamma]]
     uncovered = tuple(np.flatnonzero(np.bincount(hit, minlength=m) == 0).tolist())
-    return GeneratingReport(passed=(residual <= GEN_TOL and not uncovered),
+    return GeneratingReport(passed=(residual <= INT_TOL and not uncovered),
                             max_residual=residual, uncovered=uncovered)
 
 
@@ -298,7 +290,7 @@ def full_report(cert: InductionCertificate, *,
     else:
         dm = np.array(mm.dims)
         worst = max(max_abs(cert.aplus @ dm - d), max_abs(cert.aminus @ dm - d))
-        dim_ok = worst <= DIM_TOL * max(1.0, float(np.max(d)))
+        dim_ok = worst <= INT_TOL * max(1.0, float(np.max(d)))
         checks.append(CheckResult("dimension", dim_ok,
                                   f"max |A d_mm - d_nn| = {worst:.2e}"))
 

@@ -34,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NondegeneracyRequired, NumericError, RankAmbiguityError
+from .errors import NondegeneracyRequired, NumericError
 from .modular import ModularData, TwistData
-from .numerics import max_abs, readonly, scaled_tol
+from .numerics import INT_TOL, max_abs, readonly, scaled_tol, zero_mask
 
-INT_TOL = 1e-6  # acceptance tolerance for reconstructed entries
 NODE_BUDGET = 1_000_000  # Gram-search nodes per invariant before "unknown"
 
 
@@ -109,10 +108,9 @@ def commutant_basis(S: np.ndarray, mask: np.ndarray, tol: float) -> np.ndarray:
     contraction, so a real X has K X = X iff M X = X for the symmetric
     M = (Re K + Re K^t) / 2, and the basis is the eigenvalue-1 eigenspace of
     one ``eigh`` of M.  The cutoff is ``tol`` (``md.tol``) scaled by the
-    label count.  Eigenvalues with |1 - lambda| within a decade of the
-    cutoff raise RankAmbiguityError rather than guessing; an eigenvalue above
-    1 + cutoff, or a basis element that misses SX = XS by more than the
-    cutoff, means S is not unitary and raises NumericError.
+    label count, and ``numerics.zero_mask`` decides |1 - lambda| at it.  An
+    eigenvalue above 1 + cutoff, or a basis element that misses SX = XS by
+    more than the cutoff, means S is not unitary and raises NumericError.
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
@@ -122,16 +120,11 @@ def commutant_basis(S: np.ndarray, mask: np.ndarray, tol: float) -> np.ndarray:
          + im[np.ix_(rows, rows)] * im[np.ix_(cols, cols)])  # Re K
     evals, vecs = np.linalg.eigh((K + K.T) / 2.0)
     cutoff = scaled_tol(tol, n)
-    gap = np.abs(1.0 - evals)
-    ambiguous = evals[(cutoff / 10.0 < gap) & (gap < cutoff * 10.0)].tolist()
-    if ambiguous:
-        raise RankAmbiguityError(
-            f"eigenvalues {ambiguous} within a decade of cutoff {cutoff:.1e} from 1; "
-            "raise precision or adjust the tolerance")
+    fixed = zero_mask(np.abs(1.0 - evals), cutoff, "commutant eigenvalue distances |1 - lambda|")
     if evals[-1] > 1.0 + cutoff:
         raise NumericError(f"commutant map has eigenvalue {evals[-1]:.6g} > 1 "
                            f"(cutoff {cutoff:.1e}); S must be unitary")
-    null = vecs[:, gap <= cutoff].T
+    null = vecs[:, fixed].T
     if not len(null):
         raise NumericError("commutant is empty; the identity should always be present")
     basis = np.zeros((len(null), n, n))

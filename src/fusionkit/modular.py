@@ -27,11 +27,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericError, TwistError, VanishingZError, VerlindeError
-from .numerics import (max_abs, mod1, readonly, root_of_unity, scaled_tol, tolerance,
-                       unit_phase)
+from .numerics import (INT_TOL, exact_int, max_abs, mod1, readonly, root_of_unity,
+                       scaled_tol, tolerance, unit_phase)
 from .rings import DimensionVector, FusionRing, _scatter
-
-VERLINDE_TOL = 1e-6  # verlinde_fusion: imaginary part and distance from integers
 
 
 @dataclass(frozen=True)
@@ -57,12 +55,12 @@ class TwistData:
 
     def numerators(self) -> tuple[np.ndarray, int]:
         """(e, H) with h_l = e_l / H for the common denominator H, computed
-        once; e is read-only and int64 unless H is huge, so sums of a few
-        e_l stay exact."""
+        once; e is read-only, in the ``numerics.exact_int`` type of 2H, so
+        e_m + e_n - e_l, in (-H, 2H), stays exact."""
         if self._numerators is None:
             H = math.lcm(*(t.denominator for t in self.h))
             e = np.array([t.numerator * (H // t.denominator) for t in self.h],
-                         dtype=np.int64 if H < 2 ** 62 else object)
+                         dtype=exact_int(2 * H))
             object.__setattr__(self, "_numerators", (readonly(e), H))
         return self._numerators
 
@@ -276,17 +274,17 @@ def verlinde_fusion(md: ModularData) -> tuple[np.ndarray, float]:
     """Recover the fusion tensor from S via the Verlinde formula.
 
     Returns the rounded integer tensor and the worst pre-rounding deviation.
-    Raises VerlindeError when the deviation exceeds VERLINDE_TOL, an entry rounds
-    negative, or the result disagrees with the ring's own table.
+    Raises VerlindeError when the deviation exceeds ``numerics.INT_TOL``, an
+    entry rounds negative, or the result disagrees with the ring's own table.
     """
     S = md.S
     weights = 1.0 / S[md.ring.unit, :]
     raw = np.einsum("lr,mr,nr,r->lmn", S, S, S.conj(), weights, optimize=True)
-    if max_abs(raw.imag) > VERLINDE_TOL:
+    if max_abs(raw.imag) > INT_TOL:
         raise VerlindeError(f"Verlinde sum has imaginary part {max_abs(raw.imag):.3e}")
     rounded = np.rint(raw.real).astype(np.int64)
     deviation = float(np.max(np.abs(raw.real - rounded)))
-    if deviation > VERLINDE_TOL:
+    if deviation > INT_TOL:
         raise VerlindeError(f"Verlinde sum is {deviation:.3e} from integers")
     if np.any(rounded < 0):
         raise VerlindeError("Verlinde sum produced a negative multiplicity")

@@ -1,16 +1,21 @@
-"""Numeric conventions: the global tolerance and exact-rational phases.
+"""Numeric conventions: one rule for each float-versus-exact decision.
 
-Twist exponents are kept as exact ``Fraction`` values everywhere; floats only
-appear when a phase is actually evaluated.  Equality decisions (T-sparsity,
-the unit and conjugation laws of the twists) are therefore combinatorial,
-never float comparisons.
+* integrality: a float that stands for an integer (a Verlinde sum, a Z
+  entry, a block size s^2, a dimension residual) passes within ``INT_TOL``;
+* exact integers: ``exact_int`` and ``exact_float`` pick the type in which
+  integer sums up to a bound are exact;
+* rank: ``zero_mask`` counts values at most a cutoff as zero and refuses
+  any within a decade of it (the commutant, the center, the trace form).
 
-Every phase comes from one integer core, ``root_of_unity(j, H)`` =
-e^{2 pi i j/H}: the quarter turn is split off in integers and the rest,
-an exact rational of at most 1/4 turn, is rounded once by Python's
-correctly rounded integer division.  Callers that hold twists as integer
-numerators over a common denominator (``TwistData.numerators``) evaluate
-each phase without building a ``Fraction``.
+The other constants mean other things: ``DEFAULT_TOL`` is the caller's
+``tol`` for matrix identities, ``rings._PF_TOL`` stops the power iteration,
+the 1e-8 floors of the Perron-Frobenius residual and the central-charge
+phase allow for the error of the iterated dimensions, ``algebras._RANK_RTOL``
+is a cutoff relative to the largest singular value, and the 1e-9 floors of
+the pivot cells and the interval propagator drop float noise.
+
+Twist exponents are exact ``Fraction`` values, so T-sparsity and the twist
+laws are decided exactly; each phase is one ``root_of_unity`` call.
 """
 from __future__ import annotations
 
@@ -19,9 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, RankAmbiguityError
 
 DEFAULT_TOL = 1e-9
+INT_TOL = 1e-6
 
 # exact values of i**k for quadrant reduction
 _QUARTER = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -78,18 +84,30 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def exact_float(bound: int, what: str) -> type:
-    """The float type in which integer sums up to ``bound`` are exact.
-
-    ``bound`` is an integer upper bound on every partial sum of a product of
-    non-negative integer arrays: float32 is exact below 2^24 and float64
-    below 2^53; a larger bound raises ``NumericError`` naming ``what``
-    rather than compare rounded sums.
-    """
+    """The float type in which integer sums up to ``bound``, a bound on every
+    partial sum of a product of non-negative integer arrays, are exact:
+    float32 below 2^24, float64 below 2^53, else ``NumericError`` (``what``)."""
     if bound < 2 ** 24:
         return np.float32
     if bound < 2 ** 53:
         return np.float64
     raise NumericError(f"{what} are not exact in float64")
+
+
+def exact_int(bound: int) -> type:
+    """The integer type in which integer sums up to ``bound`` are exact:
+    int64 below 2^63, else ``object`` (Python ints)."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def zero_mask(values: np.ndarray, cutoff: float, what: str) -> np.ndarray:
+    """Which non-negative ``values`` count as zero (at most ``cutoff``); any
+    value within a decade of it raises ``RankAmbiguityError`` naming ``what``."""
+    near = values[(cutoff / 10.0 < values) & (values < cutoff * 10.0)].tolist()
+    if near:
+        raise RankAmbiguityError(f"{what} {near} within a decade of cutoff {cutoff:.1e}; "
+                                 "raise precision or adjust the tolerance")
+    return values <= cutoff
 
 
 def readonly(a: np.ndarray) -> np.ndarray:

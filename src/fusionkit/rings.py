@@ -43,14 +43,13 @@ its homomorphism check (``induction.full_report``).  When the unit law
 holds, the unit is in the left nucleus and leaves G, so SU(2)_k checks
 label 1 alone.  Only when a label of G fails are all labels checked, so every
 violation is still listed.  Each associativity partial sum is a non-negative
-integer of at most n max(N)^2, and ``numerics.exact_float`` turns that bound
-into float32 below 2^24, float64 below 2^53 and a ``NumericError`` above,
-before any product is formed.  A label is decided by one of two exact
-tests: a single-constituent table (no (a, b) repeats in the columns, as in
-groups and Z_n rings) composes its n x n constituent and multiplicity maps,
-scattered from the columns; any other table compares float products of a
-dense copy in that dtype, in blocks of about ``_BLOCK_BYTES``.  Failing
-labels are listed from full products of that one dense copy.
+integer of at most n max(N)^2, from which ``numerics.exact_float`` picks the
+float type before any product is formed.  A label is decided by one of two
+exact tests: a single-constituent table (no (a, b) repeats in the columns,
+as in groups and Z_n rings) composes its n x n constituent and multiplicity
+maps, scattered from the columns; any other table compares float products
+of a dense copy in that dtype, in blocks of about ``_BLOCK_BYTES``.
+Failing labels are listed from full products of that one dense copy.
 """
 from __future__ import annotations
 

@@ -14,8 +14,8 @@ import functools
 import numpy as np
 
 from fusionkit import BasedAlgebra, NondegeneracyRequired
-from fusionkit.induction import GEN_TOL, GeneratingReport, HomomorphismReport
-from fusionkit.numerics import exact_float
+from fusionkit.induction import GeneratingReport, HomomorphismReport
+from fusionkit.numerics import INT_TOL, exact_float
 from fusionkit.rings import Violation
 
 from helpers import dense
@@ -178,5 +178,5 @@ def reference_verify_generating(cert, md):
     lhs = np.einsum("l,m,lmd->d", d, d, mixed, optimize=True)
     residual = float(np.max(np.abs(lhs - md.w * dm))) / md.w
     uncovered = tuple(int(b) for b in range(cert.mm.size) if not np.any(mixed[:, :, b] > 0))
-    return GeneratingReport(passed=(residual <= GEN_TOL and not uncovered),
+    return GeneratingReport(passed=(residual <= INT_TOL and not uncovered),
                             max_residual=residual, uncovered=uncovered)

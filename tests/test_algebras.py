@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fusionkit import (BasedAlgebra, BlockProfile, NumericError, StructureError,
-                       decompose_semisimple, validate_based_algebra,
+from fusionkit import (BasedAlgebra, BlockProfile, NumericError, RankAmbiguityError,
+                       StructureError, decompose_semisimple, validate_based_algebra,
                        verify_dimension_theorem)
 from fusionkit import algebras
-from fusionkit.algebras import _center
+from fusionkit.algebras import _center, _trace_form
 from fusionkit.catalog import su2_level
 from fusionkit.induction import trivial_certificate
 from fusionkit.rings import _generating_labels
@@ -255,7 +255,7 @@ class TestDecompose:
     def test_failure_names_the_closest_integrality_distance(self, monkeypatch):
         # no draw can pass a negative tolerance, so the last error reports
         # how close the best draw came
-        monkeypatch.setattr(algebras, "_INT_TOL", -1.0)
+        monkeypatch.setattr(algebras, "INT_TOL", -1.0)
         with pytest.raises(NumericError, match=r"closest integrality distance \d\.\de[-+]\d+, "):
             decompose_semisimple(BasedAlgebra.from_group_table(symmetric_table(3)))
 
@@ -303,6 +303,30 @@ class TestCenter:
             perm = np.random.default_rng(seed).permutation(len(table)).tolist()
             alg = BasedAlgebra.from_group_table(permute_table(table, perm))
             assert decompose_semisimple(alg, seed=seed).sizes == degrees, seed
+
+
+class TestRankCutoff:
+    """The center and the trace form refuse a singular value near their
+    cutoff, as the commutant does, rather than guess a rank."""
+
+    def test_center_refuses_a_value_near_the_cutoff(self, monkeypatch):
+        # the smallest nonzero singular value of d6's commutator rows is
+        # 0.655 of the largest: within a decade of a cutoff at 0.3
+        alg = BasedAlgebra.from_group_table(GROUP_FIXTURES["d6"][0])
+        assert len(_center(alg)) == 6
+        monkeypatch.setattr(algebras, "_RANK_RTOL", 0.3)
+        with pytest.raises(RankAmbiguityError, match=r"^center singular values \["):
+            _center(alg)
+
+    def test_trace_form_refuses_a_value_near_the_cutoff(self, monkeypatch):
+        # the trace form of SU(2)_10 spans singular values 0.067 of the
+        # largest and more: within a decade of a cutoff at 0.05
+        ring = su2_level(10)[0]
+        alg = BasedAlgebra(ring.labels, ring.unit, ring.dual, np.stack(ring.columns(), axis=1))
+        _trace_form(alg)
+        monkeypatch.setattr(algebras, "_RANK_RTOL", 0.05)
+        with pytest.raises(RankAmbiguityError, match=r"^trace-form singular values \["):
+            _trace_form(alg)
 
 
 class TestDimensionTheorem:

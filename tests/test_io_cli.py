@@ -408,6 +408,15 @@ class TestCLI:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_modular_checks_print_items_before_the_modular_data(self, tmp_path, capsys):
+        # Z_2 with q = 2 has z = 0, so building its modular data fails with
+        # exit 1; a bad --print item is a usage error and is reported first
+        ring_file = str(tmp_path / "fermion.json")
+        main(["gen", "cyclic", "--order", "2", "--q", "2", "-o", ring_file])
+        capsys.readouterr()
+        assert main(["modular", ring_file, "--print", "Q"]) == 2
+        assert capsys.readouterr() == ("", "error: unknown --print item 'Q'\n")
+
     def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
         import fusionkit.cli
 
